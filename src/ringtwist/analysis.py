@@ -2,10 +2,11 @@
 
 All comparisons between phase configurations are made modulo a global
 rotation (the dynamics is equivariant under adding a constant to every
-phase), using the circular mean of the pointwise difference as the
-optimal alignment angle.  The slow modulation around a twisted state is
-summarized by its first spatial harmonic: amplitude r and phase psi of
-the best fit v ~ r * sin(2*pi*k/n + psi) to the aligned deviation field.
+phase), using the argument of the mean resultant of the pointwise
+difference as the optimal alignment angle.  The slow modulation around a
+twisted state is summarized by its first spatial harmonic: amplitude r
+and phase psi of the best fit v ~ r * sin(2*pi*k/n + psi) to the aligned
+deviation field.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ class NoFitError(RuntimeError):
     """Raised when an alignment or modulation estimate is ill-posed."""
 
 
+def _align(v_raw: np.ndarray, strict: bool = False):
+    """Rotation alignment of a phase difference, or of each row of a 2-D one.
+
+    Returns (theta, residual): theta is the argument of the mean resultant
+    along the last axis, 0 where its magnitude is below 1e-12, and the
+    residual is v_raw - theta wrapped to (-pi, pi].  With strict=True a
+    degenerate resultant raises NoFitError instead.
+    """
+    z = resultant(v_raw)
+    degenerate = np.abs(z) < _DEGENERATE_RESULTANT
+    if strict and np.any(degenerate):
+        raise NoFitError(
+            f"alignment undefined: resultant magnitude {np.min(np.abs(z)):.3e} < 1e-12"
+        )
+    theta = np.where(degenerate, 0.0, np.angle(z))
+    return theta, wrap_angle(v_raw - theta[..., None])
+
+
 @dataclass(frozen=True)
 class TwistedFit:
     """Best rigid rotation of the q-twisted profile onto a phase snapshot."""
@@ -67,7 +86,7 @@ class TwistedFit:
 def fit_twisted(phases: np.ndarray, q: int) -> TwistedFit:
     """Fit u_k ~ 2*pi*q*k/n + theta and report wrapped residuals.
 
-    theta is the circular mean of u_k - 2*pi*q*k/n; residual_l2 is the
+    theta is the alignment angle of u_k - 2*pi*q*k/n; residual_l2 is the
     sqrt of the mean squared wrapped residual (1/n-normalized).
 
     Raises
@@ -77,16 +96,9 @@ def fit_twisted(phases: np.ndarray, q: int) -> TwistedFit:
         is undefined (resultant magnitude below 1e-12).
     """
     phases = np.asarray(phases, dtype=float)
-    v_raw = phases - twisted_profile(len(phases), q)
-    z = resultant(v_raw)
-    if abs(z) < _DEGENERATE_RESULTANT:
-        raise NoFitError(
-            f"alignment undefined: resultant magnitude {abs(z):.3e} < 1e-12"
-        )
-    theta = float(np.angle(z))
-    res = wrap_angle(v_raw - theta)
+    theta, res = _align(phases - twisted_profile(len(phases), q), strict=True)
     return TwistedFit(
-        q=q, theta=theta,
+        q=q, theta=float(theta),
         residual_max=float(np.max(np.abs(res))),
         residual_l2=float(np.sqrt(np.mean(res**2))),
     )
@@ -95,22 +107,20 @@ def fit_twisted(phases: np.ndarray, q: int) -> TwistedFit:
 def deviation_field(phases: np.ndarray, q: int) -> np.ndarray:
     """Wrapped deviation from the aligned q-twisted profile.
 
-    Subtracts the twisted profile, removes the circular-mean offset, and
+    Subtracts the twisted profile, removes the alignment offset, and
     wraps to (-pi, pi].  If the offset is degenerate it is taken as 0.
     """
     phases = np.asarray(phases, dtype=float)
-    v_raw = phases - twisted_profile(len(phases), q)
-    z = resultant(v_raw)
-    theta = float(np.angle(z)) if abs(z) >= _DEGENERATE_RESULTANT else 0.0
-    return wrap_angle(v_raw - theta)
+    return _align(phases - twisted_profile(len(phases), q))[1]
 
 
 def deviation_series(trajectory: Trajectory, q: int | None = None) -> np.ndarray:
     """Per-sample max absolute deviation from the aligned twisted profile."""
     if q is None:
         q = trajectory.config.q
+    profile = twisted_profile(trajectory.n, q)
     return np.array(
-        [np.max(np.abs(deviation_field(row, q))) for row in trajectory.phases]
+        [np.max(np.abs(_align(row - profile)[1])) for row in trajectory.phases]
     )
 
 
@@ -167,8 +177,8 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
                         t_max: float | None = None) -> ModulationEstimate:
     """Track the first-harmonic modulation over a time window.
 
-    Per sample: subtract the q-twisted profile, take the circular mean as
-    the drift angle, wrap the recentered field, and project onto the
+    Per sample: subtract the q-twisted profile, take the alignment angle
+    as the drift angle, wrap the recentered field, and project onto the
     first harmonic.  Drift and psi are unwrapped across samples before
     rate fits.
 
@@ -190,18 +200,12 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
             f"need at least 2 samples in [{lo:g}, {hi:g}], found {len(idx)}"
         )
     profile = twisted_profile(trajectory.n, q)
-    c_arr = np.empty(len(idx))
-    s_arr = np.empty(len(idx))
-    r_arr = np.empty(len(idx))
-    psi_raw = np.empty(len(idx))
     drift_raw = np.empty(len(idx))
+    modes = np.empty((4, len(idx)))
     for out, i in enumerate(idx):
-        v_raw = trajectory.phases[i] - profile
-        z = resultant(v_raw)
-        theta = float(np.angle(z)) if abs(z) >= _DEGENERATE_RESULTANT else 0.0
-        drift_raw[out] = theta
-        v = wrap_angle(v_raw - theta)
-        c_arr[out], s_arr[out], r_arr[out], psi_raw[out] = fourier_mode1(v)
+        drift_raw[out], v = _align(trajectory.phases[i] - profile)
+        modes[:, out] = fourier_mode1(v)
+    c_arr, s_arr, r_arr, psi_raw = modes
     steps = wrap_angle(np.diff(psi_raw))
     meaningful = (r_arr[1:] > _PSI_AMPLITUDE_FLOOR) & (r_arr[:-1] > _PSI_AMPLITUDE_FLOOR)
     if np.any(meaningful & (np.abs(steps) > 0.9 * np.pi)):
@@ -222,18 +226,16 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
 def distance_mod_rotation(a: np.ndarray, b: np.ndarray) -> float:
     """L2 distance between phase configurations modulo global rotation.
 
-    The alignment angle is the circular mean of the pointwise difference
-    (0 if degenerate); the distance is the root mean squared wrapped
-    residual, so identical configurations rotated by any constant are at
-    distance 0.
+    The alignment angle is the argument of the mean resultant of the
+    pointwise difference (0 if degenerate); the distance is the root mean
+    squared wrapped residual, so identical configurations rotated by any
+    constant are at distance 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    z = resultant(a - b)
-    theta = float(np.angle(z)) if abs(z) >= _DEGENERATE_RESULTANT else 0.0
-    res = wrap_angle(a - b - theta)
+    res = _align(a - b)[1]
     return float(np.sqrt(np.mean(res**2)))
 
 

@@ -25,7 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectrum import _bisect, chi1, chi1_dkappa, chi2, phi, zeta0, zeta_extremum
+from .spectrum import (
+    _bisect,
+    _check_int,
+    _check_range,
+    chi1,
+    chi1_dkappa,
+    chi2,
+    phi,
+    zeta0,
+    zeta_extremum,
+)
 
 __all__ = [
     "NoRootError",
@@ -65,21 +75,15 @@ def kappa_critical_all(ell: int, q: int) -> list[float]:
     NoRootError
         If chi1 keeps a constant sign on the scan interval.
     """
-
-    def f(k: float) -> float:
-        return chi1(k, ell, q)
-
     grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = np.array([f(k) for k in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(_bisect(f, float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    vals = chi1(grid, ell, q)
+    zero = vals == 0.0
+    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    roots = [
+        float(grid[i]) if zero[i]
+        else _bisect(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
+        for i in np.flatnonzero(zero | change)
+    ]
     if not roots:
         raise NoRootError(
             f"chi1(., ell={ell}, q={q}) has constant sign on "
@@ -111,10 +115,8 @@ def a_coeffs(q: int, j: int, kappa_crit: float) -> tuple[float, float]:
     kappa_crit : float
         Evaluation half-width (normally the threshold value).
     """
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
-        raise ValueError(f"q must be an integer >= 1, got {q!r}")
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise ValueError(f"j must be an integer >= 0, got {j!r}")
+    _check_int("q", q, 1)
+    _check_int("j", j, 0)
     k = float(kappa_crit)
     if j == q:
         a1 = sin(4 * pi * q * k) / (4 * pi * q) - k
@@ -229,17 +231,13 @@ def normal_form_constants(q: int, p: float = 1.0,
         If the mode-2 damping chi1(kappa_crit; 2, q) vanishes (the slaved
         mode-2 elimination divides by it).
     """
-    if not (isinstance(q, (int, np.integer)) and 1 <= q <= 8):
-        raise ValueError(f"q must be an integer in [1, 8], got {q!r}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    if not -pi / 2 < sigma < pi / 2:
-        raise ValueError(f"sigma must lie in (-pi/2, pi/2), got {sigma!r}")
+    _check_int("q", q, 1, 8)
+    _check_range(0.0 < p <= 1.0, "p", p, "(0, 1]")
+    _check_range(-pi / 2 < sigma < pi / 2, "sigma", sigma, "(-pi/2, pi/2)")
 
     kc = kappa_critical(1, q)
     chid = chi1_dkappa(kc, 1, q)
-    a1 = tuple(a_coeffs(q, j, kc)[0] for j in range(4))
-    a2 = tuple(a_coeffs(q, j, kc)[1] for j in range(4))
+    a1, a2 = zip(*(a_coeffs(q, j, kc) for j in range(4)))
 
     beta1 = 0.375 * a2[0] - 0.5 * a2[1] + 0.125 * a2[2]
     beta2 = 0.25 * a1[1] - 0.125 * a1[2]
@@ -249,12 +247,12 @@ def normal_form_constants(q: int, p: float = 1.0,
     rho1 = 0.5 * a1[1] - 0.25 * a1[2]
     rho2 = 0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2]
 
-    chi1_23 = [chi1(kc, j, q) for j in (1, 2, 3)]
-    chi2_23 = [chi2(kc, j, q) for j in (1, 2, 3)]
-    mu_j = tuple(p * c * cos(sigma) for c in chi1_23)
-    nu_j = tuple(p * c * sin(sigma) for c in chi2_23)
+    modes = np.arange(1, 4)
+    chi1_123 = chi1(kc, modes, q)
+    mu_j = tuple((p * chi1_123 * cos(sigma)).tolist())
+    nu_j = tuple((p * chi2(kc, modes, q) * sin(sigma)).tolist())
 
-    chi1_2 = chi1_23[1]
+    chi1_2 = float(chi1_123[1])
     if chi1_2 == 0.0:
         raise ValueError(
             f"chi1(kappa_crit; 2, q={q}) = 0: the mode-2 elimination is "
@@ -272,7 +270,7 @@ def normal_form_constants(q: int, p: float = 1.0,
     c1 = (p * gyro * rho1 * cos(sigma) - mu2 * rho2 * sin(sigma)) / cm_denom
     c2 = (p * mu2 * rho1 * cos(sigma) - gyro * rho2 * sin(sigma)) / cm_denom
 
-    Omega = p * sin(2 * pi * q * kc) * sin(sigma) / (pi * q)
+    Omega = _rotation_term(p, q, kc, sigma)
     slope = (
         p * rho0 * sin(sigma) * chid / beta_sigma
         if beta_sigma not in (0.0,) and isfinite(beta_sigma)
@@ -306,8 +304,7 @@ def beta_sigma_curve(q: int, p: float,
     out = []
     for sigma in sigma_grid:
         s = float(sigma)
-        if not -pi / 2 < s < pi / 2:
-            raise ValueError(f"sigma must lie in (-pi/2, pi/2), got {s!r}")
+        _check_range(-pi / 2 < s < pi / 2, "sigma", s, "(-pi/2, pi/2)")
         mu2 = p * chi1_2 * cos(s)
         nu1 = p * chi2_1 * sin(s)
         nu2 = p * chi2_2 * sin(s)
@@ -318,20 +315,22 @@ def beta_sigma_curve(q: int, p: float,
     return out
 
 
+def _rotation_term(p: float, q: int, kappa: float, sigma: float) -> float:
+    # coupling-induced rotation speed of the q-twisted solution
+    _check_int("q", q, 1)
+    return p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
+
+
 def rotation_speed_Omega(omega: float, p: float, q: int, kappa: float,
                          sigma: float) -> float:
     """Rotation speed of the q-twisted solution: omega + p*sin(2*pi*q*kappa)*sin(sigma)/(pi*q)."""
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
-        raise ValueError(f"q must be an integer >= 1, got {q!r}")
-    return omega + p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
+    return omega + _rotation_term(p, q, kappa, sigma)
 
 
 def natural_frequency_for_zero_rotation(p: float, q: int, kappa: float,
                                         sigma: float) -> float:
     """Natural frequency that makes the q-twisted solution stationary."""
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
-        raise ValueError(f"q must be an integer >= 1, got {q!r}")
-    return -p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
+    return -_rotation_term(p, q, kappa, sigma)
 
 
 @dataclass(frozen=True)
@@ -418,10 +417,8 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
         # Nonzero phase-lag statement: negative product -> stable branch above.
         side, stab = ("above", "stable") if product < 0 else ("below", "unstable")
 
-    violations = tuple(
-        j for j in range(2, ell_max + 1)
-        if chi1(c.kappa_crit, j, c.q) >= 0.0
-    )
+    modes = np.arange(2, ell_max + 1)
+    violations = tuple(modes[chi1(c.kappa_crit, modes, c.q) >= 0.0].tolist())
 
     d = kappa - c.kappa_crit
     side_query = "at" if d == 0.0 else ("above" if d > 0.0 else "below")
@@ -595,9 +592,10 @@ def write_zeta_csv(path) -> None:
 
 def write_beta_sigma_csv(path, q: int, p: float,
                          sigma_grid: Sequence[float]) -> None:
-    """Write (sigma, beta_sigma) curve rows."""
+    """Write (sigma, beta_sigma) curve rows; an invalid sigma leaves no file."""
+    curve = beta_sigma_curve(q, p, sigma_grid)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma", "beta_sigma"])
-        for s, b in beta_sigma_curve(q, p, sigma_grid):
+        for s, b in curve:
             writer.writerow([repr(s), repr(b)])

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wrap_angle", "resultant", "circular_mean"]
+__all__ = ["wrap_angle", "resultant"]
 
 
 def wrap_angle(x):
@@ -31,19 +31,10 @@ def wrap_angle(x):
     return w
 
 
-def resultant(angles) -> complex:
-    """Mean resultant vector (1/n) sum_k exp(i angle_k)."""
-    a = np.asarray(angles, dtype=float)
-    return complex(np.mean(np.exp(1j * a)))
+def resultant(angles):
+    """Mean resultant vector (1/n) sum_k exp(i angle_k) along the last axis.
 
-
-def circular_mean(angles) -> float:
-    """Circular mean direction, arg of the mean resultant vector.
-
-    For angles concentrated in an interval of length < pi this agrees with
-    the arithmetic mean of wrapped deviations to second order.  The result
-    is meaningless when the resultant magnitude is ~0 (uniformly spread
-    phases); callers that need to detect that case should use
-    :func:`resultant` directly.
+    A complex number for 1-D input, one per row for 2-D input.
     """
-    return float(np.angle(resultant(angles)))
+    z = np.mean(np.exp(1j * np.asarray(angles, dtype=float)), axis=-1)
+    return complex(z) if z.ndim == 0 else z

@@ -1,10 +1,13 @@
 """Command-line interface: constants tables, spectra, runs, sweeps.
 
-Every invocation writes exactly one ``manifest.json`` into the output
-directory recording the command, the effective configuration, output
-paths, code version, and wall time.  Exit codes: 0 success, 2 for
-configuration problems (bad files, bad values, bad paths), 3 for numeric
-failures (integration breakdown, ill-posed fits, missing roots).
+Every successful invocation writes exactly one ``manifest.json`` into the
+output directory recording the command, the effective configuration,
+output paths, code version, and wall time.  Each ``cmd_*`` function
+returns its manifest; :func:`main` creates the output directory, times
+the command, writes the manifest and maps errors to exit codes: 0
+success, 2 for configuration problems (bad files, bad values, bad paths:
+any ValueError or OSError), 3 for numeric failures (integration
+breakdown, ill-posed fits, missing roots).
 
 Run configurations are JSON files; any entry can be overridden on the
 command line with ``--set dotted.key=value`` (values parsed as JSON,
@@ -122,11 +125,6 @@ def _load_config(path: str, overrides: list[str]) -> dict:
     return data
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _parse_int_list(raw: str) -> list[int]:
     try:
         return [int(tok) for tok in raw.split(",") if tok.strip()]
@@ -142,42 +140,34 @@ def _simulation_config(args) -> SimulationConfig:
         raise ConfigError(f"bad simulation config: {exc}") from exc
 
 
-def cmd_constants(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_constants(args) -> RunManifest:
     q_list = _parse_int_list(args.q_list)
     rows = constants_rows(q_list, args.p, args.sigma)
-    constants_path = os.path.join(out, "constants.csv")
-    zeta_path = os.path.join(out, "zeta.csv")
+    constants_path = os.path.join(args.out, "constants.csv")
+    zeta_path = os.path.join(args.out, "zeta.csv")
     write_constants_csv(constants_path, rows)
     write_zeta_csv(zeta_path)
-    manifest = RunManifest(
-        command="constants",
-        config={"q_list": q_list, "p": args.p, "sigma": args.sigma},
-        outputs=[constants_path, zeta_path],
-    )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
     for row in rows:
         print(
             f"q={row['q']} kappa_crit={row['kappa_crit']:.6f} "
             f"beta0={row['beta0']:.6f} beta_sigma={row['beta_sigma']:.6f}"
         )
-    return 0
+    return RunManifest(
+        command="constants",
+        config={"q_list": q_list, "p": args.p, "sigma": args.sigma},
+        outputs=[constants_path, zeta_path],
+    )
 
 
-def cmd_spectrum(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
-    try:
-        params = ModeParams(ell=1, q=args.q, kappa=args.kappa, sigma=args.sigma,
-                            p=args.p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def cmd_spectrum(args) -> RunManifest:
+    params = ModeParams(ell=1, q=args.q, kappa=args.kappa, sigma=args.sigma,
+                        p=args.p)
     report = eigenvalues(params, ell_max=args.ell_max)
-    spectrum_path = os.path.join(out, "spectrum.csv")
+    spectrum_path = os.path.join(args.out, "spectrum.csv")
     write_spectrum_csv(spectrum_path, report)
-    manifest = RunManifest(
+    print(f"verdict={report.verdict} max_real_part={report.max_real_part!r} "
+          f"critical_mode={report.critical_mode}")
+    return RunManifest(
         command="spectrum",
         config={"q": args.q, "kappa": args.kappa, "sigma": args.sigma,
                 "p": args.p, "ell_max": args.ell_max},
@@ -186,16 +176,9 @@ def cmd_spectrum(args) -> int:
                  "max_real_part": report.max_real_part,
                  "critical_mode": report.critical_mode},
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    print(f"verdict={report.verdict} max_real_part={report.max_real_part!r} "
-          f"critical_mode={report.critical_mode}")
-    return 0
 
 
-def cmd_betasigma(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_betasigma(args) -> RunManifest:
     try:
         lo, hi, count = (float(x) for x in args.sigma_grid.split(":"))
     except ValueError as exc:
@@ -203,21 +186,16 @@ def cmd_betasigma(args) -> int:
             f"--sigma-grid must be lo:hi:count, got {args.sigma_grid!r}"
         ) from exc
     grid = np.linspace(lo, hi, int(count))
-    path = os.path.join(out, f"beta_sigma_q{args.q}.csv")
+    path = os.path.join(args.out, f"beta_sigma_q{args.q}.csv")
     write_beta_sigma_csv(path, args.q, args.p, grid)
-    manifest = RunManifest(
+    return RunManifest(
         command="betasigma",
         config={"q": args.q, "p": args.p, "sigma_grid": args.sigma_grid},
         outputs=[path],
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    return 0
 
 
-def cmd_graph(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_graph(args) -> RunManifest:
     data = _load_config(args.config, args.set or [])
     try:
         spec = GraphSpec(**data)
@@ -226,65 +204,52 @@ def cmd_graph(args) -> int:
     coupling = build_coupling(spec)
     outputs = []
     if args.pixels:
-        pixel_path = os.path.join(out, "pixels.csv")
+        pixel_path = os.path.join(args.out, "pixels.csv")
         write_pixel_csv(pixel_path, coupling)
         outputs.append(pixel_path)
     if args.binary:
-        bin_path = os.path.join(out, "adjacency.bin")
+        bin_path = os.path.join(args.out, "adjacency.bin")
         write_adjacency_binary(bin_path, coupling)
         outputs.append(bin_path)
     density = empirical_band_density(coupling)
     step_err = step_graphon_error(spec)
-    manifest = RunManifest(
+    print(f"halfwidth={coupling.halfwidth} nnz={coupling.nnz} "
+          f"density={density:.6f} (target {spec.edge_probability:.6f})")
+    return RunManifest(
         command="graph", config=data, outputs=outputs, seed=spec.seed,
         results={"halfwidth": coupling.halfwidth, "nnz": coupling.nnz,
                  "edge_probability": spec.edge_probability,
                  "empirical_band_density": density,
                  "step_graphon_error": step_err},
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    print(f"halfwidth={coupling.halfwidth} nnz={coupling.nnz} "
-          f"density={density:.6f} (target {spec.edge_probability:.6f})")
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_simulate(args) -> RunManifest:
     config = _simulation_config(args)
     trajectory = run_experiment(config)
-    csv_path = os.path.join(out, "trajectory.csv")
-    json_path = os.path.join(out, "run.json")
+    csv_path = os.path.join(args.out, "trajectory.csv")
+    json_path = os.path.join(args.out, "run.json")
     write_trajectory_csv(csv_path, trajectory)
-    final_fit_error = None
     results = {"omega": trajectory.omega, "t_final": float(trajectory.times[-1])}
     try:
         fit = fit_twisted(trajectory.phases[-1], config.q)
         results["final_residual_max"] = fit.residual_max
         results["final_residual_l2"] = fit.residual_l2
     except NoFitError as exc:
-        final_fit_error = str(exc)
-        results["final_fit_error"] = final_fit_error
+        results["final_fit_error"] = str(exc)
     write_run_json(json_path, trajectory, extra={"results": results})
-    manifest = RunManifest(
+    print(", ".join(f"{k}={v}" for k, v in results.items()))
+    return RunManifest(
         command="simulate", config=config.to_dict(),
         outputs=[csv_path, json_path], seed=config.graph.seed, results=results,
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    summary = ", ".join(f"{k}={v}" for k, v in results.items())
-    print(summary)
-    return 0
 
 
-def cmd_estimate(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_estimate(args) -> RunManifest:
     config = _simulation_config(args)
     trajectory = run_experiment(config)
     estimate = estimate_modulation(trajectory, t_min=args.t_min, t_max=args.t_max)
-    mod_path = os.path.join(out, "modulation.csv")
+    mod_path = os.path.join(args.out, "modulation.csv")
     write_modulation_csv(mod_path, estimate)
     outputs = [mod_path]
     results = {
@@ -294,21 +259,18 @@ def cmd_estimate(args) -> int:
     }
     try:
         fit = fit_twisted(trajectory.phases[-1], config.q)
-        fit_path = os.path.join(out, "fit.json")
+        fit_path = os.path.join(args.out, "fit.json")
         write_fit_json(fit_path, fit)
         outputs.append(fit_path)
         results["final_residual_max"] = fit.residual_max
     except NoFitError as exc:
         results["final_fit_error"] = str(exc)
-    manifest = RunManifest(
+    print(f"r_final={estimate.r_final!r} psi_rate={estimate.psi_rate!r} "
+          f"omega_tilde={estimate.omega_tilde!r}")
+    return RunManifest(
         command="estimate", config=config.to_dict(), outputs=outputs,
         seed=config.graph.seed, results=results,
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    print(f"r_final={estimate.r_final!r} psi_rate={estimate.psi_rate!r} "
-          f"omega_tilde={estimate.omega_tilde!r}")
-    return 0
 
 
 def _sweep_worker(payload: dict) -> dict:
@@ -332,9 +294,7 @@ def _sweep_worker(payload: dict) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
-    start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_sweep(args) -> RunManifest:
     base = _load_config(args.config, args.set or [])
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:
@@ -349,7 +309,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"bad config at {args.param}={value}: {exc}") from exc
         payloads.append({
             "config": data, "value": value,
-            "csv_path": os.path.join(out, f"trajectory_{i:03d}.csv"),
+            "csv_path": os.path.join(args.out, f"trajectory_{i:03d}.csv"),
             "threshold": args.escape_threshold,
         })
     jobs = args.jobs or min(len(payloads), os.cpu_count() or 1)
@@ -358,7 +318,7 @@ def cmd_sweep(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
-    summary_path = os.path.join(out, "sweep.csv")
+    summary_path = os.path.join(args.out, "sweep.csv")
     with open(summary_path, "w", newline="") as fh:
         fh.write("value,max_deviation,final_deviation,final_r,escaped,escape_time\n")
         for row in rows:
@@ -368,7 +328,10 @@ def cmd_sweep(args) -> int:
                 f"{row['final_deviation']!r},{row['final_r']!r},"
                 f"{int(row['escaped'])},{esc_t}\n"
             )
-    manifest = RunManifest(
+    for row in rows:
+        print(f"{args.param}={row['value']}: max_dev={row['max_deviation']:.4f} "
+              f"escaped={row['escaped']}")
+    return RunManifest(
         command="sweep",
         config={"base": base, "param": args.param, "values": values,
                 "escape_threshold": args.escape_threshold},
@@ -376,12 +339,6 @@ def cmd_sweep(args) -> int:
         results={"n_runs": len(rows),
                  "n_escaped": sum(1 for r in rows if r["escaped"])},
     )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out)
-    for row in rows:
-        print(f"{args.param}={row['value']}: max_dev={row['max_deviation']:.4f} "
-              f"escaped={row['escaped']}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,16 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        manifest = args.func(args)
+        manifest.wall_time_s = time.perf_counter() - start
+        manifest.write(args.out)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -4,19 +4,18 @@ The oscillator system is
 
     du_k/dt = omega + scale * sum_j w_kj * sin(u_j - u_k + sigma)
 
-with scale = 1/(n*alpha_n) carried by the coupling matrix.  Three
+with scale = 1/(n*alpha_n) carried by the coupling matrix.  Two
 right-hand-side routes are provided: a banded O(n) evaluation using
-circular prefix sums (deterministic dense graphs), a sparse matvec route
-(random graphs), and a literal double-loop reference used only to
-cross-check the fast routes.  Time stepping is the explicit high-order
+circular prefix sums (deterministic dense graphs) and a sparse matvec
+route (random graphs).  Time stepping is the explicit high-order
 Runge-Kutta DOP853 from scipy with dense sampling on a uniform grid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from math import floor
+from dataclasses import asdict, dataclass
+from math import floor, isfinite
 from typing import Callable
 
 import numpy as np
@@ -24,18 +23,15 @@ from scipy.integrate import solve_ivp
 
 from . import __version__
 from .bifurcation import natural_frequency_for_zero_rotation, rotation_speed_Omega
-from .circular import circular_mean
 from .graphs import CouplingMatrix, GraphSpec, build_coupling
+from .spectrum import _check_int
 
 __all__ = [
     "IntegrationError",
-    "PhaseState",
     "SimulationConfig",
     "Trajectory",
     "twisted_profile",
     "twisted_initial_condition",
-    "modulated_initial_condition",
-    "rhs_naive",
     "make_rhs",
     "integrate_system",
     "run_experiment",
@@ -49,17 +45,6 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """Snapshot of all oscillator phases at one time."""
-
-    t: float
-    phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one simulation run.
 
@@ -68,7 +53,8 @@ class SimulationConfig:
     twisted profile are directly readable from raw phases.  ic_seed feeds
     the initial-condition noise only; the graph has its own seed.  A
     nonzero ic_mode1_amplitude superimposes that amplitude of the first
-    spatial harmonic on the twisted profile before the noise.
+    spatial harmonic on the twisted profile before the noise.  Every float
+    field must be finite.
     """
 
     graph: GraphSpec
@@ -85,12 +71,18 @@ class SimulationConfig:
     ic_mode1_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 0):
-            raise ValueError(f"q must be an integer >= 0, got {self.q!r}")
+        _check_int("q", self.q, 0)
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         if self.sample_dt <= 0.0:
             raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
+        if self.rel_tol <= 0.0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        if self.abs_tol < 0.0:
+            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol!r}")
         if self.perturbation_amplitude < 0.0:
             raise ValueError("perturbation_amplitude must be >= 0")
         if self.perturbation_amplitude > 0.0 and self.ic_seed is None:
@@ -107,20 +99,8 @@ class SimulationConfig:
         )
 
     def to_dict(self) -> dict:
-        g = self.graph
-        return {
-            "graph": {
-                "n": g.n, "p": g.p, "kappa": g.kappa, "kind": g.kind,
-                "gamma": g.gamma, "seed": g.seed,
-            },
-            "q": self.q, "sigma": self.sigma, "omega": self.omega,
-            "t_end": self.t_end, "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol, "sample_dt": self.sample_dt,
-            "perturbation_amplitude": self.perturbation_amplitude,
-            "ic_seed": self.ic_seed,
-            "ic_mode1_amplitude": self.ic_mode1_amplitude,
-            "ic_mode1_phase": self.ic_mode1_phase,
-        }
+        """Every field as plain JSON-ready data, the graph as a nested dict."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
@@ -156,17 +136,6 @@ class Trajectory:
     def n(self) -> int:
         return self.config.graph.n
 
-    def state(self, index: int) -> PhaseState:
-        return PhaseState(t=float(self.times[index]), phases=self.phases[index])
-
-    def corotating_phases(self) -> np.ndarray:
-        """Phases with the twisted solution's rigid rotation removed."""
-        return self.phases - self.rotation_speed * self.times[:, None]
-
-    def mean_phase(self) -> np.ndarray:
-        """Circular mean phase at each sample time."""
-        return np.array([circular_mean(row) for row in self.phases])
-
     def output_nodes(self, stride: int | None = None) -> np.ndarray:
         """Default CSV column subset: every floor(n/10)-th node.
 
@@ -185,31 +154,19 @@ def twisted_profile(n: int, q: int) -> np.ndarray:
 
 
 def twisted_initial_condition(n: int, q: int, perturbation_amplitude: float = 0.0,
-                              seed: int | None = None) -> np.ndarray:
-    """Twisted profile plus uniform noise on [-a, a] (seeded)."""
-    u0 = twisted_profile(n, q)
-    if perturbation_amplitude > 0.0:
-        if seed is None:
-            raise ValueError("noisy initial conditions require a seed")
-        rng = np.random.default_rng(seed)
-        u0 = u0 + rng.uniform(-perturbation_amplitude, perturbation_amplitude, n)
-    return u0
-
-
-def modulated_initial_condition(n: int, q: int, mode1_amplitude: float,
-                                mode1_phase: float = 0.0,
-                                perturbation_amplitude: float = 0.0,
-                                seed: int | None = None) -> np.ndarray:
-    """Twisted profile with a first-harmonic bump, then optional noise.
+                              seed: int | None = None, mode1_amplitude: float = 0.0,
+                              mode1_phase: float = 0.0) -> np.ndarray:
+    """Twisted profile plus a first-harmonic bump, then seeded uniform noise.
 
     The bump is mode1_amplitude * sin(2*pi*k/n + mode1_phase), the shape
     of the slow modulation that grows or decays near the fold of the
     twisted family, so runs can start at a chosen modulation amplitude
-    instead of waiting for noise to organize.
+    instead of waiting for noise to organize.  The noise is uniform on
+    [-a, a] with a = perturbation_amplitude.
     """
-    u0 = twisted_profile(n, q)
-    x = 2.0 * np.pi * np.arange(1, n + 1) / n
-    u0 = u0 + mode1_amplitude * np.sin(x + mode1_phase)
+    u0 = twisted_profile(n, q) + mode1_amplitude * np.sin(
+        twisted_profile(n, 1) + mode1_phase
+    )
     if perturbation_amplitude > 0.0:
         if seed is None:
             raise ValueError("noisy initial conditions require a seed")
@@ -227,42 +184,14 @@ def _window_sums(values: np.ndarray, m: int) -> np.ndarray:
     return cum[2 * m + 1:] - cum[: len(values)]
 
 
-def rhs_naive(t: float, u: np.ndarray, coupling: CouplingMatrix, omega: float,
-              sigma: float) -> np.ndarray:
-    """Literal double-loop right-hand side (reference implementation)."""
-    n = coupling.n
-    du = np.empty(n)
-    if coupling.layout == "banded_uniform":
-        m, w = coupling.halfwidth, coupling.weight
-        for k in range(n):
-            acc = 0.0
-            for d in range(-m, m + 1):
-                j = (k + d) % n
-                acc += w * np.sin(u[j] - u[k] + sigma)
-            du[k] = omega + coupling.scale * acc
-    else:
-        csr = coupling.adjacency
-        indptr, indices = csr.indptr, csr.indices
-        for k in range(n):
-            acc = 0.0
-            for j in indices[indptr[k]:indptr[k + 1]]:
-                acc += np.sin(u[j] - u[k] + sigma)
-            du[k] = omega + coupling.scale * acc
-    return du
+def make_rhs(coupling: CouplingMatrix, omega: float,
+             sigma: float) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Build the right-hand side for a coupling matrix.
 
-
-def make_rhs(coupling: CouplingMatrix, omega: float, sigma: float,
-             method: str = "fast") -> Callable[[float, np.ndarray], np.ndarray]:
-    """Build the fastest right-hand side for a coupling matrix.
-
-    Both fast routes use sin(u_j - u_k + sigma) =
+    Both routes use sin(u_j - u_k + sigma) =
     cos(u_k - sigma) * sin(u_j) - sin(u_k - sigma) * cos(u_j), reducing
     the coupling sum to two windowed (or sparse) linear operations.
     """
-    if method == "naive":
-        return lambda t, u: rhs_naive(t, u, coupling, omega, sigma)
-    if method != "fast":
-        raise ValueError(f"unknown rhs method {method!r}")
     scale = coupling.scale
     if coupling.layout == "banded_uniform":
         m = coupling.halfwidth
@@ -346,16 +275,10 @@ def run_experiment(config: SimulationConfig,
             f"coupling size {coupling.n} does not match graph n {config.graph.n}"
         )
     omega = config.resolved_omega()
-    n = config.graph.n
-    if config.ic_mode1_amplitude != 0.0:
-        y0 = modulated_initial_condition(
-            n, config.q, config.ic_mode1_amplitude, config.ic_mode1_phase,
-            config.perturbation_amplitude, config.ic_seed,
-        )
-    else:
-        y0 = twisted_initial_condition(
-            n, config.q, config.perturbation_amplitude, config.ic_seed
-        )
+    y0 = twisted_initial_condition(
+        config.graph.n, config.q, config.perturbation_amplitude, config.ic_seed,
+        config.ic_mode1_amplitude, config.ic_mode1_phase,
+    )
     rhs = make_rhs(coupling, omega, config.sigma)
     times, states = integrate_system(
         rhs, y0, config.t_end, rel_tol=config.rel_tol, abs_tol=config.abs_tol,

@@ -352,8 +352,9 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
       magic 6s "RTADJ\\0" | version u16 | n u64 | kind u8 | has_seed u8 |
       seed u64 | halfwidth u64 | weight f64 | scale f64 | nnz u64 |
       [sparse only: row offsets (n+1) x u64, then column indices nnz x u64].
-    banded_uniform stores no index arrays (nnz field 0); the pattern is
-    implied by (n, halfwidth).
+    banded_uniform (kind deterministic_dense) stores no index arrays (nnz
+    field 0); the pattern is implied by (n, halfwidth).  The random kinds
+    always carry both arrays, even when the graph has no edges.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -373,7 +374,11 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
 
 
 def read_adjacency_binary(path) -> CouplingMatrix:
-    """Read a dump produced by write_adjacency_binary."""
+    """Read a dump produced by write_adjacency_binary.
+
+    The layout follows the stored kind: deterministic_dense reads back as
+    banded_uniform, the random kinds as sparse_binary.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != _MAGIC:
@@ -386,7 +391,7 @@ def read_adjacency_binary(path) -> CouplingMatrix:
         weight, scale = struct.unpack("<dd", fh.read(16))
         (nnz,) = struct.unpack("<Q", fh.read(8))
         kind = _CODE_KINDS[kind_code]
-        if nnz == 0:
+        if kind == "deterministic_dense":
             return CouplingMatrix(
                 layout="banded_uniform", n=int(n), scale=scale,
                 halfwidth=int(halfwidth), weight=weight, kind=kind,

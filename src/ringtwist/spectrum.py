@@ -58,18 +58,42 @@ class BracketError(RuntimeError):
     """A root bracket showed no sign change (indicates a formula bug)."""
 
 
-def _validate_mode(kappa: float, ell: int, q: int) -> None:
-    if not (isinstance(ell, (int, np.integer)) and ell >= 1):
-        raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
-        raise ValueError(
-            f"q must be an integer >= 1, got {q!r} (use eigenvalues_q0 for q = 0)"
-        )
-    if not 0.0 < kappa <= 0.5:
-        raise ValueError(f"kappa must lie in (0, 1/2], got {kappa!r}")
+def _check_int(name: str, value, lo: int, hi: int | None = None,
+               hint: str = "") -> None:
+    """Raise ValueError unless value is an integer (or integer array) in [lo, hi]."""
+    v = np.asarray(value)
+    if v.dtype.kind in "iu" and (
+            v.size == 0 or (v.min() >= lo and (hi is None or v.max() <= hi))):
+        return
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}{hint}")
 
 
-def chi1(kappa: float, ell: int, q: int) -> float:
+def _check_range(ok, name: str, value, interval: str) -> None:
+    """Raise ValueError naming the allowed interval unless ok holds everywhere."""
+    if not np.all(ok):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def _validate_mode(kappa, ell, q: int) -> None:
+    _check_int("ell", ell, 1)
+    _check_int("q", q, 1, hint=" (use eigenvalues_q0 for q = 0)")
+    k = np.asarray(kappa)
+    _check_range((0.0 < k) & (k <= 0.5), "kappa", kappa, "(0, 1/2]")
+
+
+def _scalar_or_array(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _half_window(kappa, d):
+    # sin(2*pi*d*kappa)/(2*pi*d); its d -> 0 limit is kappa
+    d = np.asarray(d)
+    safe = np.where(d == 0, 1, d)
+    return np.where(d == 0, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
+
+
+def chi1(kappa, ell, q: int):
     """Real part factor of the mode-l eigenvalue of a q-twisted state.
 
     chi1(kappa; l, q) multiplies p*cos(sigma) in the eigenvalue.  Its sign
@@ -77,45 +101,40 @@ def chi1(kappa: float, ell: int, q: int) -> float:
 
     Parameters
     ----------
-    kappa : float
+    kappa : float or ndarray
         Coupling window half-width, in (0, 1/2].
-    ell, q : int
-        Fourier mode index (l >= 1) and winding number (q >= 1).
+    ell : int or integer ndarray
+        Fourier mode index (l >= 1); broadcasts against kappa.
+    q : int
+        Winding number (q >= 1).
 
     Returns
     -------
-    float
+    float, or ndarray for array input
     """
     _validate_mode(kappa, ell, q)
-    tail = sin(2 * pi * q * kappa) / (pi * q)
-    if ell == q:
-        return kappa + sin(4 * pi * q * kappa) / (4 * pi * q) - tail
-    return (
-        sin(2 * pi * (ell - q) * kappa) / (2 * pi * (ell - q))
-        + sin(2 * pi * (ell + q) * kappa) / (2 * pi * (ell + q))
+    tail = np.sin(2 * pi * q * kappa) / (pi * q)
+    return _scalar_or_array(
+        _half_window(kappa, np.subtract(ell, q)) + _half_window(kappa, np.add(ell, q))
         - tail
     )
 
 
-def chi2(kappa: float, ell: int, q: int) -> float:
+def chi2(kappa, ell, q: int):
     """Imaginary part factor of the mode-l eigenvalue (multiplies p*sin(sigma))."""
     _validate_mode(kappa, ell, q)
-    if ell == q:
-        return kappa - sin(4 * pi * q * kappa) / (4 * pi * q)
-    return sin(2 * pi * (ell - q) * kappa) / (2 * pi * (ell - q)) - sin(
-        2 * pi * (ell + q) * kappa
-    ) / (2 * pi * (ell + q))
+    return _scalar_or_array(
+        _half_window(kappa, np.subtract(ell, q)) - _half_window(kappa, np.add(ell, q))
+    )
 
 
-def chi1_dkappa(kappa: float, ell: int, q: int) -> float:
+def chi1_dkappa(kappa, ell, q: int):
     """Analytic derivative of chi1 with respect to kappa."""
     _validate_mode(kappa, ell, q)
-    if ell == q:
-        return 1.0 + cos(4 * pi * q * kappa) - 2.0 * cos(2 * pi * q * kappa)
-    return (
-        cos(2 * pi * (ell - q) * kappa)
-        + cos(2 * pi * (ell + q) * kappa)
-        - 2.0 * cos(2 * pi * q * kappa)
+    return _scalar_or_array(
+        np.cos(2 * pi * np.subtract(ell, q) * kappa)
+        + np.cos(2 * pi * np.add(ell, q) * kappa)
+        - 2.0 * np.cos(2 * pi * q * kappa)
     )
 
 
@@ -127,10 +146,7 @@ def phi(zeta):
     limit is handled exactly through np.sinc.
     """
     z = np.asarray(zeta, dtype=float)
-    out = np.sinc(z / np.pi) * (2.0 - np.cos(z))
-    if np.ndim(zeta) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(np.sinc(z / np.pi) * (2.0 - np.cos(z)))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -190,8 +206,7 @@ def zeta_extremum(j: int) -> float:
     BracketError
         If the bracket shows no sign change.
     """
-    if not (isinstance(j, (int, np.integer)) and j >= 1):
-        raise ValueError(f"j must be an integer >= 1, got {j!r}")
+    _check_int("j", j, 1)
     lo = (j - 1) * pi
     if j == 1:
         # The equation has a degenerate root at z = 0 (both sides -> 1);
@@ -238,16 +253,12 @@ class ModeParams:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.ell, (int, np.integer)) and self.ell >= 1):
-            raise ValueError(f"ell must be an integer >= 1, got {self.ell!r}")
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 0):
-            raise ValueError(f"q must be an integer >= 0, got {self.q!r}")
-        if not 0.0 < self.kappa <= 0.5:
-            raise ValueError(f"kappa must lie in (0, 1/2], got {self.kappa!r}")
-        if not -pi / 2 < self.sigma < pi / 2:
-            raise ValueError(f"sigma must lie in (-pi/2, pi/2), got {self.sigma!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
+        _check_int("ell", self.ell, 1)
+        _check_int("q", self.q, 0)
+        _check_range(0.0 < self.kappa <= 0.5, "kappa", self.kappa, "(0, 1/2]")
+        _check_range(-pi / 2 < self.sigma < pi / 2, "sigma", self.sigma,
+                     "(-pi/2, pi/2)")
+        _check_range(0.0 < self.p <= 1.0, "p", self.p, "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -281,10 +292,22 @@ class SpectrumReport:
         return len(self.eigenvalues)
 
 
-def _verdict(max_real: float) -> str:
+def _report(re: np.ndarray, im_plus: np.ndarray,
+            im_minus: np.ndarray) -> SpectrumReport:
+    # eigenvalue pairs for l = 1..len(re); the first maximum wins
+    crit = int(np.argmax(re))
+    max_real = float(re[crit])
     if abs(max_real) <= MARGINAL_TOLERANCE:
-        return "marginal"
-    return "unstable" if max_real > 0 else "linearly_stable"
+        verdict = "marginal"
+    else:
+        verdict = "unstable" if max_real > 0 else "linearly_stable"
+    return SpectrumReport(
+        eigenvalues=tuple(zip(map(complex, re, im_plus), map(complex, re, im_minus))),
+        zero_mode=0j,
+        verdict=verdict,
+        max_real_part=max_real,
+        critical_mode=crit + 1,
+    )
 
 
 def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumReport:
@@ -296,26 +319,13 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     should inspect ``max_real_part`` directly.  q = 0 dispatches to
     :func:`eigenvalues_q0`.
     """
-    if ell_max < 1:
-        raise ValueError(f"ell_max must be >= 1, got {ell_max!r}")
+    _check_int("ell_max", ell_max, 1)
     if params.q == 0:
         return eigenvalues_q0(params.kappa, params.sigma, params.p, ell_max)
-    pairs = []
-    max_real = -np.inf
-    crit = 1
-    for ell in range(1, ell_max + 1):
-        re = params.p * chi1(params.kappa, ell, params.q) * cos(params.sigma)
-        im = params.p * chi2(params.kappa, ell, params.q) * sin(params.sigma)
-        pairs.append((complex(re, -im), complex(re, im)))
-        if re > max_real:
-            max_real, crit = re, ell
-    return SpectrumReport(
-        eigenvalues=tuple(pairs),
-        zero_mode=0j,
-        verdict=_verdict(max_real),
-        max_real_part=max_real,
-        critical_mode=crit,
-    )
+    ell = np.arange(1, ell_max + 1)
+    re = params.p * chi1(params.kappa, ell, params.q) * cos(params.sigma)
+    im = params.p * chi2(params.kappa, ell, params.q) * sin(params.sigma)
+    return _report(re, -im, im)
 
 
 def eigenvalues_q0(kappa: float, sigma: float, p: float,
@@ -327,25 +337,12 @@ def eigenvalues_q0(kappa: float, sigma: float, p: float,
     eigenfunctions, plus the simple zero mode.  Since |sin z| < z for
     z > 0, every lambda_l is negative exactly when cos(sigma) > 0.
     """
-    if not 0.0 < kappa <= 0.5:
-        raise ValueError(f"kappa must lie in (0, 1/2], got {kappa!r}")
-    if ell_max < 1:
-        raise ValueError(f"ell_max must be >= 1, got {ell_max!r}")
-    pairs = []
-    max_real = -np.inf
-    crit = 1
-    for ell in range(1, ell_max + 1):
-        lam = -p * cos(sigma) * (2.0 * kappa - sin(2 * pi * ell * kappa) / (pi * ell))
-        pairs.append((complex(lam), complex(lam)))
-        if lam > max_real:
-            max_real, crit = lam, ell
-    return SpectrumReport(
-        eigenvalues=tuple(pairs),
-        zero_mode=0j,
-        verdict=_verdict(max_real),
-        max_real_part=max_real,
-        critical_mode=crit,
-    )
+    _check_range(0.0 < kappa <= 0.5, "kappa", kappa, "(0, 1/2]")
+    _check_int("ell_max", ell_max, 1)
+    ell = np.arange(1, ell_max + 1)
+    lam = -p * cos(sigma) * (2.0 * kappa - np.sin(2 * pi * ell * kappa) / (pi * ell))
+    zero = np.zeros_like(lam)
+    return _report(lam, zero, zero)
 
 
 def write_chi_curves_csv(path, q: int, ell_list: Sequence[int],

@@ -4,7 +4,8 @@ Everything here recomputes quantities from their defining integrals or by
 brute force, deliberately sharing no code path with the package: window
 overlap factors and eigenvalues via adaptive quadrature of the
 linearization operator, cell averages via quadrature of the triangular
-offset marginal, and rotation-aligned distances via a dense angle grid.
+offset marginal, rotation-aligned distances via a dense angle grid, and
+the oscillator right-hand side via a literal double loop over neighbors.
 """
 
 from __future__ import annotations
@@ -114,3 +115,32 @@ def distance_grid(a: np.ndarray, b: np.ndarray, coarse: int = 4096,
     step = 2 * pi / coarse
     fine = np.linspace(best - step, best + step, refine)
     return float(np.min(rms(fine)))
+
+
+def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
+              sigma: float) -> np.ndarray:
+    """Literal double-loop right-hand side of the oscillator network.
+
+    du_k/dt = omega + scale * sum_j w_kj * sin(u_j - u_k + sigma), summed
+    over the band offsets -m..m (banded layout) or the CSR row (sparse
+    layout), one term at a time.
+    """
+    n = coupling.n
+    du = np.empty(n)
+    if coupling.layout == "banded_uniform":
+        m, w = coupling.halfwidth, coupling.weight
+        for k in range(n):
+            acc = 0.0
+            for d in range(-m, m + 1):
+                j = (k + d) % n
+                acc += w * np.sin(u[j] - u[k] + sigma)
+            du[k] = omega + coupling.scale * acc
+    else:
+        csr = coupling.adjacency
+        indptr, indices = csr.indptr, csr.indices
+        for k in range(n):
+            acc = 0.0
+            for j in indices[indptr[k]:indptr[k + 1]]:
+                acc += np.sin(u[j] - u[k] + sigma)
+            du[k] = omega + coupling.scale * acc
+    return du

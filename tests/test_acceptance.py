@@ -15,7 +15,7 @@ from math import pi, sin, sqrt
 import numpy as np
 import pytest
 
-from _oracles import a_coeffs_quad, chi1_quad, chi2_quad
+from _oracles import a_coeffs_quad, chi1_quad, chi2_quad, rhs_naive
 from ringtwist.analysis import (
     convergence_study,
     deviation_field,
@@ -34,7 +34,6 @@ from ringtwist.dynamics import (
     SimulationConfig,
     integrate_system,
     make_rhs,
-    rhs_naive,
     run_experiment,
     twisted_profile,
 )

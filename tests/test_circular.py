@@ -1,9 +1,9 @@
-"""Angle wrapping and circular means."""
+"""Angle wrapping and mean resultants."""
 
 import numpy as np
 import pytest
 
-from ringtwist.circular import circular_mean, resultant, wrap_angle
+from ringtwist.circular import resultant, wrap_angle
 
 
 @pytest.mark.parametrize("x, expected", [
@@ -41,17 +41,26 @@ def test_resultant_and_mean_concentrated():
     angles = 0.7 + rng.normal(0.0, 0.05, 500)
     z = resultant(angles)
     assert abs(z) > 0.9
-    assert circular_mean(angles) == pytest.approx(0.7, abs=0.01)
+    assert np.angle(z) == pytest.approx(0.7, abs=0.01)
 
 
 def test_circular_mean_handles_wrap_discontinuity():
     # samples straddling the +-pi cut: the arithmetic mean would be ~0,
-    # the circular mean must stay at the cut
+    # the resultant's direction must stay at the cut
     angles = np.array([np.pi - 0.1, -np.pi + 0.1, np.pi - 0.05, -np.pi + 0.05])
-    mean = circular_mean(angles)
+    mean = np.angle(resultant(angles))
     assert abs(wrap_angle(mean - np.pi)) < 1e-9
 
 
 def test_resultant_degenerate_is_tiny():
     angles = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     assert abs(resultant(angles)) < 1e-14
+
+
+def test_resultant_per_row_matches_one_dimensional():
+    rng = np.random.default_rng(9)
+    rows = rng.uniform(-np.pi, np.pi, (3, 50))
+    z = resultant(rows)
+    assert z.shape == (3,)
+    assert [complex(v) for v in z] == [resultant(row) for row in rows]
+    assert isinstance(resultant(rows[0]), complex)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from ringtwist import cli
+from ringtwist.bifurcation import NoRootError
 from ringtwist.cli import main
 from ringtwist.graphs import read_adjacency_binary
 
@@ -213,3 +215,28 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q-list", "9"],
+    ["constants", "--p", "2"],
+    ["spectrum", "--q", "1", "--kappa", "0.3", "--ell-max", "0"],
+    ["betasigma", "--q", "2", "--sigma-grid", "0:2:5"],
+], ids=["q-list", "p", "ell-max", "sigma-grid"])
+def test_library_range_errors_are_config_errors(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert list(out.iterdir()) == []  # no partial output, no manifest
+
+
+def test_no_root_error_stays_numeric(tmp_path, capsys, monkeypatch):
+    # NoRootError subclasses ValueError but must keep exit code 3
+    def no_root(*args):
+        raise NoRootError("no threshold exists")
+
+    monkeypatch.setattr(cli, "constants_rows", no_root)
+    assert main(["constants", "--out", str(tmp_path / "o")]) == 3
+    assert "numeric failure" in capsys.readouterr().err

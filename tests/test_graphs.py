@@ -296,6 +296,19 @@ class TestFileFormats:
         assert back.nnz == coupling.nnz
         assert np.array_equal(back.to_dense(), coupling.to_dense())
 
+    def test_binary_round_trip_edgeless_random(self, tmp_path):
+        # an edgeless random graph used to read back as the full band
+        spec = GraphSpec(n=5, p=1e-9, kappa=0.4, kind="random_dense", seed=3)
+        coupling = build_coupling(spec)
+        assert coupling.nnz == 0
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, coupling)
+        back = read_adjacency_binary(path)
+        assert back.layout == "sparse_binary"
+        assert back.kind == "random_dense"
+        assert back.nnz == 0
+        assert np.array_equal(back.to_dense(), np.zeros((5, 5)))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "adj.bin"
         coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))

@@ -1,0 +1,31 @@
+"""The benchmark harness still runs against the package.
+
+The harness calls many public names and its tracer rebinds every function
+listed in each layer module's ``__all__``, so a renamed or removed public
+name shows up here as a failing self-test or benchmark round.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_benchmark_selftest_and_traced_round():
+    selftest = run("benchmark/selftest.py")
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    assert "0 of the cases misbehaved" in selftest.stdout
+
+    bench = run("benchmark/run.py", "--workload", "random_dense_lock", "--seed", "1",
+                "--seconds", "0", "--trace", "1")
+    assert bench.returncode == 0, bench.stderr
+    result = json.loads(bench.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, bench.stderr
+    assert result["correct"] is True, bench.stderr
