@@ -27,6 +27,7 @@ import numpy as np
 
 from .spectrum import (
     _bisect,
+    _chi1_root_callback,
     _check_int,
     _check_range,
     chi1,
@@ -67,6 +68,26 @@ class NoRootError(ValueError):
     """chi1(.; ell, q) has no sign change inside (0, 1/2)."""
 
 
+def _chi1_roots(ell: int, q: int, count: int | None = None) -> list[float]:
+    # scan once with the checked array chi1, then bisect the first `count`
+    # brackets (all of them for None) on the unchecked scalar callback
+    grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
+    vals = chi1(grid, ell, q)
+    zero = vals == 0.0
+    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    hits = np.flatnonzero(zero | change)
+    if not hits.size:
+        raise NoRootError(
+            f"chi1(., ell={ell}, q={q}) has constant sign on "
+            f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
+        )
+    f = _chi1_root_callback(int(ell), int(q))
+    return [
+        float(grid[i]) if zero[i] else _bisect(f, float(grid[i]), float(grid[i + 1]))
+        for i in hits[:count]
+    ]
+
+
 def kappa_critical_all(ell: int, q: int) -> list[float]:
     """All zeros of chi1(.; ell, q) in (0, 1/2), ascending, to 1e-12.
 
@@ -75,26 +96,12 @@ def kappa_critical_all(ell: int, q: int) -> list[float]:
     NoRootError
         If chi1 keeps a constant sign on the scan interval.
     """
-    grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = chi1(grid, ell, q)
-    zero = vals == 0.0
-    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
-    roots = [
-        float(grid[i]) if zero[i]
-        else _bisect(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
-        for i in np.flatnonzero(zero | change)
-    ]
-    if not roots:
-        raise NoRootError(
-            f"chi1(., ell={ell}, q={q}) has constant sign on "
-            f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
-        )
-    return roots
+    return _chi1_roots(ell, q)
 
 
 def kappa_critical(ell: int, q: int) -> float:
     """Smallest zero of chi1(.; ell, q) in (0, 1/2) (the mode-l threshold)."""
-    return kappa_critical_all(ell, q)[0]
+    return _chi1_roots(ell, q, count=1)[0]
 
 
 def a_coeffs(q: int, j: int, kappa_crit: float) -> tuple[float, float]:

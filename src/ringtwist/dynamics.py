@@ -4,18 +4,19 @@ The oscillator system is
 
     du_k/dt = omega + scale * sum_j w_kj * sin(u_j - u_k + sigma)
 
-with scale = 1/(n*alpha_n) carried by the coupling matrix.  Two
-right-hand-side routes are provided: a banded O(n) evaluation using
-circular prefix sums (deterministic dense graphs) and a sparse matvec
-route (random graphs).  Time stepping is the explicit high-order
-Runge-Kutta DOP853 from scipy with dense sampling on a uniform grid.
+with scale = 1/(n*alpha_n) carried by the coupling matrix.  The coupling
+sums take one of three routes: O(n) circular prefix sums (deterministic
+band), the same sums minus the missing in-band edges (random graphs
+storing more than half of their in-band pairs), or a sparse matvec (other
+random graphs).  Time stepping is the explicit high-order Runge-Kutta
+DOP853 from scipy with dense sampling on a uniform grid.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import floor, isfinite
+from math import cos, floor, isfinite, sin
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,13 @@ from scipy.integrate import solve_ivp
 
 from . import __version__
 from .bifurcation import natural_frequency_for_zero_rotation, rotation_speed_Omega
-from .graphs import CouplingMatrix, GraphSpec, build_coupling
+from .graphs import (
+    CouplingMatrix,
+    GraphSpec,
+    _band_holes,
+    build_coupling,
+    empirical_band_density,
+)
 from .spectrum import _check_int
 
 __all__ = [
@@ -184,34 +191,43 @@ def _window_sums(values: np.ndarray, m: int) -> np.ndarray:
     return cum[2 * m + 1:] - cum[: len(values)]
 
 
+def _coupling_sums(coupling: CouplingMatrix):
+    """The prefactor and a map (sin u, cos u) -> (W @ sin u, W @ cos u).
+
+    Banded graphs use O(n) window sums.  A sparse graph that stores more
+    than half of its in-band pairs uses window sums minus its holes
+    H = band - A; any other sparse graph uses the direct CSR matvec.
+    """
+    m = coupling.halfwidth
+    if coupling.layout == "banded_uniform":
+        return coupling.scale * coupling.weight, lambda s, c: (
+            _window_sums(s, m), _window_sums(c, m))
+    adjacency = coupling.adjacency
+    if empirical_band_density(coupling) > 0.5:
+        holes = _band_holes(adjacency, m)
+        return coupling.scale, lambda s, c: (
+            _window_sums(s, m) - holes @ s, _window_sums(c, m) - holes @ c)
+    return coupling.scale, lambda s, c: (adjacency @ s, adjacency @ c)
+
+
 def make_rhs(coupling: CouplingMatrix, omega: float,
              sigma: float) -> Callable[[float, np.ndarray], np.ndarray]:
     """Build the right-hand side for a coupling matrix.
 
-    Both routes use sin(u_j - u_k + sigma) =
-    cos(u_k - sigma) * sin(u_j) - sin(u_k - sigma) * cos(u_j), reducing
-    the coupling sum to two windowed (or sparse) linear operations.
+    sin(u_j - u_k + sigma) =
+    cos(u_k - sigma) * sin(u_j) - sin(u_k - sigma) * cos(u_j) reduces the
+    coupling sum to two linear operations (see _coupling_sums), and the
+    angle-addition formulas give cos(u_k - sigma) and sin(u_k - sigma)
+    from sin u and cos u, so a call evaluates two transcendentals per node.
     """
-    scale = coupling.scale
-    if coupling.layout == "banded_uniform":
-        m = coupling.halfwidth
-        prefactor = scale * coupling.weight
-
-        def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            s, c = np.sin(u), np.cos(u)
-            win_s = _window_sums(s, m)
-            win_c = _window_sums(c, m)
-            return omega + prefactor * (
-                np.cos(u - sigma) * win_s - np.sin(u - sigma) * win_c
-            )
-
-        return rhs
-    adjacency = coupling.adjacency
+    prefactor, coupling_sums = _coupling_sums(coupling)
+    cos_sigma, sin_sigma = cos(sigma), sin(sigma)
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
         s, c = np.sin(u), np.cos(u)
-        return omega + scale * (
-            np.cos(u - sigma) * (adjacency @ s) - np.sin(u - sigma) * (adjacency @ c)
+        ws, wc = coupling_sums(s, c)
+        return omega + prefactor * (
+            (c * cos_sigma + s * sin_sigma) * ws - (s * cos_sigma - c * sin_sigma) * wc
         )
 
     return rhs

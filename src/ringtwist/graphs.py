@@ -45,8 +45,12 @@ KINDS = ("deterministic_dense", "random_dense", "random_sparse")
 
 _MAGIC = b"RTADJ\x00"
 _VERSION = 1
+_HEADER_BYTES = 58  # magic, version, then n .. nnz as packed by the writer
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+
+# Values per row chunk when sampling a graph or deriving its band holes.
+_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,11 @@ class CouplingMatrix:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.layout == "sparse_binary" and self.adjacency is None:
             raise ValueError("sparse_binary layout requires an adjacency")
+        if not 0 <= 2 * self.halfwidth < self.n:
+            raise ValueError(
+                f"halfwidth must satisfy 0 <= 2*halfwidth < n = {self.n}, "
+                f"got {self.halfwidth!r}"
+            )
 
     @property
     def nnz(self) -> int:
@@ -228,13 +237,38 @@ def cell_average(k: int, j: int, spec: GraphSpec) -> float:
     return spec.p * _band_fraction((k - j) / spec.n, spec.n, spec.kappa)
 
 
+def _sample_band_pairs(rng: np.random.Generator, n: int, m: int,
+                       probability: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (row, col) int32 pairs of a random in-band graph.
+
+    Pair {k, (k+d) mod n} is drawn when the uniform at row k, column d of a
+    row-major (n, m+1) draw is below the probability.  The draw is taken in
+    row chunks of about _CHUNK_VALUES, which reads the same stream, and
+    only the hits are kept, so memory follows the edge count.
+    """
+    step = max(1, _CHUNK_VALUES // (m + 1))
+    starts, offsets = [], []
+    for lo in range(0, n, step):
+        draws = rng.random((min(step, n - lo), m + 1)) < probability
+        hits = np.flatnonzero(draws).astype(np.int32)
+        start, offset = np.divmod(hits, m + 1)
+        starts.append(start + lo)
+        offsets.append(offset)
+    start, offset = np.concatenate(starts), np.concatenate(offsets)
+    other = (start + offset) % n
+    off_diagonal = offset > 0
+    return (np.concatenate([start, other[off_diagonal]]),
+            np.concatenate([other, start[off_diagonal]]))
+
+
 def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     """Realize a GraphSpec as a coupling matrix.
 
     Deterministic specs produce the circulant band layout with weight p.
     Random specs sample each in-band unordered pair {k, (k+d) mod n},
     d = 0..halfwidth, independently with ``spec.edge_probability`` and
-    symmetrize; sampling is vectorized and deterministic given the seed.
+    symmetrize.  The uniforms are streamed in row chunks, so a seed gives
+    the same graph as one (n, halfwidth+1) draw would; indices are int32.
     """
     n, m = spec.n, spec.halfwidth
     if spec.kind == "deterministic_dense":
@@ -242,18 +276,9 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
             layout="banded_uniform", n=n, scale=spec.scale, halfwidth=m,
             weight=spec.p, kind=spec.kind, seed=spec.seed,
         )
-    rng = np.random.default_rng(spec.seed)
-    draws = rng.random((n, m + 1)) < spec.edge_probability
-    start = np.arange(n, dtype=np.int64)
-    rows = [start[draws[:, 0]]]
-    cols = [start[draws[:, 0]]]
-    for d in range(1, m + 1):
-        hit = start[draws[:, d]]
-        other = (hit + d) % n
-        rows.extend([hit, other])
-        cols.extend([other, hit])
-    row_idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    col_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    row_idx, col_idx = _sample_band_pairs(
+        np.random.default_rng(spec.seed), n, m, spec.edge_probability
+    )
     adjacency = _sparse.csr_array(
         (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
     )
@@ -261,6 +286,34 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
         layout="sparse_binary", n=n, scale=spec.scale, halfwidth=m,
         weight=1.0, adjacency=adjacency, kind=spec.kind, seed=spec.seed,
     )
+
+
+def _band_holes(adjacency, m: int):
+    """H = band - A: the in-band entries missing from A, as a sorted CSR.
+
+    Built in row chunks of about _CHUNK_VALUES band entries, with int32
+    indices when A has them.  Each chunk subtracts A's rows from the
+    band's, so the band's window sums minus H @ x give A @ x whatever A
+    stores, out-of-band entries included.
+    """
+    n = adjacency.shape[0]
+    width = 2 * m + 1
+    step = max(1, _CHUNK_VALUES // width)
+    j = np.arange(width, dtype=np.int32)
+    chunks = []
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(n, lo + step), dtype=np.int32)[:, None]
+        # row k's band columns (k + j - m) mod n, written in ascending order
+        first = (rows - m) % n
+        wrapped = np.maximum(first + width - n, 0)
+        cols = np.where(j < wrapped, j, first + j - wrapped)
+        band = _sparse.csr_array(
+            (np.ones(cols.size), cols.ravel(),
+             np.arange(0, cols.size + 1, width, dtype=np.int32)),
+            shape=(len(rows), n),
+        )
+        chunks.append(band - adjacency[lo:lo + len(rows)])
+    return _sparse.vstack(chunks, format="csr")
 
 
 def graphon_l2_distance(spec_a: GraphSpec, spec_b: GraphSpec,
@@ -377,33 +430,57 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     """Read a dump produced by write_adjacency_binary.
 
     The layout follows the stored kind: deterministic_dense reads back as
-    banded_uniform, the random kinds as sparse_binary.
+    banded_uniform, the random kinds as sparse_binary with int32 indices,
+    as build_coupling makes them.
+
+    Raises
+    ------
+    ValueError
+        On a bad magic or version, a file whose length differs from the
+        one its header implies (truncated or trailing bytes), or index
+        arrays that do not describe an n x n CSR.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        n, kind_code, has_seed = struct.unpack("<QBB", fh.read(10))
-        seed, halfwidth = struct.unpack("<QQ", fh.read(16))
-        weight, scale = struct.unpack("<dd", fh.read(16))
-        (nnz,) = struct.unpack("<Q", fh.read(8))
-        kind = _CODE_KINDS[kind_code]
-        if kind == "deterministic_dense":
-            return CouplingMatrix(
-                layout="banded_uniform", n=int(n), scale=scale,
-                halfwidth=int(halfwidth), weight=weight, kind=kind,
-                seed=int(seed) if has_seed else None,
-            )
-        indptr = np.frombuffer(fh.read(8 * (n + 1)), dtype="<u8").astype(np.int64)
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8").astype(np.int64)
-        adjacency = _sparse.csr_array(
-            (np.ones(nnz), indices, indptr), shape=(int(n), int(n))
+        raw = fh.read()
+    magic = raw[:6]
+    if magic != _MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError(
+            f"{path}: header needs {_HEADER_BYTES} bytes, found {len(raw)}"
         )
+    (version,) = struct.unpack_from("<H", raw, 6)
+    if version != _VERSION:
+        raise ValueError(f"unsupported version {version}")
+    n, kind_code, has_seed, seed, halfwidth, weight, scale, nnz = struct.unpack_from(
+        "<QBBQQddQ", raw, 8
+    )
+    kind = _CODE_KINDS[kind_code]
+    banded = kind == "deterministic_dense"
+    expected = _HEADER_BYTES + (0 if banded else 8 * (n + 1 + nnz))
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes for n={n}, nnz={nnz}, "
+            f"found {len(raw)}"
+        )
+    seed = int(seed) if has_seed else None
+    if banded:
         return CouplingMatrix(
-            layout="sparse_binary", n=int(n), scale=scale,
-            halfwidth=int(halfwidth), weight=weight, adjacency=adjacency,
-            kind=kind, seed=int(seed) if has_seed else None,
+            layout="banded_uniform", n=int(n), scale=scale,
+            halfwidth=int(halfwidth), weight=weight, kind=kind, seed=seed,
         )
+    indptr = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER_BYTES)
+    indices = np.frombuffer(raw, dtype="<u8", count=nnz,
+                            offset=_HEADER_BYTES + 8 * (n + 1))
+    if (indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1])
+            or (nnz and indices.max() >= n)):
+        raise ValueError(f"{path}: row offsets or column indices out of range")
+    adjacency = _sparse.csr_array(
+        (np.ones(nnz), indices.astype(np.int32), indptr.astype(np.int32)),
+        shape=(int(n), int(n)),
+    )
+    return CouplingMatrix(
+        layout="sparse_binary", n=int(n), scale=scale,
+        halfwidth=int(halfwidth), weight=weight, adjacency=adjacency,
+        kind=kind, seed=seed,
+    )

@@ -120,6 +120,23 @@ def chi1(kappa, ell, q: int):
     )
 
 
+def _chi1_root_callback(ell: int, q: int) -> Callable[[float], float]:
+    """chi1(.; ell, q) on one float kappa, for root-finding.
+
+    The same float operations as chi1, so the values are bit-identical,
+    without its argument checks and array handling: the caller checks ell,
+    q and the bracket once per root-find.
+    """
+    def half_window(kappa: float, d: int):
+        return kappa if d == 0 else np.sin(2 * pi * d * kappa) / (2 * pi * d)
+
+    def f(kappa: float) -> float:
+        return float(half_window(kappa, ell - q) + half_window(kappa, ell + q)
+                     - np.sin(2 * pi * q * kappa) / (pi * q))
+
+    return f
+
+
 def chi2(kappa, ell, q: int):
     """Imaginary part factor of the mode-l eigenvalue (multiplies p*sin(sigma))."""
     _validate_mode(kappa, ell, q)

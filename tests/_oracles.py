@@ -4,8 +4,9 @@ Everything here recomputes quantities from their defining integrals or by
 brute force, deliberately sharing no code path with the package: window
 overlap factors and eigenvalues via adaptive quadrature of the
 linearization operator, cell averages via quadrature of the triangular
-offset marginal, rotation-aligned distances via a dense angle grid, and
-the oscillator right-hand side via a literal double loop over neighbors.
+offset marginal, rotation-aligned distances via a dense angle grid, the
+oscillator right-hand side via a literal double loop over neighbors, and
+random graphs via one unchunked draw of every in-band pair.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from math import cos, pi, sin
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 
 
@@ -144,3 +146,22 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
                 acc += np.sin(u[j] - u[k] + sigma)
             du[k] = omega + coupling.scale * acc
     return du
+
+
+def sample_adjacency_one_shot(n: int, m: int, probability: float, seed: int):
+    """Random band adjacency from one (n, m+1) draw and a loop over offsets.
+
+    Pair {k, (k+d) mod n}, d = 0..m, is an edge when draw[k, d] is below
+    the probability; the CSR is symmetric with int64 indices.
+    """
+    draws = np.random.default_rng(seed).random((n, m + 1)) < probability
+    start = np.arange(n, dtype=np.int64)
+    rows, cols = [start[draws[:, 0]]], [start[draws[:, 0]]]
+    for d in range(1, m + 1):
+        hit = start[draws[:, d]]
+        other = (hit + d) % n
+        rows.extend([hit, other])
+        cols.extend([other, hit])
+    row_idx, col_idx = np.concatenate(rows), np.concatenate(cols)
+    return sparse.csr_array((np.ones(len(row_idx)), (row_idx, col_idx)),
+                            shape=(n, n))

@@ -26,7 +26,7 @@ from ringtwist.bifurcation import (
     write_constants_csv,
     write_zeta_csv,
 )
-from ringtwist.spectrum import chi1, chi1_dkappa, chi2, zeta0
+from ringtwist.spectrum import _chi1_root_callback, chi1, chi1_dkappa, chi2, zeta0
 
 
 @pytest.mark.parametrize("q, expected", [
@@ -58,10 +58,25 @@ def test_kappa_critical_all_ascending_roots():
         assert abs(chi1(root, 1, 3)) < 1e-11
 
 
+@pytest.mark.parametrize("ell, q", [(1, 1), (1, 8), (2, 8), (3, 6), (4, 3), (5, 2)])
+def test_kappa_critical_is_first_of_all_roots(ell, q):
+    assert kappa_critical(ell, q) == kappa_critical_all(ell, q)[0]
+
+
+@pytest.mark.parametrize("ell, q", [(1, 1), (1, 2), (2, 2), (3, 1), (5, 8)])
+def test_root_callback_is_bit_identical_to_chi1(ell, q):
+    # the bisection callback skips chi1's checks but not its float operations
+    f = _chi1_root_callback(ell, q)
+    for kappa in np.linspace(1e-4, 0.5, 257):
+        assert f(float(kappa)) == chi1(float(kappa), ell, q)
+
+
 def test_no_root_raises():
     # the high-mode curve keeps one sign across (0, 1/2) for this pair
     with pytest.raises(NoRootError):
         kappa_critical_all(64, 1)
+    with pytest.raises(NoRootError):
+        kappa_critical(64, 1)
 
 
 @pytest.mark.parametrize("kappa", [0.09, 0.21, 0.34, 0.46])

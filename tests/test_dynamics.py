@@ -6,8 +6,11 @@ from math import floor, pi, sin, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import rhs_naive
+from ringtwist import dynamics
 from ringtwist.analysis import fourier_mode1
 from ringtwist.dynamics import (
     IntegrationError,
@@ -23,7 +26,12 @@ from ringtwist.dynamics import (
     write_run_json,
     write_trajectory_csv,
 )
-from ringtwist.graphs import GraphSpec, build_coupling
+from ringtwist.graphs import (
+    GraphSpec,
+    build_coupling,
+    read_adjacency_binary,
+    write_adjacency_binary,
+)
 
 
 def det_graph(n=100, p=1.0, kappa=0.31):
@@ -129,6 +137,12 @@ class TestRightHandSides:
         GraphSpec(n=50, p=0.5, kappa=0.23, kind="random_dense", seed=2),
         GraphSpec(n=50, p=1.0, kappa=0.31, kind="random_sparse",
                   gamma=0.3, seed=2),
+        # above half density: window sums minus the missing in-band edges,
+        # with holes, without holes, and at halfwidth 0; then an edgeless graph
+        GraphSpec(n=50, p=0.9, kappa=0.31, kind="random_dense", seed=2),
+        GraphSpec(n=50, p=1.0, kappa=0.31, kind="random_dense", seed=2),
+        GraphSpec(n=50, p=0.9, kappa=0.01, kind="random_dense", seed=2),
+        GraphSpec(n=50, p=1e-9, kappa=0.31, kind="random_dense", seed=2),
     ])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     def test_fast_matches_naive(self, spec, sigma):
@@ -138,6 +152,35 @@ class TestRightHandSides:
         fast = make_rhs(coupling, 0.3, sigma)(0.0, u)
         slow = rhs_naive(0.0, u, coupling, 0.3, sigma)
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+    @given(n=st.integers(1, 80), kappa=st.floats(0.001, 0.499),
+           p=st.one_of(st.floats(0.05, 0.45), st.floats(0.55, 1.0)),
+           sigma=st.floats(-1.5, 1.5), seed=st.integers(0, 2**32))
+    def test_fast_matches_naive_on_random_graphs(self, n, kappa, p, sigma, seed):
+        # p on both sides of 1/2 reaches both the direct CSR route and the
+        # window-sums-minus-holes route
+        coupling = build_coupling(
+            GraphSpec(n=n, p=p, kappa=kappa, kind="random_dense", seed=seed))
+        u = np.random.default_rng(seed).uniform(-pi, pi, n)
+        fast = make_rhs(coupling, 0.3, sigma)(0.0, u)
+        slow = rhs_naive(0.0, u, coupling, 0.3, sigma)
+        assert np.max(np.abs(fast - slow)) < 1e-12
+
+    @pytest.mark.parametrize("p, holes_route", [(0.3, False), (0.9, True)])
+    @pytest.mark.parametrize("via_file", [False, True])
+    def test_route_follows_stored_density(self, p, holes_route, via_file,
+                                          monkeypatch, tmp_path):
+        coupling = build_coupling(
+            GraphSpec(n=60, p=p, kappa=0.31, kind="random_dense", seed=1))
+        if via_file:
+            write_adjacency_binary(tmp_path / "adj.bin", coupling)
+            coupling = read_adjacency_binary(tmp_path / "adj.bin")
+        derived = []
+        real = dynamics._band_holes
+        monkeypatch.setattr(dynamics, "_band_holes",
+                            lambda adj, m: derived.append(m) or real(adj, m))
+        make_rhs(coupling, 0.0, 0.0)
+        assert derived == ([coupling.halfwidth] if holes_route else [])
 
     def test_window_sums(self):
         rng = np.random.default_rng(0)

@@ -1,12 +1,14 @@
 """Band graphon, coupling-matrix realizations, and their file formats."""
 
 import csv
+import tracemalloc
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from _oracles import band_fraction_quad
+from _oracles import band_fraction_quad, sample_adjacency_one_shot
+from ringtwist import graphs
 from ringtwist.graphs import (
     CouplingMatrix,
     GraphSpec,
@@ -168,6 +170,45 @@ class TestRandomCoupling:
         density = empirical_band_density(coupling)
         assert abs(density - target) <= 3.0 * sigma
 
+    @pytest.mark.parametrize("spec, chunk_values", [
+        (sparse_spec(n=5000, kappa=0.31, gamma=0.45, seed=1), None),
+        (dense_spec(n=200, p=0.9, seed=2), 1000),   # 15 rows a chunk, 200 = 13*15 + 5
+        (dense_spec(n=203, p=0.3, seed=3), 400),    # 6 rows a chunk, 203 = 33*6 + 5
+        (sparse_spec(n=500, seed=4), 777),
+        (sparse_spec(n=500, seed=5), 64),           # one row of 156 draws > 64
+        (dense_spec(n=61, p=0.9, kappa=0.49, seed=6), 1),
+    ])
+    def test_streaming_sampler_matches_one_shot(self, spec, chunk_values, monkeypatch):
+        if chunk_values is not None:
+            monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
+        adjacency = build_coupling(spec).adjacency
+        oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth,
+                                           spec.edge_probability, spec.seed)
+        assert np.array_equal(adjacency.indptr, oracle.indptr)
+        assert np.array_equal(adjacency.indices, oracle.indices)
+        assert adjacency.indices.dtype == adjacency.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("chunk_values", [1, 100, 1 << 16])
+    def test_band_holes_are_band_minus_adjacency(self, chunk_values, monkeypatch):
+        monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
+        coupling = build_coupling(dense_spec(n=53, p=0.8, seed=4))
+        holes = graphs._band_holes(coupling.adjacency, coupling.halfwidth)
+        band = build_coupling(GraphSpec(n=53, p=1.0, kappa=0.31)).to_dense()
+        assert np.array_equal(holes.toarray(), band - coupling.to_dense())
+        assert holes.indices.dtype == holes.indptr.dtype == np.int32
+        assert holes.has_sorted_indices
+
+    def test_sampler_memory_stays_near_the_graph_size(self):
+        # one float64 (n, halfwidth+1) draw array peaked at 1064 MiB here
+        spec = sparse_spec(n=20_000, kappa=0.31, gamma=0.45, seed=1)
+        tracemalloc.start()
+        try:
+            build_coupling(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
+
     def test_sparse_scale_compensates_thinning(self):
         spec = sparse_spec(n=500)
         coupling = build_coupling(spec)
@@ -309,6 +350,56 @@ class TestFileFormats:
         assert back.nnz == 0
         assert np.array_equal(back.to_dense(), np.zeros((5, 5)))
 
+    def test_binary_round_trip_keeps_dtypes(self, tmp_path):
+        coupling = build_coupling(dense_spec(n=120, p=0.9, seed=9))
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, coupling)
+        back = read_adjacency_binary(path).adjacency
+        built = coupling.adjacency
+        for name in ("indptr", "indices", "data"):
+            assert getattr(back, name).dtype == getattr(built, name).dtype
+            assert np.array_equal(getattr(back, name), getattr(built, name))
+
+    @pytest.mark.parametrize("spec, change", [
+        (dense_spec(n=40, seed=2), -8),
+        (dense_spec(n=40, seed=2), -1),
+        (dense_spec(n=40, seed=2), 1),
+        (dense_spec(n=40, seed=2), 8),
+        (GraphSpec(n=10, p=1.0, kappa=0.31), 8),   # banded: header only
+    ])
+    def test_wrong_length_rejected(self, spec, change, tmp_path):
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, build_coupling(spec))
+        data = path.read_bytes()
+        size = len(data)
+        path.write_bytes(data[:size + change] if change < 0
+                         else data + b"\0" * change)
+        with pytest.raises(ValueError,
+                           match=f"expected {size} bytes.*found {size + change}"):
+            read_adjacency_binary(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, build_coupling(dense_spec(n=40, seed=2)))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="header needs 58 bytes, found 20"):
+            read_adjacency_binary(path)
+
+    @pytest.mark.parametrize("offset, value", [
+        (26, 20),    # halfwidth 20 on n = 40: the band would wrap onto itself
+        (-8, 40),    # last column index equal to n
+        (58, 1),     # first row offset not 0
+    ])
+    def test_inconsistent_contents_rejected(self, offset, value, tmp_path):
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, build_coupling(dense_spec(n=40, seed=2)))
+        data = bytearray(path.read_bytes())
+        at = offset % len(data)
+        data[at:at + 8] = value.to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="halfwidth|out of range"):
+            read_adjacency_binary(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "adj.bin"
         coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
@@ -335,3 +426,6 @@ def test_coupling_matrix_validation():
         CouplingMatrix(layout="dense", n=10, scale=0.1, halfwidth=3)
     with pytest.raises(ValueError):
         CouplingMatrix(layout="sparse_binary", n=10, scale=0.1, halfwidth=3)
+    with pytest.raises(ValueError, match="halfwidth"):
+        CouplingMatrix(layout="banded_uniform", n=10, scale=0.1, halfwidth=5)
+    assert CouplingMatrix(layout="banded_uniform", n=1, scale=1.0, halfwidth=0).nnz == 1
