@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import cos, inf, isfinite, nan, pi, sin, sqrt
+from math import cos, inf, nan, pi, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .spectrum import (
     _bisect,
-    _chi1_root_callback,
     _check_int,
     _check_range,
+    _chi1_root_callback,
+    _half_window,
+    _scalar_or_array,
+    _window_integrals,
     chi1,
     chi1_dkappa,
-    chi2,
     phi,
     zeta0,
     zeta_extremum,
@@ -104,37 +106,30 @@ def kappa_critical(ell: int, q: int) -> float:
     return _chi1_roots(ell, q, count=1)[0]
 
 
-def a_coeffs(q: int, j: int, kappa_crit: float) -> tuple[float, float]:
-    """Window overlap coefficients (a1, a2) of mode j at the threshold.
+def a_coeffs(q: int, j, kappa_crit: float):
+    """Window overlap coefficients (a1, a2) of mode(s) j at the threshold.
 
-    These are the elementary product integrals over the coupling window
     a1 = -int_{-k}^{k} sin(2*pi*q*y)*sin(2*pi*j*y) dy and
-    a2 = -int_{-k}^{k} cos(2*pi*q*y)*cos(2*pi*j*y) dy, in closed form with
-    a dedicated branch at j = q.  j = 0 is well defined through the general
-    branch (a1 = 0 there).
+    a2 = -int_{-k}^{k} cos(2*pi*q*y)*cos(2*pi*j*y) dy, the negated window
+    integrals of the spectrum (a1 = 0 at j = 0).
 
     Parameters
     ----------
     q : int
         Winding number >= 1.
-    j : int
+    j : int or integer ndarray
         Mode index >= 0.
     kappa_crit : float
         Evaluation half-width (normally the threshold value).
+
+    Returns
+    -------
+    (a1, a2) : floats, or ndarrays for array j
     """
     _check_int("q", q, 1)
     _check_int("j", j, 0)
-    k = float(kappa_crit)
-    if j == q:
-        a1 = sin(4 * pi * q * k) / (4 * pi * q) - k
-        a2 = -sin(4 * pi * q * k) / (4 * pi * q) - k
-        return a1, a2
-    denom = pi * (q * q - j * j)
-    sj, cj = sin(2 * pi * j * k), cos(2 * pi * j * k)
-    sq, cq = sin(2 * pi * q * k), cos(2 * pi * q * k)
-    a1 = (q * sj * cq - j * cj * sq) / denom
-    a2 = (j * sj * cq - q * cj * sq) / denom
-    return a1, a2
+    cc, ss = _window_integrals(kappa_crit, j, q)
+    return _scalar_or_array(-ss), _scalar_or_array(-cc)
 
 
 @dataclass(frozen=True)
@@ -203,18 +198,63 @@ class NormalFormConstants:
     nu1: float
 
 
-def _beta_sigma_value(beta1: float, delta1: float, delta2: float, rho1: float,
-                      rho2: float, mu2: float, nu1: float, nu2: float,
-                      p: float, sigma: float) -> float:
-    gyro = 2.0 * nu1 - nu2
-    denom = mu2 * mu2 + gyro * gyro
-    if denom == 0.0:
-        return nan
-    return beta1 * cos(sigma) + p / (2.0 * denom) * (
-        mu2 * (delta1 * rho1 + delta2 * rho2)
-        + mu2 * (delta1 * rho1 - delta2 * rho2) * cos(2.0 * sigma)
-        + gyro * (delta1 * rho2 - delta2 * rho1) * sin(2.0 * sigma)
+def _check_args(q: int, p: float, sigma) -> None:
+    _check_int("q", q, 1, 8)
+    _check_range(0.0 < p <= 1.0, "p", p, "(0, 1]")
+    s = np.asarray(sigma)
+    _check_range((-pi / 2 < s) & (s < pi / 2), "sigma", sigma, "(-pi/2, pi/2)")
+
+
+def _threshold(q: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The values at the threshold of winding number q that need no p or sigma.
+
+    Returns the NormalFormConstants fields among them, and
+    chi1(kappa_crit; j, q) and chi2(kappa_crit; j, q) for j = 1..3, all from
+    one evaluation of the window integrals at j = 0..3.
+    """
+    kc = kappa_critical(1, q)
+    cc, ss = _window_integrals(kc, np.arange(4), q)
+    chi1_j = cc[1:] - 2.0 * _half_window(kc, q)
+    if chi1_j[1] == 0.0:
+        raise ValueError(
+            f"chi1(kappa_crit; 2, q={q}) = 0: the mode-2 elimination is "
+            "singular at this threshold"
+        )
+    a1, a2 = (-ss).tolist(), (-cc).tolist()
+    beta1 = 0.375 * a2[0] - 0.5 * a2[1] + 0.125 * a2[2]
+    delta1 = a1[1] - 0.5 * a1[2]
+    rho1 = 0.5 * a1[1] - 0.25 * a1[2]
+    values = dict(
+        kappa_crit=kc, chi1_dk=chi1_dkappa(kc, 1, q), a1=tuple(a1), a2=tuple(a2),
+        beta1=beta1, beta2=0.25 * a1[1] - 0.125 * a1[2],
+        delta1=delta1, delta2=0.5 * a2[0] - 0.5 * a2[2],
+        rho0=0.5 * (a2[0] - a2[1]), rho1=rho1,
+        rho2=0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2],
+        beta0=beta1 + delta1 * rho1 / float(chi1_j[1]),
     )
+    return values, chi1_j, ss[1:]
+
+
+def _lagged(t: dict, chi1_j: np.ndarray, chi2_j: np.ndarray, p: float, sigma):
+    """beta_sigma and the mode-2 shape coefficients (c1, c2) at phase-lag(s) sigma.
+
+    All three divide by mu2^2 + gyro^2 with mu2 = p*chi1(kappa_crit; 2, q)*
+    cos(sigma) and gyro = 2*nu1 - nu2.  It is positive: _threshold rejects
+    chi1(kappa_crit; 2, q) = 0, and cos(sigma) > 0 on (-pi/2, pi/2).
+    """
+    cos_s, sin_s = np.cos(sigma), np.sin(sigma)
+    mu2 = p * chi1_j[1] * cos_s
+    gyro = 2.0 * (p * chi2_j[0] * sin_s) - p * chi2_j[1] * sin_s
+    denom = mu2 * mu2 + gyro * gyro
+    d1, d2, r1, r2 = t["delta1"], t["delta2"], t["rho1"], t["rho2"]
+    beta_sigma = t["beta1"] * cos_s + p / (2.0 * denom) * (
+        mu2 * (d1 * r1 + d2 * r2)
+        + mu2 * (d1 * r1 - d2 * r2) * np.cos(2.0 * sigma)
+        + gyro * (d1 * r2 - d2 * r1) * np.sin(2.0 * sigma)
+    )
+    c1 = (p * gyro * r1 * cos_s - mu2 * r2 * sin_s) / denom
+    c2 = (p * mu2 * r1 * cos_s - gyro * r2 * sin_s) / denom
+    return beta_sigma, c1, c2
 
 
 def normal_form_constants(q: int, p: float = 1.0,
@@ -238,61 +278,17 @@ def normal_form_constants(q: int, p: float = 1.0,
         If the mode-2 damping chi1(kappa_crit; 2, q) vanishes (the slaved
         mode-2 elimination divides by it).
     """
-    _check_int("q", q, 1, 8)
-    _check_range(0.0 < p <= 1.0, "p", p, "(0, 1]")
-    _check_range(-pi / 2 < sigma < pi / 2, "sigma", sigma, "(-pi/2, pi/2)")
-
-    kc = kappa_critical(1, q)
-    chid = chi1_dkappa(kc, 1, q)
-    a1, a2 = zip(*(a_coeffs(q, j, kc) for j in range(4)))
-
-    beta1 = 0.375 * a2[0] - 0.5 * a2[1] + 0.125 * a2[2]
-    beta2 = 0.25 * a1[1] - 0.125 * a1[2]
-    delta1 = a1[1] - 0.5 * a1[2]
-    delta2 = 0.5 * a2[0] - 0.5 * a2[2]
-    rho0 = 0.5 * (a2[0] - a2[1])
-    rho1 = 0.5 * a1[1] - 0.25 * a1[2]
-    rho2 = 0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2]
-
-    modes = np.arange(1, 4)
-    chi1_123 = chi1(kc, modes, q)
-    mu_j = tuple((p * chi1_123 * cos(sigma)).tolist())
-    nu_j = tuple((p * chi2(kc, modes, q) * sin(sigma)).tolist())
-
-    chi1_2 = float(chi1_123[1])
-    if chi1_2 == 0.0:
-        raise ValueError(
-            f"chi1(kappa_crit; 2, q={q}) = 0: the mode-2 elimination is "
-            "singular at this threshold"
-        )
-    beta0 = beta1 + delta1 * rho1 / chi1_2
-
-    mu2, nu1, nu2 = mu_j[1], nu_j[0], nu_j[1]
-    beta_sigma = _beta_sigma_value(
-        beta1, delta1, delta2, rho1, rho2, mu2, nu1, nu2, p, sigma
-    )
-
-    gyro = 2.0 * nu1 - nu2
-    cm_denom = mu2 * mu2 + gyro * gyro
-    c1 = (p * gyro * rho1 * cos(sigma) - mu2 * rho2 * sin(sigma)) / cm_denom
-    c2 = (p * mu2 * rho1 * cos(sigma) - gyro * rho2 * sin(sigma)) / cm_denom
-
-    Omega = _rotation_term(p, q, kc, sigma)
-    slope = (
-        p * rho0 * sin(sigma) * chid / beta_sigma
-        if beta_sigma not in (0.0,) and isfinite(beta_sigma)
-        else nan
-    )
-
+    _check_args(q, p, sigma)
+    t, chi1_j, chi2_j = _threshold(q)
+    beta_sigma, c1, c2 = (float(v) for v in _lagged(t, chi1_j, chi2_j, p, sigma))
+    nu_j = p * chi2_j * sin(sigma)
     return NormalFormConstants(
-        q=int(q), p=float(p), sigma=float(sigma),
-        kappa_crit=kc, chi1_dk=chid,
-        a1=a1, a2=a2,
-        beta1=beta1, beta2=beta2, delta1=delta1, delta2=delta2,
-        rho0=rho0, rho1=rho1, rho2=rho2,
-        mu_j=mu_j, nu_j=nu_j, c1=c1, c2=c2,
-        beta0=beta0, beta_sigma=beta_sigma,
-        Omega=Omega, Omega_tilde_slope=slope, nu1=nu1,
+        q=int(q), p=float(p), sigma=float(sigma), **t,
+        mu_j=tuple((p * chi1_j * cos(sigma)).tolist()), nu_j=tuple(nu_j.tolist()),
+        c1=c1, c2=c2, beta_sigma=beta_sigma,
+        Omega=_rotation_term(p, q, t["kappa_crit"], sigma),
+        Omega_tilde_slope=p * t["rho0"] * sin(sigma) * t["chi1_dk"] / beta_sigma,
+        nu1=float(nu_j[0]),
     )
 
 
@@ -300,26 +296,13 @@ def beta_sigma_curve(q: int, p: float,
                      sigma_grid: Sequence[float]) -> list[tuple[float, float]]:
     """Evaluate beta_sigma over a grid of phase-lags.
 
-    The sigma-independent ingredients are computed once; only the
-    trigonometric assembly varies along the grid.
+    The threshold values are computed once; the sigma dependence is one
+    array expression over the grid.
     """
-    base = normal_form_constants(q, p, 0.0)
-    kc = base.kappa_crit
-    chi1_2 = chi1(kc, 2, q)
-    chi2_1 = chi2(kc, 1, q)
-    chi2_2 = chi2(kc, 2, q)
-    out = []
-    for sigma in sigma_grid:
-        s = float(sigma)
-        _check_range(-pi / 2 < s < pi / 2, "sigma", s, "(-pi/2, pi/2)")
-        mu2 = p * chi1_2 * cos(s)
-        nu1 = p * chi2_1 * sin(s)
-        nu2 = p * chi2_2 * sin(s)
-        out.append((s, _beta_sigma_value(
-            base.beta1, base.delta1, base.delta2, base.rho1, base.rho2,
-            mu2, nu1, nu2, p, s,
-        )))
-    return out
+    sigma = np.asarray(sigma_grid, dtype=float)
+    _check_args(q, p, sigma)
+    t, chi1_j, chi2_j = _threshold(q)
+    return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma)[0].tolist()))
 
 
 def _rotation_term(p: float, q: int, kappa: float, sigma: float) -> float:
@@ -358,8 +341,10 @@ class BifurcationPrediction:
     ``amplitude_radicand`` exposes the radial-equation consistency check:
     a real branch amplitude requires chibar'*(kappa - kappa_crit)/beta > 0,
     which fails on the claimed side whenever the applied rule is
-    internally inconsistent.  Predictions are local: valid only for kappa
-    near kappa_crit.
+    internally inconsistent.  In both regimes the twisted family itself is
+    stable below kappa_crit and unstable above it
+    (``family_stability_at_query``).  Predictions are local: valid only for
+    kappa near kappa_crit.
 
     Attributes primarily of note: ``branch_side``/``branch_stability`` (the
     rule's assignment), ``amplitude`` (sqrt of the radicand at the query
@@ -374,8 +359,6 @@ class BifurcationPrediction:
     regime: str
     beta_selected: float
     criterion_product: float
-    family_stability_below: str
-    family_stability_above: str
     branch_side: str
     branch_stability: str
     side_of_query: str
@@ -395,8 +378,12 @@ class BifurcationPrediction:
         Returns nan when the radicand is negative (no real branch there).
         """
         c = self.constants
-        rad = c.chi1_dk * (kappa - c.kappa_crit) / self.beta_selected
-        return sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan)
+        return _amplitude(c.chi1_dk * (kappa - c.kappa_crit) / self.beta_selected)
+
+
+def _amplitude(rad: float) -> float:
+    # branch amplitude from its radicand: nan where no real branch exists
+    return sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan)
 
 
 def predict_bifurcation(constants: NormalFormConstants, kappa: float,
@@ -435,7 +422,6 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
         side_query
     ]
     rad = c.chi1_dk * d / beta_sel
-    amp = sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan)
     # A real branch amplitude needs rad > 0; on the predicted side this can
     # fail (sigma != 0 rule), which is the documented inconsistency.
     exists = (side_query == side and rad > 0.0) or d == 0.0
@@ -445,9 +431,7 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
     else:
         mod_freq = c.nu1
         mod_period = (2.0 * pi / abs(c.nu1)) if c.nu1 != 0.0 else inf
-        omega_tilde = c.Omega + c.p * c.rho0 * sin(c.sigma) * (
-            c.chi1_dk * d / c.beta_sigma
-        )
+        omega_tilde = c.Omega + c.Omega_tilde_slope * d
 
     return BifurcationPrediction(
         constants=c,
@@ -455,15 +439,13 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
         regime="sigma_zero" if sigma_zero else "sigma_nonzero",
         beta_selected=beta_sel,
         criterion_product=product,
-        family_stability_below="stable",
-        family_stability_above="unstable",
         branch_side=side,
         branch_stability=stab,
         side_of_query=side_query,
         family_stability_at_query=family_at_query,
         branch_exists_at_query=exists,
         amplitude_radicand=rad,
-        amplitude=amp,
+        amplitude=_amplitude(rad),
         hypothesis_ok=not violations,
         hypothesis_violations=violations,
         modulation_frequency=mod_freq,
@@ -550,24 +532,15 @@ def constants_rows(q_list: Sequence[int], p: float = 1.0,
     """
     rows = []
     for q in q_list:
-        c = normal_form_constants(int(q), p, sigma)
-        rows.append({
-            "q": c.q,
-            "kappa_crit": c.kappa_crit,
-            "chi1_dk": c.chi1_dk,
-            "beta1": c.beta1,
-            "delta1": c.delta1,
-            "rho1": c.rho1,
-            "mu2_over_p": chi1(c.kappa_crit, 2, c.q),
-            "beta0": c.beta0,
-            "delta2": c.delta2,
-            "rho2": c.rho2,
-            "nu1_over_p_sin_sigma": chi2(c.kappa_crit, 1, c.q),
-            "nu2_over_p_sin_sigma": chi2(c.kappa_crit, 2, c.q),
-            "beta2": c.beta2,
-            "rho0": c.rho0,
-            "beta_sigma": c.beta_sigma,
-        })
+        _check_args(q, p, sigma)
+        t, chi1_j, chi2_j = _threshold(q)
+        values = dict(
+            t, q=int(q), mu2_over_p=float(chi1_j[1]),
+            nu1_over_p_sin_sigma=float(chi2_j[0]),
+            nu2_over_p_sin_sigma=float(chi2_j[1]),
+            beta_sigma=float(_lagged(t, chi1_j, chi2_j, p, sigma)[0]),
+        )
+        rows.append({name: values[name] for name in _TABLE_COLUMNS})
     return rows
 
 

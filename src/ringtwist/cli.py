@@ -160,8 +160,7 @@ def cmd_constants(args) -> RunManifest:
 
 
 def cmd_spectrum(args) -> RunManifest:
-    params = ModeParams(ell=1, q=args.q, kappa=args.kappa, sigma=args.sigma,
-                        p=args.p)
+    params = ModeParams(q=args.q, kappa=args.kappa, sigma=args.sigma, p=args.p)
     report = eigenvalues(params, ell_max=args.ell_max)
     spectrum_path = os.path.join(args.out, "spectrum.csv")
     write_spectrum_csv(spectrum_path, report)
@@ -179,13 +178,15 @@ def cmd_spectrum(args) -> RunManifest:
 
 
 def cmd_betasigma(args) -> RunManifest:
+    problem = (f"--sigma-grid must be lo:hi:count with an integer count >= 1, "
+               f"got {args.sigma_grid!r}")
     try:
-        lo, hi, count = (float(x) for x in args.sigma_grid.split(":"))
+        lo, hi, count = args.sigma_grid.split(":")
+        grid = np.linspace(float(lo), float(hi), int(count))
     except ValueError as exc:
-        raise ConfigError(
-            f"--sigma-grid must be lo:hi:count, got {args.sigma_grid!r}"
-        ) from exc
-    grid = np.linspace(lo, hi, int(count))
+        raise ConfigError(problem) from exc
+    if not grid.size:
+        raise ConfigError(problem)
     path = os.path.join(args.out, f"beta_sigma_q{args.q}.csv")
     write_beta_sigma_csv(path, args.q, args.p, grid)
     return RunManifest(

@@ -70,7 +70,7 @@ class GraphSpec:
     gamma : float or None
         Sparsity exponent in (0, 1/2); required for random_sparse only.
     seed : int or None
-        64-bit RNG seed; mandatory for the random kinds (no silent
+        RNG seed in [0, 2**64); mandatory for the random kinds (no silent
         entropy), ignored for deterministic_dense.
     """
 
@@ -102,6 +102,11 @@ class GraphSpec:
                 )
         if self.kind != "deterministic_dense" and self.seed is None:
             raise ValueError(f"{self.kind} requires an explicit seed")
+        if self.seed is not None and not (
+                isinstance(self.seed, (int, np.integer))
+                and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
+            raise ValueError(
+                f"seed must be None or an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def halfwidth(self) -> int:
@@ -436,9 +441,9 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     Raises
     ------
     ValueError
-        On a bad magic or version, a file whose length differs from the
-        one its header implies (truncated or trailing bytes), or index
-        arrays that do not describe an n x n CSR.
+        On a bad magic or version, an unknown kind code, a file whose
+        length differs from the one its header implies (truncated or
+        trailing bytes), or index arrays that do not describe an n x n CSR.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -455,6 +460,9 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     n, kind_code, has_seed, seed, halfwidth, weight, scale, nnz = struct.unpack_from(
         "<QBBQQddQ", raw, 8
     )
+    if kind_code not in _CODE_KINDS:
+        raise ValueError(f"{path}: kind code {kind_code} out of range "
+                         f"(0..{len(KINDS) - 1})")
     kind = _CODE_KINDS[kind_code]
     banded = kind == "deterministic_dense"
     expected = _HEADER_BYTES + (0 if banded else 8 * (n + 1 + nnz))

@@ -14,7 +14,8 @@ This module provides chi1, chi2, the kappa-derivative of chi1, the scaled
 window function phi and its extremal points zeta_j, the distinguished root
 zeta0 of phi = 1 (which locates the first instability of the q = q mode at
 kappa = zeta0/(2*pi*q)), and eigenvalue enumeration with a stability
-verdict.  The winding-free case q = 0 has its own real spectrum.
+verdict.  The winding-free state q = 0 is the same formula: chi2 vanishes
+and the spectrum is real.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "zeta_extremum",
     "zeta0",
     "eigenvalues",
-    "eigenvalues_q0",
     "write_chi_curves_csv",
     "write_spectrum_csv",
 ]
@@ -58,26 +58,32 @@ class BracketError(RuntimeError):
     """A root bracket showed no sign change (indicates a formula bug)."""
 
 
-def _check_int(name: str, value, lo: int, hi: int | None = None,
-               hint: str = "") -> None:
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
     """Raise ValueError unless value is an integer (or integer array) in [lo, hi]."""
     v = np.asarray(value)
     if v.dtype.kind in "iu" and (
             v.size == 0 or (v.min() >= lo and (hi is None or v.max() <= hi))):
         return
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise ValueError(f"{name} must be an integer {bound}, got {value!r}{hint}")
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_range(ok, name: str, value, interval: str) -> None:
-    """Raise ValueError naming the allowed interval unless ok holds everywhere."""
-    if not np.all(ok):
+    """Raise ValueError naming the allowed interval unless ok holds everywhere.
+
+    For array input ok and value share a shape, and the first value outside
+    the interval is named.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        if ok.ndim:
+            value = np.asarray(value)[~ok][0].item()
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def _validate_mode(kappa, ell, q: int) -> None:
     _check_int("ell", ell, 1)
-    _check_int("q", q, 1, hint=" (use eigenvalues_q0 for q = 0)")
+    _check_int("q", q, 0)
     k = np.asarray(kappa)
     _check_range((0.0 < k) & (k <= 0.5), "kappa", kappa, "(0, 1/2]")
 
@@ -93,6 +99,19 @@ def _half_window(kappa, d):
     return np.where(d == 0, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
 
 
+def _window_integrals(kappa, ell, q):
+    """The window overlaps of modes q and l, unchecked and broadcasting.
+
+    Returns (cc, ss): the integrals over y in [-kappa, kappa] of
+    cos(2*pi*q*y)*cos(2*pi*l*y) and sin(2*pi*q*y)*sin(2*pi*l*y).  chi1 is
+    cc minus its l = 0 value 2*_half_window(kappa, q), chi2 is ss, and the
+    normal-form coefficients a1, a2 are -ss and -cc.
+    """
+    minus = _half_window(kappa, np.subtract(ell, q))
+    plus = _half_window(kappa, np.add(ell, q))
+    return minus + plus, minus - plus
+
+
 def chi1(kappa, ell, q: int):
     """Real part factor of the mode-l eigenvalue of a q-twisted state.
 
@@ -106,26 +125,24 @@ def chi1(kappa, ell, q: int):
     ell : int or integer ndarray
         Fourier mode index (l >= 1); broadcasts against kappa.
     q : int
-        Winding number (q >= 1).
+        Winding number (q >= 0).
 
     Returns
     -------
     float, or ndarray for array input
     """
     _validate_mode(kappa, ell, q)
-    tail = np.sin(2 * pi * q * kappa) / (pi * q)
     return _scalar_or_array(
-        _half_window(kappa, np.subtract(ell, q)) + _half_window(kappa, np.add(ell, q))
-        - tail
-    )
+        _window_integrals(kappa, ell, q)[0] - 2.0 * _half_window(kappa, q))
 
 
 def _chi1_root_callback(ell: int, q: int) -> Callable[[float], float]:
     """chi1(.; ell, q) on one float kappa, for root-finding.
 
-    The same float operations as chi1, so the values are bit-identical,
-    without its argument checks and array handling: the caller checks ell,
-    q and the bracket once per root-find.
+    Bit-identical to chi1, without its argument checks and array handling:
+    the tail sin(2*pi*q*kappa)/(pi*q) equals chi1's 2*_half_window(kappa, q)
+    exactly, because doubling is exact.  The caller checks ell, q and the
+    bracket once per root-find.
     """
     def half_window(kappa: float, d: int):
         return kappa if d == 0 else np.sin(2 * pi * d * kappa) / (2 * pi * d)
@@ -140,9 +157,7 @@ def _chi1_root_callback(ell: int, q: int) -> Callable[[float], float]:
 def chi2(kappa, ell, q: int):
     """Imaginary part factor of the mode-l eigenvalue (multiplies p*sin(sigma))."""
     _validate_mode(kappa, ell, q)
-    return _scalar_or_array(
-        _half_window(kappa, np.subtract(ell, q)) - _half_window(kappa, np.add(ell, q))
-    )
+    return _scalar_or_array(_window_integrals(kappa, ell, q)[1])
 
 
 def chi1_dkappa(kappa, ell, q: int):
@@ -245,16 +260,13 @@ def zeta0() -> float:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Parameters of a linearization mode query.
+    """Parameters of a twisted-state spectrum query.
 
     Attributes
     ----------
-    ell : int
-        Fourier mode index (>= 1); used by single-mode queries and ignored
-        by the eigenvalue enumeration, which sweeps l = 1..ell_max.
     q : int
-        Winding number of the base twisted state (>= 0; q = 0 routes to the
-        winding-free formulas).
+        Winding number of the base twisted state (>= 0; q = 0 is the
+        synchronized state).
     kappa : float
         Window half-width in (0, 1/2].
     sigma : float
@@ -263,14 +275,12 @@ class ModeParams:
         Coupling weight in (0, 1].
     """
 
-    ell: int = 1
     q: int = 1
     kappa: float = 0.25
     sigma: float = 0.0
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_int("ell", self.ell, 1)
         _check_int("q", self.q, 0)
         _check_range(0.0 < self.kappa <= 0.5, "kappa", self.kappa, "(0, 1/2]")
         _check_range(-pi / 2 < self.sigma < pi / 2, "sigma", self.sigma,
@@ -333,48 +343,30 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     lambda_l^{+-} = p*chi1*cos(sigma) -+ i*p*chi2*sin(sigma) for
     l = 1..ell_max, plus the simple zero mode.  The verdict reads the max
     real part with marginal tolerance 1e-10; callers near a bifurcation
-    should inspect ``max_real_part`` directly.  q = 0 dispatches to
-    :func:`eigenvalues_q0`.
+    should inspect ``max_real_part`` directly.  At q = 0 chi2 vanishes and
+    lambda_l = -p*cos(sigma)*(2*kappa - sin(2*pi*l*kappa)/(pi*l)), negative
+    for every l since |sin z| < z for z > 0.
     """
     _check_int("ell_max", ell_max, 1)
-    if params.q == 0:
-        return eigenvalues_q0(params.kappa, params.sigma, params.p, ell_max)
-    ell = np.arange(1, ell_max + 1)
-    re = params.p * chi1(params.kappa, ell, params.q) * cos(params.sigma)
-    im = params.p * chi2(params.kappa, ell, params.q) * sin(params.sigma)
+    kappa, q = params.kappa, params.q
+    cc, ss = _window_integrals(kappa, np.arange(1, ell_max + 1), q)
+    re = params.p * (cc - 2.0 * _half_window(kappa, q)) * cos(params.sigma)
+    im = params.p * ss * sin(params.sigma)
     return _report(re, -im, im)
-
-
-def eigenvalues_q0(kappa: float, sigma: float, p: float,
-                   ell_max: int = DEFAULT_ELL_MAX) -> SpectrumReport:
-    """Spectrum of the winding-free (q = 0, synchronized) state.
-
-    All eigenvalues are real: lambda_l = -p*cos(sigma)*(2*kappa -
-    sin(2*pi*l*kappa)/(pi*l)), each carried by both the cos and sin mode-l
-    eigenfunctions, plus the simple zero mode.  Since |sin z| < z for
-    z > 0, every lambda_l is negative exactly when cos(sigma) > 0.
-    """
-    _check_range(0.0 < kappa <= 0.5, "kappa", kappa, "(0, 1/2]")
-    _check_int("ell_max", ell_max, 1)
-    ell = np.arange(1, ell_max + 1)
-    lam = -p * cos(sigma) * (2.0 * kappa - np.sin(2 * pi * ell * kappa) / (pi * ell))
-    zero = np.zeros_like(lam)
-    return _report(lam, zero, zero)
 
 
 def write_chi_curves_csv(path, q: int, ell_list: Sequence[int],
                          kappa_grid: Sequence[float]) -> None:
     """Write (kappa, ell, chi1, chi2) rows for plotting mode curves."""
+    kappas = np.asarray(kappa_grid, dtype=float)
+    curves = [(ell, chi1(kappas, int(ell), q).tolist(),
+               chi2(kappas, int(ell), q).tolist()) for ell in ell_list]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "ell", "chi1", "chi2"])
-        for kappa in kappa_grid:
-            for ell in ell_list:
-                writer.writerow(
-                    [repr(float(kappa)), ell,
-                     repr(chi1(float(kappa), int(ell), q)),
-                     repr(chi2(float(kappa), int(ell), q))]
-                )
+        for i, kappa in enumerate(kappas.tolist()):
+            for ell, c1, c2 in curves:
+                writer.writerow([repr(kappa), ell, repr(c1[i]), repr(c2[i])])
 
 
 def write_spectrum_csv(path, report: SpectrumReport) -> None:

@@ -6,6 +6,8 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from _oracles import distance_grid
 from ringtwist.analysis import (
@@ -22,6 +24,7 @@ from ringtwist.analysis import (
     write_fit_json,
     write_modulation_csv,
 )
+from ringtwist.circular import resultant, wrap_angle
 from ringtwist.dynamics import SimulationConfig, Trajectory, twisted_profile
 from ringtwist.graphs import GraphSpec
 
@@ -76,6 +79,16 @@ class TestDeviationField:
         assert np.allclose(deviation_field(u + 0.7, 1), base, atol=1e-12)
         assert np.allclose(deviation_field(u + 2 * pi, 1), base, atol=1e-12)
 
+    @given(u=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+           q=st.integers(0, 4), shift=st.floats(-50.0, 50.0))
+    def test_rotation_invariance_property(self, u, q, shift):
+        u = np.array(u)
+        diff = u - twisted_profile(len(u), q)
+        # a vanishing resultant leaves the alignment to the theta = 0 convention
+        assume(abs(resultant(diff)) > 1e-6)
+        moved = deviation_field(u + shift, q)
+        assert np.max(np.abs(wrap_angle(moved - deviation_field(u, q)))) < 1e-9
+
     def test_exact_profile_has_zero_field(self):
         assert np.max(np.abs(deviation_field(twisted_profile(50, 3), 3))) < 1e-12
 
@@ -115,6 +128,17 @@ class TestDistanceModRotation:
         u = rng.uniform(-pi, pi, 80)
         assert distance_mod_rotation(u, u) == 0.0
         assert distance_mod_rotation(u, u + 1.3) < 1e-12
+
+    @given(pair=st.integers(1, 40).flatmap(lambda n: st.tuples(
+               *[st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)] * 2)),
+           shift=st.floats(-50.0, 50.0))
+    def test_rotation_invariance_property(self, pair, shift):
+        a, b = np.array(pair[0]), np.array(pair[1])
+        assume(abs(resultant(a - b)) > 1e-6)
+        d = distance_mod_rotation(a, b)
+        assert abs(distance_mod_rotation(a + shift, b) - d) < 1e-9
+        assert abs(distance_mod_rotation(a, b + shift) - d) < 1e-9
+        assert abs(distance_mod_rotation(a + shift, b + shift) - d) < 1e-9
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringtwist.circular import resultant, wrap_angle
+
+# odd multiples of pi land on the edge of the interval
+angles = st.one_of(st.integers(-7, 7).map(lambda k: k * np.pi),
+                   st.floats(-1e6, 1e6, allow_nan=False))
 
 
 @pytest.mark.parametrize("x, expected", [
@@ -29,6 +35,16 @@ def test_wrap_angle_range_on_dense_grid():
     assert np.allclose(np.mod(w - x, 2 * np.pi), 0.0, atol=1e-9) or np.allclose(
         np.mod(w - x + np.pi, 2 * np.pi), np.pi, atol=1e-9
     )
+
+
+@given(x=angles)
+def test_wrap_angle_lands_in_half_open_interval_and_is_idempotent(x):
+    w = wrap_angle(x)
+    assert -np.pi < w <= np.pi
+    # a second wrap only repeats the rounding of the shift by pi
+    assert abs(wrap_angle(w) - w) <= 1e-15
+    # the wrapped angle is the same point on the circle
+    assert abs(np.sin(w) - np.sin(x)) < 1e-9 and abs(np.cos(w) - np.cos(x)) < 1e-9
 
 
 def test_wrap_angle_scalar_returns_scalar():

@@ -126,6 +126,17 @@ class TestGraph:
         assert main(["graph", "--config", str(graph_config),
                      "--set", "kappa=0.7", "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_seed_is_config_error(self, tmp_path, graph_config, capsys):
+        # a seed outside [0, 2**64) cannot be stored in adjacency.bin
+        out = tmp_path / "o"
+        assert main(["graph", "--config", str(graph_config),
+                     "--set", "kind=deterministic_dense", "--set", "seed=-1",
+                     "--binary", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "seed" in err
+        assert err.count("\n") == 1
+        assert not (out / "adjacency.bin").exists()
+
 
 class TestSimulate:
     def test_run_outputs(self, tmp_path, sim_config):
@@ -222,7 +233,10 @@ def test_version_flag():
     ["constants", "--p", "2"],
     ["spectrum", "--q", "1", "--kappa", "0.3", "--ell-max", "0"],
     ["betasigma", "--q", "2", "--sigma-grid", "0:2:5"],
-], ids=["q-list", "p", "ell-max", "sigma-grid"])
+    ["betasigma", "--q", "2", "--sigma-grid", "0:1:2.7"],
+    ["betasigma", "--q", "2", "--sigma-grid", "0:1:0"],
+], ids=["q-list", "p", "ell-max", "sigma-grid", "sigma-grid-fractional-count",
+        "sigma-grid-zero-count"])
 def test_library_range_errors_are_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2

@@ -6,6 +6,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import band_fraction_quad, sample_adjacency_one_shot
 from ringtwist import graphs
@@ -45,10 +47,20 @@ class TestGraphSpec:
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_sparse",
          "gamma": 0.6, "seed": 1},
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense"},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "seed": -1},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": 2**64},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": 1.5},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": "7"},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": True},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GraphSpec(**kwargs)
+
+    def test_seed_range_is_accepted_to_its_edges(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert GraphSpec(n=10, p=0.5, kappa=0.31, kind="random_dense",
+                             seed=seed).seed == seed
 
     @pytest.mark.parametrize("n, kappa, expected", [
         (10, 0.31, 3), (1000, 0.31, 310), (50, 0.31, 15), (100, 0.16, 16),
@@ -350,6 +362,26 @@ class TestFileFormats:
         assert back.nnz == 0
         assert np.array_equal(back.to_dense(), np.zeros((5, 5)))
 
+    @given(kind=st.sampled_from(graphs.KINDS), n=st.integers(1, 60),
+           kappa=st.floats(0.001, 0.499),
+           p=st.one_of(st.just(1e-9), st.floats(0.05, 1.0)),
+           seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+    def test_binary_round_trip_property(self, kind, n, kappa, p, seed,
+                                        tmp_path_factory):
+        # every kind, edgeless random graphs (p = 1e-9) included
+        if kind != "deterministic_dense" and seed is None:
+            seed = 0
+        spec = GraphSpec(n=n, p=p, kappa=kappa, kind=kind, seed=seed,
+                         gamma=0.3 if kind == "random_sparse" else None)
+        coupling = build_coupling(spec)
+        path = tmp_path_factory.mktemp("bin") / "adj.bin"
+        write_adjacency_binary(path, coupling)
+        back = read_adjacency_binary(path)
+        for name in ("layout", "n", "scale", "halfwidth", "weight", "kind", "seed",
+                     "nnz"):
+            assert getattr(back, name) == getattr(coupling, name), name
+        assert np.array_equal(back.to_dense(), coupling.to_dense())
+
     def test_binary_round_trip_keeps_dtypes(self, tmp_path):
         coupling = build_coupling(dense_spec(n=120, p=0.9, seed=9))
         path = tmp_path / "adj.bin"
@@ -389,6 +421,7 @@ class TestFileFormats:
         (26, 20),    # halfwidth 20 on n = 40: the band would wrap onto itself
         (-8, 40),    # last column index equal to n
         (58, 1),     # first row offset not 0
+        (16, 7),     # kind code 7 names no kind
     ])
     def test_inconsistent_contents_rejected(self, offset, value, tmp_path):
         path = tmp_path / "adj.bin"

@@ -21,7 +21,6 @@ from ringtwist.spectrum import (
     chi1_dkappa,
     chi2,
     eigenvalues,
-    eigenvalues_q0,
     phi,
     write_chi_curves_csv,
     write_spectrum_csv,
@@ -108,7 +107,7 @@ def test_zero_mode_always_present():
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
 def test_q0_eigenvalues_match_quadrature(sigma):
     kappa, p = 0.23, 0.8
-    report = eigenvalues_q0(kappa, sigma, p, ell_max=5)
+    report = eigenvalues(ModeParams(q=0, kappa=kappa, sigma=sigma, p=p), ell_max=5)
     for ell, (lam_plus, lam_minus) in enumerate(report.eigenvalues, start=1):
         oracle = eigenvalue_q0_quad(kappa, ell, sigma, p)
         assert abs(oracle.imag) < 1e-12
@@ -118,11 +117,19 @@ def test_q0_eigenvalues_match_quadrature(sigma):
     assert report.max_real_part < 0.0
 
 
-def test_q0_dispatch_through_eigenvalues():
-    a = eigenvalues(ModeParams(q=0, kappa=0.23, sigma=0.7, p=0.8), ell_max=5)
-    b = eigenvalues_q0(0.23, 0.7, 0.8, ell_max=5)
-    assert a.eigenvalues == b.eigenvalues
-    assert a.verdict == b.verdict
+@pytest.mark.parametrize("kappa", [0.01, 0.23, 0.5])
+def test_q0_spectrum_is_the_real_closed_form(kappa):
+    # at q = 0 the window integrals give chi2 = 0 and
+    # chi1 = sin(2*pi*l*kappa)/(pi*l) - 2*kappa
+    p, sigma = 0.8, -0.7
+    report = eigenvalues(ModeParams(q=0, kappa=kappa, sigma=sigma, p=p), ell_max=16)
+    ell = np.arange(1, 17)
+    closed = -p * np.cos(sigma) * (
+        2 * kappa - np.sin(2 * np.pi * ell * kappa) / (np.pi * ell))
+    for (lam_plus, lam_minus), lam in zip(report.eigenvalues, closed):
+        assert lam_plus.imag == 0.0 and lam_minus.imag == 0.0
+        assert lam_plus.real == lam_minus.real == pytest.approx(lam, abs=1e-15)
+    assert report.verdict == "linearly_stable"
 
 
 def test_verdicts_and_critical_mode():
@@ -150,7 +157,7 @@ def test_sigma_scales_imaginary_parts_only():
 
 
 @pytest.mark.parametrize("bad", [
-    {"kappa": 0.0}, {"kappa": 0.6}, {"ell": 0}, {"q": -1},
+    {"kappa": 0.0}, {"kappa": 0.6}, {"q": 1.5}, {"q": -1},
     {"sigma": 2.0}, {"p": 0.0}, {"p": 1.5},
 ])
 def test_mode_params_validation(bad):
@@ -164,11 +171,17 @@ def test_mode_params_frozen():
         params.kappa = 0.3
 
 
-def test_chi_validation_routes_q0_away():
-    with pytest.raises(ValueError, match="eigenvalues_q0"):
-        chi1(0.2, 1, 0)
+def test_chi_validation():
+    # q = 0 is in the domain; negative winding numbers and l = 0 are not
+    assert chi1(0.2, 3, 0) == pytest.approx(
+        np.sin(1.2 * np.pi) / (3 * np.pi) - 0.4, abs=1e-15)
+    assert chi2(0.2, 3, 0) == 0.0
+    with pytest.raises(ValueError, match="q must be an integer >= 0"):
+        chi1(0.2, 1, -1)
     with pytest.raises(ValueError):
         chi2(0.2, 0, 1)
+    with pytest.raises(ValueError, match="q must be"):
+        chi1_dkappa(0.2, 1, -1)
 
 
 def test_bisect_bracket_error():
