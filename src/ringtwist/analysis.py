@@ -41,7 +41,6 @@ __all__ = [
     "convergence_study",
     "write_fit_json",
     "write_modulation_csv",
-    "write_convergence_csv",
 ]
 
 _DEGENERATE_RESULTANT = 1e-12
@@ -301,11 +300,3 @@ def write_modulation_csv(path, estimate: ModulationEstimate) -> None:
         for row in zip(estimate.times, estimate.c, estimate.s, estimate.r,
                        estimate.psi, estimate.drift):
             writer.writerow([repr(float(x)) for x in row])
-
-
-def write_convergence_csv(path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "error"])
-        for row in rows:
-            writer.writerow([row["n"], repr(float(row["error"]))])

@@ -54,7 +54,6 @@ __all__ = [
     "natural_frequency_for_zero_rotation",
     "predict_bifurcation",
     "reduced_amplitude_flow",
-    "reduced_equilibrium",
     "constants_rows",
     "write_constants_csv",
     "write_zeta_csv",
@@ -386,8 +385,8 @@ def _amplitude(rad: float) -> float:
     return sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan)
 
 
-def predict_bifurcation(constants: NormalFormConstants, kappa: float,
-                        ell_max: int = 8) -> BifurcationPrediction:
+def predict_bifurcation(constants: NormalFormConstants,
+                        kappa: float) -> BifurcationPrediction:
     """Predict side, stability, and amplitude of the branch at a query kappa.
 
     Parameters
@@ -395,9 +394,9 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
     constants : NormalFormConstants
     kappa : float
         Query half-width near constants.kappa_crit.
-    ell_max : int
-        The hypothesis (all mode dampings mu_j < 0 for j >= 2) is checked
-        over j = 2..ell_max; violations are reported, not raised.
+
+    The hypothesis (all mode dampings mu_j < 0 for j >= 2) is checked over
+    j = 2..8; violations are reported, not raised.
     """
     c = constants
     sigma_zero = c.sigma == 0.0
@@ -411,7 +410,7 @@ def predict_bifurcation(constants: NormalFormConstants, kappa: float,
         # Nonzero phase-lag statement: negative product -> stable branch above.
         side, stab = ("above", "stable") if product < 0 else ("below", "unstable")
 
-    modes = np.arange(2, ell_max + 1)
+    modes = np.arange(2, 9)
     violations = tuple(modes[chi1(c.kappa_crit, modes, c.q) >= 0.0].tolist())
 
     d = kappa - c.kappa_crit
@@ -504,15 +503,6 @@ def reduced_amplitude_flow(mu: float, p: float, beta_sel: float, r0: float,
         first = int(np.argmax(blown))
         y[first:] = np.inf
     return times, np.sqrt(np.where(np.isfinite(y), y, np.inf))
-
-
-def reduced_equilibrium(mu: float, p: float, beta_sel: float) -> float:
-    """Nonzero equilibrium sqrt(mu/(p*beta)) of the reduced flow, else 0."""
-    b = p * beta_sel
-    if b == 0.0:
-        return 0.0
-    rad = mu / b
-    return sqrt(rad) if rad > 0.0 else 0.0
 
 
 _TABLE_COLUMNS = [

@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -248,6 +249,11 @@ def cmd_simulate(args) -> RunManifest:
 
 def cmd_estimate(args) -> RunManifest:
     config = _simulation_config(args)
+    lo = 0.0 if args.t_min is None else args.t_min
+    hi = config.t_end if args.t_max is None else args.t_max
+    if not (isfinite(lo) and isfinite(hi) and max(lo, 0.0) <= min(hi, config.t_end)):
+        raise ConfigError(f"--t-min/--t-max window [{lo!r}, {hi!r}] must be finite, "
+                          f"ordered and overlap [0, t_end={config.t_end!r}]")
     trajectory = run_experiment(config)
     estimate = estimate_modulation(trajectory, t_min=args.t_min, t_max=args.t_max)
     mod_path = os.path.join(args.out, "modulation.csv")
@@ -296,6 +302,11 @@ def _sweep_worker(payload: dict) -> dict:
 
 
 def cmd_sweep(args) -> RunManifest:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if not (isfinite(args.escape_threshold) and args.escape_threshold >= 0.0):
+        raise ConfigError(f"--escape-threshold must be finite and >= 0, "
+                          f"got {args.escape_threshold!r}")
     base = _load_config(args.config, args.set or [])
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:

@@ -28,6 +28,7 @@ from .graphs import (
     CouplingMatrix,
     GraphSpec,
     _band_holes,
+    _check_seed,
     build_coupling,
     empirical_band_density,
 )
@@ -58,10 +59,10 @@ class SimulationConfig:
     omega=None resolves to the natural frequency that makes the q-twisted
     solution stationary (zero rotation speed), so deviations from the
     twisted profile are directly readable from raw phases.  ic_seed feeds
-    the initial-condition noise only; the graph has its own seed.  A
-    nonzero ic_mode1_amplitude superimposes that amplitude of the first
-    spatial harmonic on the twisted profile before the noise.  Every float
-    field must be finite.
+    the initial-condition noise only; the graph has its own seed, and both
+    are None or an integer in [0, 2**64).  A nonzero ic_mode1_amplitude
+    superimposes that amplitude of the first spatial harmonic on the
+    twisted profile before the noise.  Every float field must be finite.
     """
 
     graph: GraphSpec
@@ -82,6 +83,7 @@ class SimulationConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_seed("ic_seed", self.ic_seed)
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         if self.sample_dt <= 0.0:
@@ -143,16 +145,13 @@ class Trajectory:
     def n(self) -> int:
         return self.config.graph.n
 
-    def output_nodes(self, stride: int | None = None) -> np.ndarray:
-        """Default CSV column subset: every floor(n/10)-th node.
+    def output_nodes(self) -> np.ndarray:
+        """CSV column subset: every floor(n/10)-th node from floor(n/20).
 
         Full states stay in memory; only file output is thinned.
         """
         n = self.n
-        if stride is None:
-            stride = max(1, floor(n / 10))
-        start = min(floor(n / 20), n - 1)
-        return np.arange(start, n, stride)
+        return np.arange(min(floor(n / 20), n - 1), n, max(1, floor(n / 10)))
 
 
 def twisted_profile(n: int, q: int) -> np.ndarray:
@@ -233,9 +232,9 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
     return rhs
 
 
-def _sample_grid(t0: float, t_end: float, sample_dt: float) -> np.ndarray:
-    n_steps = int(floor((t_end - t0) / sample_dt + 1e-9))
-    grid = t0 + sample_dt * np.arange(n_steps + 1)
+def _sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
+    n_steps = int(floor(t_end / sample_dt + 1e-9))
+    grid = sample_dt * np.arange(n_steps + 1)
     if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
         grid = np.append(grid, t_end)
     else:
@@ -245,9 +244,9 @@ def _sample_grid(t0: float, t_end: float, sample_dt: float) -> np.ndarray:
 
 def integrate_system(rhs: Callable[[float, np.ndarray], np.ndarray],
                      y0: np.ndarray, t_end: float, *, rel_tol: float = 1e-8,
-                     abs_tol: float = 1e-8, sample_dt: float = 1.0,
-                     t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate du/dt = rhs(t, u) with DOP853 on a uniform sample grid.
+                     abs_tol: float = 1e-8,
+                     sample_dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate du/dt = rhs(t, u) from t = 0 with DOP853 on a uniform sample grid.
 
     Returns (times, states) with states of shape (len(times), n); the
     final time is exactly t_end.
@@ -258,13 +257,13 @@ def integrate_system(rhs: Callable[[float, np.ndarray], np.ndarray],
         If the solver reports failure or any sampled state is non-finite;
         the message includes the last time reached.
     """
-    t_eval = _sample_grid(t0, t_end, sample_dt)
+    t_eval = _sample_grid(t_end, sample_dt)
     sol = solve_ivp(
-        rhs, (t0, t_end), np.asarray(y0, dtype=float), method="DOP853",
+        rhs, (0.0, t_end), np.asarray(y0, dtype=float), method="DOP853",
         rtol=rel_tol, atol=abs_tol, t_eval=t_eval,
     )
     if not sol.success:
-        reached = sol.t[-1] if sol.t.size else t0
+        reached = sol.t[-1] if sol.t.size else 0.0
         raise IntegrationError(
             f"integrator stopped at t={reached:g} of {t_end:g}: {sol.message}"
         )
@@ -309,17 +308,14 @@ def run_experiment(config: SimulationConfig,
                       rotation_speed=speed)
 
 
-def write_trajectory_csv(path, trajectory: Trajectory,
-                         nodes: np.ndarray | None = None) -> None:
-    """Write sampled phases for a node subset as CSV.
+def write_trajectory_csv(path, trajectory: Trajectory) -> None:
+    """Write sampled phases of trajectory.output_nodes() as CSV.
 
     The first line is a comment with run metadata; the header row names
     columns t, u<k> with 1-based node labels.  Floats use repr (shortest
     round-trip form).
     """
-    if nodes is None:
-        nodes = trajectory.output_nodes()
-    nodes = np.asarray(nodes, dtype=int)
+    nodes = trajectory.output_nodes()
     cfg = trajectory.config
     with open(path, "w", newline="") as fh:
         fh.write(

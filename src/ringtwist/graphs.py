@@ -30,10 +30,7 @@ from scipy import sparse as _sparse
 __all__ = [
     "GraphSpec",
     "CouplingMatrix",
-    "graphon_eval",
-    "cell_average",
     "build_coupling",
-    "graphon_l2_distance",
     "step_graphon_error",
     "empirical_band_density",
     "write_pixel_csv",
@@ -51,6 +48,15 @@ _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 # Values per row chunk when sampling a graph or deriving its band holes.
 _CHUNK_VALUES = 1 << 16
+
+
+def _check_seed(name: str, seed) -> None:
+    """Raise ValueError unless seed is None or an integer in [0, 2**64)."""
+    if seed is not None and not (
+            isinstance(seed, (int, np.integer))
+            and not isinstance(seed, bool) and 0 <= seed < 2**64):
+        raise ValueError(
+            f"{name} must be None or an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,8 @@ class GraphSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (isinstance(self.n, (int, np.integer))
+                and not isinstance(self.n, bool) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
@@ -102,11 +109,7 @@ class GraphSpec:
                 )
         if self.kind != "deterministic_dense" and self.seed is None:
             raise ValueError(f"{self.kind} requires an explicit seed")
-        if self.seed is not None and not (
-                isinstance(self.seed, (int, np.integer))
-                and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
-            raise ValueError(
-                f"seed must be None or an integer in [0, 2**64), got {self.seed!r}")
+        _check_seed("seed", self.seed)
 
     @property
     def halfwidth(self) -> int:
@@ -134,13 +137,12 @@ class GraphSpec:
 class CouplingMatrix:
     """Realized n x n coupling structure.
 
-    banded_uniform stores only (halfwidth, weight) - the matrix is the
-    circulant band pattern, no O(n^2) memory.  sparse_binary stores a
-    symmetric CSR 0/1 adjacency restricted to the band (diagonal allowed).
-    ``scale`` is the dynamics prefactor 1/(n*alpha_n).
+    A deterministic_dense graph stores only (halfwidth, weight) - the
+    matrix is the circulant band pattern, no O(n^2) memory.  The random
+    kinds store a symmetric CSR 0/1 adjacency restricted to the band
+    (diagonal allowed).  ``scale`` is the dynamics prefactor 1/(n*alpha_n).
     """
 
-    layout: str
     n: int
     scale: float
     halfwidth: int
@@ -150,10 +152,12 @@ class CouplingMatrix:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.layout not in ("banded_uniform", "sparse_binary"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        if self.layout == "sparse_binary" and self.adjacency is None:
-            raise ValueError("sparse_binary layout requires an adjacency")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        banded = self.layout == "banded_uniform"
+        if (self.adjacency is None) != banded:
+            raise ValueError(
+                f"{self.kind} {'takes no' if banded else 'requires an'} adjacency")
         if not 0 <= 2 * self.halfwidth < self.n:
             raise ValueError(
                 f"halfwidth must satisfy 0 <= 2*halfwidth < n = {self.n}, "
@@ -161,35 +165,17 @@ class CouplingMatrix:
             )
 
     @property
+    def layout(self) -> str:
+        """banded_uniform for deterministic_dense, else sparse_binary."""
+        return ("banded_uniform" if self.kind == "deterministic_dense"
+                else "sparse_binary")
+
+    @property
     def nnz(self) -> int:
         """Stored nonzero count (symmetric entries counted twice)."""
         if self.layout == "banded_uniform":
             return self.n * (2 * self.halfwidth + 1)
         return int(self.adjacency.nnz)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense weight matrix; intended for small-n tests only."""
-        if self.layout == "banded_uniform":
-            w = np.zeros((self.n, self.n))
-            idx = np.arange(self.n)
-            for d in range(-self.halfwidth, self.halfwidth + 1):
-                w[idx, (idx + d) % self.n] = self.weight
-            return w
-        return self.adjacency.toarray().astype(float)
-
-
-def graphon_eval(x, y, p: float, kappa: float):
-    """Band graphon value: p when circ-dist(x, y) <= kappa, else 0.
-
-    Total on the unit square (positions outside [0, 1] are reduced mod 1);
-    accepts scalars or broadcastable arrays.
-    """
-    d = np.abs(np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), 1.0))
-    inside = (d <= kappa) | (d >= 1.0 - kappa)
-    out = np.where(inside, float(p), 0.0)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def _tri_cdf(t: float, z0: float, n: int) -> float:
@@ -219,27 +205,6 @@ def _band_fraction(z0: float, n: int, kappa: float) -> float:
     for m in range(floor(lo - kappa), floor(hi + kappa) + 2):
         total += _tri_cdf(m + kappa, z0, n) - _tri_cdf(m - kappa, z0, n)
     return total
-
-
-def cell_average(k: int, j: int, spec: GraphSpec) -> float:
-    """Exact graphon average over the cell I_k x I_j, scaled by n^2.
-
-    For the band graphon this is p times the fraction of the cell inside
-    the band, computed from the closed-form triangular offset marginal.
-
-    Parameters
-    ----------
-    k, j : int
-        1-based node indices in [1..n].
-
-    Raises
-    ------
-    IndexError
-        If an index is outside [1..n].
-    """
-    if not 1 <= k <= spec.n or not 1 <= j <= spec.n:
-        raise IndexError(f"node indices ({k}, {j}) out of range [1..{spec.n}]")
-    return spec.p * _band_fraction((k - j) / spec.n, spec.n, spec.kappa)
 
 
 def _sample_band_pairs(rng: np.random.Generator, n: int, m: int,
@@ -277,20 +242,16 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     """
     n, m = spec.n, spec.halfwidth
     if spec.kind == "deterministic_dense":
-        return CouplingMatrix(
-            layout="banded_uniform", n=n, scale=spec.scale, halfwidth=m,
-            weight=spec.p, kind=spec.kind, seed=spec.seed,
-        )
+        return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m,
+                              weight=spec.p, kind=spec.kind, seed=spec.seed)
     row_idx, col_idx = _sample_band_pairs(
         np.random.default_rng(spec.seed), n, m, spec.edge_probability
     )
     adjacency = _sparse.csr_array(
         (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
     )
-    return CouplingMatrix(
-        layout="sparse_binary", n=n, scale=spec.scale, halfwidth=m,
-        weight=1.0, adjacency=adjacency, kind=spec.kind, seed=spec.seed,
-    )
+    return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m, adjacency=adjacency,
+                          kind=spec.kind, seed=spec.seed)
 
 
 def _band_holes(adjacency, m: int):
@@ -321,47 +282,20 @@ def _band_holes(adjacency, m: int):
     return _sparse.vstack(chunks, format="csr")
 
 
-def graphon_l2_distance(spec_a: GraphSpec, spec_b: GraphSpec,
-                        resolution: int | None = None) -> float:
-    """L2 distance between the band graphons of two specs.
-
-    With ``resolution=None`` the exact band formula is used: the band of
-    half-width kappa has area 2*kappa, the narrower band is contained in
-    the wider one, so distance^2 = (p_a - p_b)^2 * 2*min(kappa) +
-    p_wider^2 * 2*|kappa_a - kappa_b|.  An integer ``resolution >= 2``
-    selects midpoint-rule cross-validation instead.
-
-    Note the graphon of a spec depends only on (p, kappa): the sparse
-    kind's thinning is a sampling device, not part of the kernel.
-    """
-    if resolution is None:
-        ka, kb = spec_a.kappa, spec_b.kappa
-        pa, pb = spec_a.p, spec_b.p
-        k_min = min(ka, kb)
-        p_wide = pa if ka >= kb else pb
-        d2 = (pa - pb) ** 2 * 2.0 * k_min + p_wide**2 * 2.0 * abs(ka - kb)
-        return sqrt(d2)
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution!r}")
-    mids = (np.arange(resolution) + 0.5) / resolution
-    xx, yy = np.meshgrid(mids, mids, indexing="ij")
-    wa = graphon_eval(xx, yy, spec_a.p, spec_a.kappa)
-    wb = graphon_eval(xx, yy, spec_b.p, spec_b.kappa)
-    return float(np.sqrt(np.mean((wa - wb) ** 2)))
-
-
 def step_graphon_error(spec: GraphSpec) -> float:
     """L2 error between the band graphon and its n x n cell-average step.
 
     Within a cell the graphon takes only the values {0, p}, so the squared
     error against the cell mean p*f is p^2 * f * (1 - f) per unit cell
     area, with f the in-band fraction.  Cells depend on the index offset
-    only, giving an exact O(n) sum; only band-straddling offsets
-    contribute.
+    only, and f * (1 - f) is exactly 0 except for offsets whose cells
+    straddle a band edge e in {kappa, 1 - kappa}: those lie in
+    floor(n*e) - 1 .. floor(n*e) + 2, summed in ascending order.
     """
     n, kappa, p = spec.n, spec.kappa, spec.p
     total = 0.0
-    for o in range(n):
+    for o in sorted({o for e in (kappa, 1.0 - kappa)
+                     for o in range(floor(n * e) - 1, floor(n * e) + 3) if 0 <= o < n}):
         f = _band_fraction(o / n, n, kappa)
         total += f * (1.0 - f)
     return p * sqrt(total / n)
@@ -473,10 +407,8 @@ def read_adjacency_binary(path) -> CouplingMatrix:
         )
     seed = int(seed) if has_seed else None
     if banded:
-        return CouplingMatrix(
-            layout="banded_uniform", n=int(n), scale=scale,
-            halfwidth=int(halfwidth), weight=weight, kind=kind, seed=seed,
-        )
+        return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
+                              weight=weight, kind=kind, seed=seed)
     indptr = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER_BYTES)
     indices = np.frombuffer(raw, dtype="<u8", count=nnz,
                             offset=_HEADER_BYTES + 8 * (n + 1))
@@ -487,8 +419,5 @@ def read_adjacency_binary(path) -> CouplingMatrix:
         (np.ones(nnz), indices.astype(np.int32), indptr.astype(np.int32)),
         shape=(int(n), int(n)),
     )
-    return CouplingMatrix(
-        layout="sparse_binary", n=int(n), scale=scale,
-        halfwidth=int(halfwidth), weight=weight, adjacency=adjacency,
-        kind=kind, seed=seed,
-    )
+    return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
+                          weight=weight, adjacency=adjacency, kind=kind, seed=seed)

@@ -181,9 +181,8 @@ def phi(zeta):
     return _scalar_or_array(np.sinc(z / np.pi) * (2.0 - np.cos(z)))
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            tol: float = _BISECT_TOL) -> float:
-    """Bracketed bisection to absolute tolerance, plus one secant polish.
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bracketed bisection to absolute tolerance 1e-12, plus one secant polish.
 
     Raises
     ------
@@ -199,7 +198,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
         raise BracketError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -294,12 +293,12 @@ class SpectrumReport:
 
     Attributes
     ----------
-    eigenvalues : tuple of (complex, complex)
-        Pair (lambda_l^+, lambda_l^-) for l = 1..ell_max; the two members
-        are complex conjugates (equal when sigma = 0, each then carried by
-        the cos and sin eigenfunctions).
-    zero_mode : complex
-        The always-present 0 eigenvalue (constant eigenfunction).
+    eigenvalues : complex ndarray of shape (ell_max, 2)
+        Row l - 1 holds the pair (lambda_l^+, lambda_l^-) for l = 1..ell_max;
+        the two members are complex conjugates (equal when sigma = 0, each
+        then carried by the cos and sin eigenfunctions).  The zero
+        eigenvalue of the constant eigenfunction is always present and not
+        stored.
     verdict : str
         "linearly_stable", "unstable", or "marginal".
     max_real_part : float
@@ -308,8 +307,7 @@ class SpectrumReport:
         Mode index attaining max_real_part.
     """
 
-    eigenvalues: tuple = field(repr=False)
-    zero_mode: complex
+    eigenvalues: np.ndarray = field(repr=False)
     verdict: str
     max_real_part: float
     critical_mode: int
@@ -317,24 +315,6 @@ class SpectrumReport:
     @property
     def ell_max(self) -> int:
         return len(self.eigenvalues)
-
-
-def _report(re: np.ndarray, im_plus: np.ndarray,
-            im_minus: np.ndarray) -> SpectrumReport:
-    # eigenvalue pairs for l = 1..len(re); the first maximum wins
-    crit = int(np.argmax(re))
-    max_real = float(re[crit])
-    if abs(max_real) <= MARGINAL_TOLERANCE:
-        verdict = "marginal"
-    else:
-        verdict = "unstable" if max_real > 0 else "linearly_stable"
-    return SpectrumReport(
-        eigenvalues=tuple(zip(map(complex, re, im_plus), map(complex, re, im_minus))),
-        zero_mode=0j,
-        verdict=verdict,
-        max_real_part=max_real,
-        critical_mode=crit + 1,
-    )
 
 
 def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumReport:
@@ -352,7 +332,18 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     cc, ss = _window_integrals(kappa, np.arange(1, ell_max + 1), q)
     re = params.p * (cc - 2.0 * _half_window(kappa, q)) * cos(params.sigma)
     im = params.p * ss * sin(params.sigma)
-    return _report(re, -im, im)
+    # the parts are set separately: re + 1j*im would turn a -0.0 into 0.0
+    pairs = np.empty((ell_max, 2), dtype=complex)
+    pairs.real = re[:, None]
+    pairs.imag = np.stack([-im, im], axis=1)
+    crit = int(np.argmax(re))  # the first maximum wins
+    max_real = float(re[crit])
+    if abs(max_real) <= MARGINAL_TOLERANCE:
+        verdict = "marginal"
+    else:
+        verdict = "unstable" if max_real > 0 else "linearly_stable"
+    return SpectrumReport(eigenvalues=pairs, verdict=verdict,
+                          max_real_part=max_real, critical_mode=crit + 1)
 
 
 def write_chi_curves_csv(path, q: int, ell_list: Sequence[int],
@@ -374,8 +365,7 @@ def write_spectrum_csv(path, report: SpectrumReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ell", "branch", "re", "im"])
-        writer.writerow([0, "zero", repr(report.zero_mode.real),
-                         repr(report.zero_mode.imag)])
-        for ell, (lam_plus, lam_minus) in enumerate(report.eigenvalues, start=1):
-            writer.writerow([ell, "plus", repr(lam_plus.real), repr(lam_plus.imag)])
-            writer.writerow([ell, "minus", repr(lam_minus.real), repr(lam_minus.imag)])
+        writer.writerow([0, "zero", repr(0.0), repr(0.0)])
+        for ell, pair in enumerate(report.eigenvalues.tolist(), start=1):
+            for branch, lam in zip(("plus", "minus"), pair):
+                writer.writerow([ell, branch, repr(lam.real), repr(lam.imag)])

@@ -5,17 +5,22 @@ brute force, deliberately sharing no code path with the package: window
 overlap factors and eigenvalues via adaptive quadrature of the
 linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
-oscillator right-hand side via a literal double loop over neighbors, and
-random graphs via one unchunked draw of every in-band pair.
+oscillator right-hand side via a literal double loop over neighbors, the
+band as a dense matrix, and random graphs via one unchunked draw of every
+in-band pair.  The one exception is the step-kernel error, summed over
+every cell offset with the package's exact band fraction, which checks
+only the package's choice of the offsets that can contribute.
 """
 
 from __future__ import annotations
 
-from math import cos, pi, sin
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
+
+from ringtwist.graphs import _band_fraction
 
 
 def chi1_quad(kappa: float, ell: int, q: int) -> float:
@@ -95,6 +100,22 @@ def band_fraction_quad(z0: float, n: int, kappa: float) -> float:
     val, _ = quad(lambda z: density(z) * indicator(z), lo, hi,
                   points=sorted(points), epsabs=1e-12, epsrel=1e-12, limit=400)
     return val
+
+
+def step_graphon_error_loop(spec) -> float:
+    """Step-kernel error summed over every cell offset 0..n-1, in order."""
+    n, kappa = spec.n, spec.kappa
+    total = 0.0
+    for o in range(n):
+        f = _band_fraction(o / n, n, kappa)
+        total += f * (1.0 - f)
+    return spec.p * sqrt(total / n)
+
+
+def band_matrix(n: int, m: int, weight: float = 1.0) -> np.ndarray:
+    """Dense circulant band: weight where the circular index distance is <= m."""
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.where(np.minimum(d, n - d) <= m, weight, 0.0)
 
 
 def distance_grid(a: np.ndarray, b: np.ndarray, coarse: int = 4096,

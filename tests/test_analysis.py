@@ -20,7 +20,6 @@ from ringtwist.analysis import (
     estimate_modulation,
     fit_twisted,
     fourier_mode1,
-    write_convergence_csv,
     write_fit_json,
     write_modulation_csv,
 )
@@ -264,15 +263,6 @@ class TestWriters:
         assert len(rows) == len(times)
         assert float(rows[3]["r"]) == est.r[3]
         assert float(rows[-1]["drift"]) == est.drift[-1]
-
-    def test_convergence_csv(self, tmp_path):
-        rows = [{"n": 20, "error": 0.125}, {"n": 40, "error": 0.03125}]
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(path, rows)
-        with open(path, newline="") as fh:
-            parsed = list(csv.DictReader(fh))
-        assert [int(r["n"]) for r in parsed] == [20, 40]
-        assert [float(r["error"]) for r in parsed] == [0.125, 0.03125]
 
 
 def test_modulation_estimate_is_frozen():

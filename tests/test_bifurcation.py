@@ -20,7 +20,6 @@ from ringtwist.bifurcation import (
     normal_form_constants,
     predict_bifurcation,
     reduced_amplitude_flow,
-    reduced_equilibrium,
     rotation_speed_Omega,
     write_beta_sigma_csv,
     write_constants_csv,
@@ -291,8 +290,7 @@ class TestReducedFlow:
 
     def test_supercritical_equilibrium_attracts(self):
         mu, p, beta = 0.05, 1.0, 0.4
-        r_star = reduced_equilibrium(mu, p, beta)
-        assert r_star == pytest.approx(sqrt(mu / (p * beta)), abs=1e-15)
+        r_star = sqrt(mu / (p * beta))
         _, r = reduced_amplitude_flow(mu, p, beta, 0.01, (0.0, 400.0))
         assert r[-1] == pytest.approx(r_star, abs=1e-6)
         _, r = reduced_amplitude_flow(mu, p, beta, 1.0, (0.0, 400.0))
@@ -301,8 +299,7 @@ class TestReducedFlow:
     def test_subcritical_equilibrium_separates(self):
         # mu < 0, beta < 0: nonzero equilibrium is a basin boundary
         mu, p, beta = -0.02, 1.0, -0.45
-        r_star = reduced_equilibrium(mu, p, beta)
-        assert r_star > 0.0
+        r_star = sqrt(mu / (p * beta))
         _, r_in = reduced_amplitude_flow(mu, p, beta, 0.9 * r_star, (0.0, 2000.0))
         assert r_in[-1] < 1e-6
         _, r_out = reduced_amplitude_flow(mu, p, beta, 1.1 * r_star, (0.0, 2000.0))

@@ -167,6 +167,11 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_bad_ic_seed_is_named_before_any_work(self, tmp_path, sim_config, capsys):
+        assert main(["simulate", "--config", str(sim_config), "--set", "ic_seed=-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "ic_seed must be None or an integer" in capsys.readouterr().err
+
     def test_invalid_override_value(self, tmp_path, sim_config):
         assert main(["simulate", "--config", str(sim_config),
                      "--set", "graph.kappa=0.7",
@@ -188,8 +193,9 @@ class TestEstimate:
         assert (out / "fit.json").exists()
 
     def test_empty_window_is_numeric_failure(self, tmp_path, sim_config, capsys):
+        # the window lies inside [0, t_end] but holds no sample
         assert main(["estimate", "--config", str(sim_config),
-                     "--t-min", "50", "--t-max", "60",
+                     "--t-min", "2.2", "--t-max", "2.8",
                      "--out", str(tmp_path / "o")]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
@@ -235,10 +241,30 @@ def test_version_flag():
     ["betasigma", "--q", "2", "--sigma-grid", "0:2:5"],
     ["betasigma", "--q", "2", "--sigma-grid", "0:1:2.7"],
     ["betasigma", "--q", "2", "--sigma-grid", "0:1:0"],
+    ["simulate", "--set", "ic_seed=1.5"],
+    ["simulate", "--set", 'ic_seed="7"'],
+    ["simulate", "--set", "ic_seed=true"],
+    ["simulate", "--set", "ic_seed=-1"],
+    ["simulate", "--set", "graph.n=true"],
+    # the fixture run ends at t_end = 5
+    ["estimate", "--t-min", "4", "--t-max", "2"],
+    ["estimate", "--t-min", "nan"],
+    ["estimate", "--t-max", "inf"],
+    ["estimate", "--t-min", "50", "--t-max", "60"],
+    ["estimate", "--t-min", "-3", "--t-max", "-1"],
+    ["sweep", "--param", "q", "--values", "1", "--jobs", "-3"],
+    ["sweep", "--param", "q", "--values", "1", "--jobs", "0"],
+    ["sweep", "--param", "q", "--values", "1", "--escape-threshold", "nan"],
+    ["sweep", "--param", "q", "--values", "1", "--escape-threshold", "-0.1"],
 ], ids=["q-list", "p", "ell-max", "sigma-grid", "sigma-grid-fractional-count",
-        "sigma-grid-zero-count"])
-def test_library_range_errors_are_config_errors(argv, tmp_path, capsys):
+        "sigma-grid-zero-count", "ic-seed-float", "ic-seed-text", "ic-seed-bool",
+        "ic-seed-negative", "graph-n-bool", "window-reversed", "window-nan",
+        "window-infinite", "window-after-run", "window-before-run", "jobs-negative",
+        "jobs-zero", "escape-threshold-nan", "escape-threshold-negative"])
+def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_config):
     out = tmp_path / "o"
+    if argv[0] in ("simulate", "estimate", "sweep"):
+        argv = argv[:1] + ["--config", str(sim_config)] + argv[1:]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")

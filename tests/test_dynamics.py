@@ -63,6 +63,13 @@ class TestSimulationConfig:
         {"rel_tol": -1.0},
         {"rel_tol": 0.0},
         {"abs_tol": -1e-8},
+        # ic_seed follows GraphSpec.seed: None or an integer in [0, 2**64),
+        # bool refused
+        {"ic_seed": 1.5},
+        {"ic_seed": "7"},
+        {"ic_seed": True},
+        {"ic_seed": -1},
+        {"ic_seed": 2**64},
     ])
     def test_rejects_invalid(self, kwargs):
         base = dict(graph=det_graph(), q=1, perturbation_amplitude=0.0)
@@ -204,10 +211,10 @@ class TestRightHandSides:
 
 class TestIntegration:
     def test_sample_grid_exact_end(self):
-        grid = _sample_grid(0.0, 10.0, 1.0)
+        grid = _sample_grid(10.0, 1.0)
         assert len(grid) == 11
         assert grid[-1] == 10.0
-        ragged = _sample_grid(0.0, 1.05, 0.1)
+        ragged = _sample_grid(1.05, 0.1)
         assert ragged[-1] == 1.05
         assert len(ragged) == 12
 
@@ -298,16 +305,17 @@ class TestFileOutputs:
                                            sample_dt=1.0))
 
     def test_trajectory_csv(self, small_run, tmp_path):
+        # n = 20 writes every second node from index 1: labels u2, u4, ..., u20
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, small_run, nodes=[0, 5, 10])
+        write_trajectory_csv(path, small_run)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# n=20")
         rows = list(csv.reader(lines[1:]))
-        assert rows[0] == ["t", "u1", "u6", "u11"]
+        assert rows[0] == ["t"] + [f"u{k}" for k in range(2, 21, 2)]
         assert len(rows) - 1 == len(small_run.times)
         last = rows[-1]
         assert float(last[0]) == small_run.times[-1]
-        assert float(last[2]) == small_run.phases[-1, 5]
+        assert float(last[3]) == small_run.phases[-1, 5]
 
     def test_run_json(self, small_run, tmp_path):
         path = tmp_path / "run.json"

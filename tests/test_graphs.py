@@ -2,23 +2,26 @@
 
 import csv
 import tracemalloc
-from math import sqrt
+from math import floor, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import band_fraction_quad, sample_adjacency_one_shot
+from _oracles import (
+    band_matrix,
+    band_fraction_quad,
+    sample_adjacency_one_shot,
+    step_graphon_error_loop,
+)
 from ringtwist import graphs
 from ringtwist.graphs import (
     CouplingMatrix,
     GraphSpec,
+    _band_fraction,
     build_coupling,
-    cell_average,
     empirical_band_density,
-    graphon_eval,
-    graphon_l2_distance,
     read_adjacency_binary,
     step_graphon_error,
     write_adjacency_binary,
@@ -52,6 +55,7 @@ class TestGraphSpec:
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": 1.5},
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": "7"},
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": True},
+        {"n": True, "p": 1.0, "kappa": 0.31},   # bool is an int, but not a size
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -82,69 +86,49 @@ class TestGraphSpec:
         assert sp.scale == pytest.approx(2000.0 ** -0.7, abs=1e-15)
 
 
-class TestGraphonEval:
-    def test_symmetry_on_grid(self):
-        x = np.linspace(0.0, 1.0, 23)
-        xx, yy = np.meshgrid(x, x)
-        w = graphon_eval(xx, yy, 0.5, 0.31)
-        assert np.array_equal(w, w.T)
-
-    @pytest.mark.parametrize("x, y, expected", [
-        (0.0, 0.31, 0.5),        # boundary included
-        (0.0, 0.3100001, 0.0),   # just outside
-        (0.05, 0.95, 0.5),       # wraps around the circle, distance 0.1
-        (0.0, 0.5, 0.0),         # antipodal point outside the band
-        (0.2, 0.2, 0.5),         # diagonal inside
-        (1.25, 0.99, 0.5),       # positions reduced mod 1, distance 0.26
-    ])
-    def test_pointwise(self, x, y, expected):
-        assert graphon_eval(x, y, 0.5, 0.31) == expected
-        assert isinstance(graphon_eval(x, y, 0.5, 0.31), float)
-
-    def test_broadcasting(self):
-        out = graphon_eval(np.zeros(4), np.array([0.0, 0.2, 0.4, 0.9]), 1.0, 0.31)
-        assert out.shape == (4,)
-        assert out.tolist() == [1.0, 1.0, 0.0, 1.0]
-
-
 class TestCellAverage:
+    # _band_fraction((k - j)/n, n, kappa) is the band's share of cell I_k x I_j
     def test_interior_and_exterior_cells(self):
-        spec = GraphSpec(n=10, p=0.8, kappa=0.31)
-        assert cell_average(1, 1, spec) == pytest.approx(0.8, abs=1e-15)
-        assert cell_average(1, 3, spec) == pytest.approx(0.8, abs=1e-15)
-        assert cell_average(1, 6, spec) == pytest.approx(0.0, abs=1e-15)
+        assert _band_fraction(0 / 10, 10, 0.31) == pytest.approx(1.0, abs=1e-15)
+        assert _band_fraction(-2 / 10, 10, 0.31) == pytest.approx(1.0, abs=1e-15)
+        assert _band_fraction(-5 / 10, 10, 0.31) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("k, j", [(1, 4), (1, 5), (2, 9), (10, 3), (1, 8)])
     def test_straddling_cells_match_quadrature(self, k, j):
-        spec = GraphSpec(n=10, p=0.8, kappa=0.31)
-        oracle = spec.p * band_fraction_quad((k - j) / spec.n, spec.n, spec.kappa)
-        assert cell_average(k, j, spec) == pytest.approx(oracle, abs=1e-9)
+        oracle = band_fraction_quad((k - j) / 10, 10, 0.31)
+        assert _band_fraction((k - j) / 10, 10, 0.31) == pytest.approx(oracle, abs=1e-9)
 
     def test_symmetric_in_arguments(self):
-        spec = GraphSpec(n=17, p=1.0, kappa=0.23)
         for k, j in [(1, 5), (2, 17), (9, 3)]:
-            assert cell_average(k, j, spec) == pytest.approx(
-                cell_average(j, k, spec), abs=1e-15)
+            assert _band_fraction((k - j) / 17, 17, 0.23) == pytest.approx(
+                _band_fraction((j - k) / 17, 17, 0.23), abs=1e-15)
 
-    @pytest.mark.parametrize("k, j", [(0, 1), (1, 0), (11, 1), (1, 11)])
-    def test_index_out_of_range(self, k, j):
-        with pytest.raises(IndexError):
-            cell_average(k, j, GraphSpec(n=10, p=1.0, kappa=0.31))
+
+def pixel_matrix(coupling, path):
+    """The dense weight matrix read back from the pixel CSV of a coupling."""
+    write_pixel_csv(path, coupling)
+    dense = np.zeros((coupling.n, coupling.n))
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            dense[int(row["k"]) - 1, int(row["j"]) - 1] = float(row["w"])
+    return dense
 
 
 class TestDeterministicCoupling:
-    def test_small_band_neighbor_count(self):
+    def test_small_band_neighbor_count(self, tmp_path):
         # n=10, kappa=0.31: halfwidth 3, so 7 in-window neighbors per node
         coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
         assert coupling.layout == "banded_uniform"
         assert coupling.halfwidth == 3
-        dense = coupling.to_dense()
+        dense = pixel_matrix(coupling, tmp_path / "pixels.csv")
+        assert np.array_equal(dense, band_matrix(10, 3))
         assert np.array_equal(dense.sum(axis=1), np.full(10, 7.0))
         assert np.array_equal(np.diag(dense), np.ones(10))
 
-    def test_circulant_and_symmetric(self):
+    def test_circulant_and_symmetric(self, tmp_path):
         coupling = build_coupling(GraphSpec(n=12, p=0.6, kappa=0.2))
-        dense = coupling.to_dense()
+        dense = pixel_matrix(coupling, tmp_path / "pixels.csv")
+        assert np.array_equal(dense, band_matrix(12, 2, 0.6))
         assert np.array_equal(dense, dense.T)
         for k in range(12):
             assert np.array_equal(dense[k], np.roll(dense[0], k))
@@ -159,17 +143,15 @@ class TestDeterministicCoupling:
 class TestRandomCoupling:
     def test_dense_structure(self):
         coupling = build_coupling(dense_spec())
-        dense = coupling.to_dense()
+        dense = coupling.adjacency.toarray()
         assert np.array_equal(dense, dense.T)
         assert set(np.unique(dense)) <= {0.0, 1.0}
-        band = build_coupling(
-            GraphSpec(n=200, p=1.0, kappa=0.31)).to_dense()
-        assert np.all(dense[band == 0.0] == 0.0)
+        assert np.all(dense[band_matrix(200, dense_spec().halfwidth) == 0.0] == 0.0)
 
     def test_reproducible_and_seed_sensitive(self):
-        a = build_coupling(dense_spec(seed=3)).to_dense()
-        b = build_coupling(dense_spec(seed=3)).to_dense()
-        c = build_coupling(dense_spec(seed=4)).to_dense()
+        a = build_coupling(dense_spec(seed=3)).adjacency.toarray()
+        b = build_coupling(dense_spec(seed=3)).adjacency.toarray()
+        c = build_coupling(dense_spec(seed=4)).adjacency.toarray()
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -205,8 +187,8 @@ class TestRandomCoupling:
         monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
         coupling = build_coupling(dense_spec(n=53, p=0.8, seed=4))
         holes = graphs._band_holes(coupling.adjacency, coupling.halfwidth)
-        band = build_coupling(GraphSpec(n=53, p=1.0, kappa=0.31)).to_dense()
-        assert np.array_equal(holes.toarray(), band - coupling.to_dense())
+        assert np.array_equal(holes.toarray(),
+                              band_matrix(53, 16) - coupling.adjacency.toarray())
         assert holes.indices.dtype == holes.indptr.dtype == np.int32
         assert holes.has_sorted_indices
 
@@ -232,53 +214,6 @@ class TestRandomCoupling:
             build_coupling(GraphSpec(n=50, p=0.9, kappa=0.2))) == 1.0
 
 
-class TestGraphonDistance:
-    def test_identical_specs(self):
-        spec = GraphSpec(n=100, p=0.5, kappa=0.31)
-        assert graphon_l2_distance(spec, spec) == 0.0
-
-    def test_width_contrast(self):
-        # symmetric difference of the bands has measure 2*0.01
-        a = GraphSpec(n=100, p=1.0, kappa=0.31)
-        b = GraphSpec(n=100, p=1.0, kappa=0.30)
-        assert graphon_l2_distance(a, b) == pytest.approx(sqrt(0.02), abs=1e-15)
-
-    def test_weight_contrast(self):
-        # common band of measure 2*0.25, weight gap 0.5
-        a = GraphSpec(n=100, p=1.0, kappa=0.25)
-        b = GraphSpec(n=100, p=0.5, kappa=0.25)
-        assert graphon_l2_distance(a, b) == pytest.approx(sqrt(0.125), abs=1e-15)
-
-    def test_mixed_contrast(self):
-        a = GraphSpec(n=100, p=0.8, kappa=0.2)
-        b = GraphSpec(n=100, p=0.4, kappa=0.3)
-        expected = sqrt(0.4 ** 2 * 2 * 0.2 + 0.4 ** 2 * 2 * 0.1)
-        assert graphon_l2_distance(a, b) == pytest.approx(expected, abs=1e-15)
-
-    @pytest.mark.parametrize("pa, ka, pb, kb", [
-        (1.0, 0.31, 1.0, 0.30),
-        (1.0, 0.25, 0.5, 0.25),
-        (0.8, 0.2, 0.4, 0.3),
-    ])
-    def test_exact_formula_against_midpoint_rule(self, pa, ka, pb, kb):
-        a = GraphSpec(n=100, p=pa, kappa=ka)
-        b = GraphSpec(n=100, p=pb, kappa=kb)
-        exact = graphon_l2_distance(a, b)
-        grid = graphon_l2_distance(a, b, resolution=2000)
-        assert abs(exact - grid) < 0.01
-
-    def test_resolution_validation(self):
-        spec = GraphSpec(n=100, p=1.0, kappa=0.31)
-        with pytest.raises(ValueError):
-            graphon_l2_distance(spec, spec, resolution=1)
-
-    def test_sparse_kind_shares_the_kernel(self):
-        # thinning is a sampling device; the limiting kernel has weight p
-        a = GraphSpec(n=100, p=1.0, kappa=0.31)
-        b = sparse_spec(n=100, kappa=0.31)
-        assert graphon_l2_distance(a, b) == 0.0
-
-
 class TestStepApproximation:
     def test_frozen_value_at_aligned_width(self):
         # n*kappa integer: only the two boundary offsets straddle, each
@@ -295,6 +230,17 @@ class TestStepApproximation:
         )
         assert step_graphon_error(spec) == pytest.approx(
             0.7 * sqrt(total / 40), abs=1e-9)
+
+    @given(n=st.integers(1, 3000), kappa=st.floats(1e-6, 0.5, exclude_max=True),
+           aligned=st.booleans())
+    def test_matches_the_full_offset_loop_bit_for_bit(self, n, kappa, aligned):
+        # only offsets whose cells straddle a band edge add a nonzero term;
+        # aligned widths kappa = m/n put the edge on a cell boundary
+        if aligned:
+            kappa = max(1, min(floor(n * kappa), (n - 1) // 2)) / n
+            assume(kappa < 0.5)
+        spec = GraphSpec(n=n, p=0.7, kappa=kappa)
+        assert step_graphon_error(spec) == step_graphon_error_loop(spec)
 
     def test_error_decreases_with_resolution(self):
         errors = [
@@ -347,7 +293,7 @@ class TestFileFormats:
         assert back.seed == spec.seed
         assert back.kind == spec.kind
         assert back.nnz == coupling.nnz
-        assert np.array_equal(back.to_dense(), coupling.to_dense())
+        assert np.array_equal(back.adjacency.toarray(), coupling.adjacency.toarray())
 
     def test_binary_round_trip_edgeless_random(self, tmp_path):
         # an edgeless random graph used to read back as the full band
@@ -360,7 +306,7 @@ class TestFileFormats:
         assert back.layout == "sparse_binary"
         assert back.kind == "random_dense"
         assert back.nnz == 0
-        assert np.array_equal(back.to_dense(), np.zeros((5, 5)))
+        assert np.array_equal(back.adjacency.toarray(), np.zeros((5, 5)))
 
     @given(kind=st.sampled_from(graphs.KINDS), n=st.integers(1, 60),
            kappa=st.floats(0.001, 0.499),
@@ -380,7 +326,8 @@ class TestFileFormats:
         for name in ("layout", "n", "scale", "halfwidth", "weight", "kind", "seed",
                      "nnz"):
             assert getattr(back, name) == getattr(coupling, name), name
-        assert np.array_equal(back.to_dense(), coupling.to_dense())
+        if kind != "deterministic_dense":
+            assert np.array_equal(back.adjacency.toarray(), coupling.adjacency.toarray())
 
     def test_binary_round_trip_keeps_dtypes(self, tmp_path):
         coupling = build_coupling(dense_spec(n=120, p=0.9, seed=9))
@@ -455,10 +402,14 @@ class TestFileFormats:
 
 
 def test_coupling_matrix_validation():
-    with pytest.raises(ValueError):
-        CouplingMatrix(layout="dense", n=10, scale=0.1, halfwidth=3)
-    with pytest.raises(ValueError):
-        CouplingMatrix(layout="sparse_binary", n=10, scale=0.1, halfwidth=3)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="banded")
+    with pytest.raises(ValueError, match="random_dense requires an adjacency"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="random_dense")
+    with pytest.raises(ValueError, match="takes no adjacency"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3,
+                       adjacency=build_coupling(dense_spec(n=10)).adjacency)
     with pytest.raises(ValueError, match="halfwidth"):
-        CouplingMatrix(layout="banded_uniform", n=10, scale=0.1, halfwidth=5)
-    assert CouplingMatrix(layout="banded_uniform", n=1, scale=1.0, halfwidth=0).nnz == 1
+        CouplingMatrix(n=10, scale=0.1, halfwidth=5)
+    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).nnz == 1
+    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).layout == "banded_uniform"

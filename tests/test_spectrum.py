@@ -98,10 +98,39 @@ def test_eigenvalue_pairs_match_operator_quadrature(sigma, p, q):
         assert lam_minus == pytest.approx(np.conjugate(oracle), abs=1e-10)
 
 
-def test_zero_mode_always_present():
+def test_zero_mode_always_present(tmp_path):
+    # the zero eigenvalue is not stored; the spectrum CSV writes it as ell 0
     for q in (0, 1, 3):
         report = eigenvalues(ModeParams(q=q, kappa=0.2, sigma=0.3), ell_max=4)
-        assert report.zero_mode == 0j
+        path = tmp_path / f"spectrum{q}.csv"
+        write_spectrum_csv(path, report)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["0", "zero", "0.0", "0.0"]
+        assert len(rows) == 2 + 2 * 4
+
+
+@pytest.mark.parametrize("q", [0, 3])
+def test_eigenvalues_are_conjugate_columns(q):
+    report = eigenvalues(ModeParams(q=q, kappa=0.27, sigma=0.7, p=0.9), ell_max=12)
+    assert isinstance(report.eigenvalues, np.ndarray)
+    assert report.eigenvalues.dtype == complex
+    assert report.eigenvalues.shape == (12, 2)
+    plus, minus = report.eigenvalues.T
+    assert np.array_equal(minus, np.conj(plus))
+    assert report.max_real_part == plus.real.max()
+
+
+def test_spectrum_csv_keeps_signed_zeros(tmp_path):
+    # at q = 0 chi2 vanishes, so the "plus" branch -i*p*chi2*sin(sigma) is
+    # -0.0 for sigma > 0; building the pairs as re + 1j*im would print 0.0
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(path, eigenvalues(ModeParams(q=0, kappa=0.3, sigma=0.7),
+                                         ell_max=3))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["im"] for r in rows if r["branch"] == "plus"] == ["-0.0"] * 3
+    assert [r["im"] for r in rows if r["branch"] == "minus"] == ["0.0"] * 3
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.7])

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,6 +27,17 @@ def test_benchmark_selftest_and_traced_round():
 
     bench = run("benchmark/run.py", "--workload", "random_dense_lock", "--seed", "1",
                 "--seconds", "0", "--trace", "1")
+    assert bench.returncode == 0, bench.stderr
+    result = json.loads(bench.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, bench.stderr
+    assert result["correct"] is True, bench.stderr
+
+
+@pytest.mark.parametrize("workload", ["band_threshold", "random_sparse_lock"])
+def test_untraced_round(workload):
+    # band_threshold's checks read 1,920 spectra and the banded coupling
+    bench = run("benchmark/run.py", "--workload", workload, "--seed", "1",
+                "--seconds", "0")
     assert bench.returncode == 0, bench.stderr
     result = json.loads(bench.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, bench.stderr
