@@ -11,13 +11,12 @@ deviation field.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._boundary import write_csv, write_json
 from .circular import resultant, wrap_angle
 from .dynamics import (
     SimulationConfig,
@@ -171,6 +170,20 @@ class ModulationEstimate:
         return float(np.max(self.r))
 
 
+def _window(times: np.ndarray, t_min: float | None,
+            t_max: float | None) -> np.ndarray:
+    """Indices of the times in [t_min, t_max] (None: first/last time), 1e-12 slack.
+
+    Raises NoFitError if fewer than two samples fall in the window.
+    """
+    lo = times[0] if t_min is None else t_min
+    hi = times[-1] if t_max is None else t_max
+    idx = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
+    if len(idx) < 2:
+        raise NoFitError(f"need at least 2 samples in [{lo:g}, {hi:g}], found {len(idx)}")
+    return idx
+
+
 def estimate_modulation(trajectory: Trajectory, q: int | None = None,
                         t_min: float | None = None,
                         t_max: float | None = None) -> ModulationEstimate:
@@ -191,13 +204,7 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
     if q is None:
         q = trajectory.config.q
     times = trajectory.times
-    lo = times[0] if t_min is None else t_min
-    hi = times[-1] if t_max is None else t_max
-    idx = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
-    if len(idx) < 2:
-        raise NoFitError(
-            f"need at least 2 samples in [{lo:g}, {hi:g}], found {len(idx)}"
-        )
+    idx = _window(times, t_min, t_max)
     profile = twisted_profile(trajectory.n, q)
     drift_raw = np.empty(len(idx))
     modes = np.empty((4, len(idx)))
@@ -283,20 +290,10 @@ def convergence_study(config_template: SimulationConfig,
 
 
 def write_fit_json(path, fit: TwistedFit) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {"q": fit.q, "theta": fit.theta, "residual_max": fit.residual_max,
-             "residual_l2": fit.residual_l2},
-            fh, indent=2,
-        )
-        fh.write("\n")
+    write_json(path, asdict(fit))
 
 
 def write_modulation_csv(path, estimate: ModulationEstimate) -> None:
     """Columns t, c, s, r, psi, drift; floats in shortest round-trip form."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "c", "s", "r", "psi", "drift"])
-        for row in zip(estimate.times, estimate.c, estimate.s, estimate.r,
-                       estimate.psi, estimate.drift):
-            writer.writerow([repr(float(x)) for x in row])
+    write_csv(path, ["t", "c", "s", "r", "psi", "drift"], np.column_stack([
+        estimate.times, estimate.c, estimate.s, estimate.r, estimate.psi, estimate.drift]).tolist())

@@ -18,17 +18,15 @@ radial flow exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import cos, inf, nan, pi, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 
+from ._boundary import check_int, check_real, write_csv
 from .spectrum import (
     _bisect,
-    _check_int,
-    _check_range,
     _chi1_root_callback,
     _half_window,
     _scalar_or_array,
@@ -125,8 +123,8 @@ def a_coeffs(q: int, j, kappa_crit: float):
     -------
     (a1, a2) : floats, or ndarrays for array j
     """
-    _check_int("q", q, 1)
-    _check_int("j", j, 0)
+    check_int("q", q, 1)
+    check_int("j", j, 0)
     cc, ss = _window_integrals(kappa_crit, j, q)
     return _scalar_or_array(-ss), _scalar_or_array(-cc)
 
@@ -198,10 +196,9 @@ class NormalFormConstants:
 
 
 def _check_args(q: int, p: float, sigma) -> None:
-    _check_int("q", q, 1, 8)
-    _check_range(0.0 < p <= 1.0, "p", p, "(0, 1]")
-    s = np.asarray(sigma)
-    _check_range((-pi / 2 < s) & (s < pi / 2), "sigma", sigma, "(-pi/2, pi/2)")
+    check_int("q", q, 1, 8)
+    check_real("p", p, 0.0, 1.0, "(]")
+    check_real("sigma", sigma, -pi / 2, pi / 2, "()")
 
 
 def _threshold(q: int) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -306,7 +303,7 @@ def beta_sigma_curve(q: int, p: float,
 
 def _rotation_term(p: float, q: int, kappa: float, sigma: float) -> float:
     # coupling-induced rotation speed of the q-twisted solution
-    _check_int("q", q, 1)
+    check_int("q", q, 1)
     return p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
 
 
@@ -371,19 +368,6 @@ class BifurcationPrediction:
     modulation_period: float | None
     omega_tilde: float | None
 
-    def amplitude_at(self, kappa: float) -> float:
-        """Branch amplitude sqrt(chibar'*(kappa - kappa_crit)/beta_sel) at kappa.
-
-        Returns nan when the radicand is negative (no real branch there).
-        """
-        c = self.constants
-        return _amplitude(c.chi1_dk * (kappa - c.kappa_crit) / self.beta_selected)
-
-
-def _amplitude(rad: float) -> float:
-    # branch amplitude from its radicand: nan where no real branch exists
-    return sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan)
-
 
 def predict_bifurcation(constants: NormalFormConstants,
                         kappa: float) -> BifurcationPrediction:
@@ -444,7 +428,7 @@ def predict_bifurcation(constants: NormalFormConstants,
         family_stability_at_query=family_at_query,
         branch_exists_at_query=exists,
         amplitude_radicand=rad,
-        amplitude=_amplitude(rad),
+        amplitude=sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan),
         hypothesis_ok=not violations,
         hypothesis_violations=violations,
         modulation_frequency=mod_freq,
@@ -477,8 +461,7 @@ def reduced_amplitude_flow(mu: float, p: float, beta_sel: float, r0: float,
     -------
     (times, r) : ndarray pair
     """
-    if r0 < 0.0:
-        raise ValueError(f"r0 must be >= 0, got {r0!r}")
+    check_real("r0", r0, 0.0)
     t0, t1 = float(t_span[0]), float(t_span[1])
     times = np.linspace(t0, t1, num)
     y0 = r0 * r0
@@ -536,12 +519,7 @@ def constants_rows(q_list: Sequence[int], p: float = 1.0,
 
 def write_constants_csv(path, rows: Sequence[dict]) -> None:
     """Write constants-table rows produced by constants_rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_TABLE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (v if k == "q" else repr(float(v)))
-                             for k, v in row.items()})
+    write_csv(path, _TABLE_COLUMNS, [[row[k] for k in _TABLE_COLUMNS] for row in rows])
 
 
 def write_zeta_csv(path) -> None:
@@ -549,23 +527,14 @@ def write_zeta_csv(path) -> None:
     z1 = zeta_extremum(1)
     z2 = zeta_extremum(2)
     z0 = zeta0()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value"])
-        for name, value in [
-            ("zeta0", z0), ("zeta1", z1), ("zeta2", z2),
-            ("phi_zeta1", phi(z1)), ("phi_zeta2", phi(z2)),
-            ("kappa_crit_q1", z0 / (2 * pi)),
-        ]:
-            writer.writerow([name, repr(float(value))])
+    write_csv(path, ["name", "value"], [
+        ("zeta0", z0), ("zeta1", z1), ("zeta2", z2),
+        ("phi_zeta1", phi(z1)), ("phi_zeta2", phi(z2)),
+        ("kappa_crit_q1", z0 / (2 * pi)),
+    ])
 
 
 def write_beta_sigma_csv(path, q: int, p: float,
                          sigma_grid: Sequence[float]) -> None:
     """Write (sigma, beta_sigma) curve rows; an invalid sigma leaves no file."""
-    curve = beta_sigma_curve(q, p, sigma_grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "beta_sigma"])
-        for s, b in curve:
-            writer.writerow([repr(s), repr(b)])
+    write_csv(path, ["sigma", "beta_sigma"], beta_sigma_curve(q, p, sigma_grid))

@@ -23,13 +23,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from math import isfinite
+from math import inf
 
 import numpy as np
 
 from . import __version__
+from ._boundary import check_int, check_real, write_csv, write_json
 from .analysis import (
     NoFitError,
+    _window,
     deviation_field,
     deviation_series,
     estimate_modulation,
@@ -48,6 +50,7 @@ from .bifurcation import (
 from .dynamics import (
     IntegrationError,
     SimulationConfig,
+    _sample_grid,
     run_experiment,
     write_run_json,
     write_trajectory_csv,
@@ -85,9 +88,7 @@ class RunManifest:
 
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, default=str)
-            fh.write("\n")
+        write_json(path, asdict(self))
         return path
 
 
@@ -133,12 +134,17 @@ def _parse_int_list(raw: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-def _simulation_config(args) -> SimulationConfig:
-    data = _load_config(args.config, args.set or [])
+def _parse_config(parse, data: dict, what: str):
+    """parse(data), with a missing, unknown or invalid entry as a ConfigError."""
     try:
-        return SimulationConfig.from_dict(data)
+        return parse(data)
     except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad simulation config: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _simulation_config(args) -> SimulationConfig:
+    return _parse_config(SimulationConfig.from_dict,
+                         _load_config(args.config, args.set or []), "simulation config")
 
 
 def cmd_constants(args) -> RunManifest:
@@ -179,15 +185,13 @@ def cmd_spectrum(args) -> RunManifest:
 
 
 def cmd_betasigma(args) -> RunManifest:
-    problem = (f"--sigma-grid must be lo:hi:count with an integer count >= 1, "
-               f"got {args.sigma_grid!r}")
     try:
         lo, hi, count = args.sigma_grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
+        check_int("count", grid.size, 1)
     except ValueError as exc:
-        raise ConfigError(problem) from exc
-    if not grid.size:
-        raise ConfigError(problem)
+        raise ConfigError(f"--sigma-grid must be lo:hi:count with an integer count "
+                          f">= 1, got {args.sigma_grid!r}") from exc
     path = os.path.join(args.out, f"beta_sigma_q{args.q}.csv")
     write_beta_sigma_csv(path, args.q, args.p, grid)
     return RunManifest(
@@ -199,10 +203,7 @@ def cmd_betasigma(args) -> RunManifest:
 
 def cmd_graph(args) -> RunManifest:
     data = _load_config(args.config, args.set or [])
-    try:
-        spec = GraphSpec(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad graph config: {exc}") from exc
+    spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)
     outputs = []
     if args.pixels:
@@ -249,11 +250,12 @@ def cmd_simulate(args) -> RunManifest:
 
 def cmd_estimate(args) -> RunManifest:
     config = _simulation_config(args)
+    # the window must overlap [0, t_end] and hold two samples of the run
     lo = 0.0 if args.t_min is None else args.t_min
-    hi = config.t_end if args.t_max is None else args.t_max
-    if not (isfinite(lo) and isfinite(hi) and max(lo, 0.0) <= min(hi, config.t_end)):
-        raise ConfigError(f"--t-min/--t-max window [{lo!r}, {hi!r}] must be finite, "
-                          f"ordered and overlap [0, t_end={config.t_end!r}]")
+    check_real("--t-min", lo, -inf, config.t_end)
+    check_real("--t-max", config.t_end if args.t_max is None else args.t_max,
+               max(lo, 0.0))
+    _window(_sample_grid(config.t_end, config.sample_dt), args.t_min, args.t_max)
     trajectory = run_experiment(config)
     estimate = estimate_modulation(trajectory, t_min=args.t_min, t_max=args.t_max)
     mod_path = os.path.join(args.out, "modulation.csv")
@@ -296,17 +298,15 @@ def _sweep_worker(payload: dict) -> dict:
         "max_deviation": float(np.max(dev)),
         "final_deviation": float(dev[-1]),
         "final_r": float(r_final),
-        "escaped": escaped,
+        "escaped": int(escaped),
         "escape_time": float(trajectory.times[escape_idx[0]]) if escaped else None,
     }
 
 
 def cmd_sweep(args) -> RunManifest:
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    if not (isfinite(args.escape_threshold) and args.escape_threshold >= 0.0):
-        raise ConfigError(f"--escape-threshold must be finite and >= 0, "
-                          f"got {args.escape_threshold!r}")
+    if args.jobs is not None:
+        check_int("--jobs", args.jobs, 1)
+    check_real("--escape-threshold", args.escape_threshold, 0.0)
     base = _load_config(args.config, args.set or [])
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:
@@ -315,10 +315,7 @@ def cmd_sweep(args) -> RunManifest:
     for i, value in enumerate(values):
         data = json.loads(json.dumps(base))
         _apply_override(data, f"{args.param}={json.dumps(value)}")
-        try:
-            SimulationConfig.from_dict(data)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad config at {args.param}={value}: {exc}") from exc
+        _parse_config(SimulationConfig.from_dict, data, f"config at {args.param}={value}")
         payloads.append({
             "config": data, "value": value,
             "csv_path": os.path.join(args.out, f"trajectory_{i:03d}.csv"),
@@ -331,18 +328,10 @@ def cmd_sweep(args) -> RunManifest:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     summary_path = os.path.join(args.out, "sweep.csv")
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("value,max_deviation,final_deviation,final_r,escaped,escape_time\n")
-        for row in rows:
-            esc_t = "" if row["escape_time"] is None else repr(row["escape_time"])
-            fh.write(
-                f"{row['value']},{row['max_deviation']!r},"
-                f"{row['final_deviation']!r},{row['final_r']!r},"
-                f"{int(row['escaped'])},{esc_t}\n"
-            )
+    write_csv(summary_path, list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(f"{args.param}={row['value']}: max_dev={row['max_deviation']:.4f} "
-              f"escaped={row['escaped']}")
+              f"escaped={bool(row['escaped'])}")
     return RunManifest(
         command="sweep",
         config={"base": base, "param": args.param, "values": values,

@@ -14,25 +14,23 @@ DOP853 from scipy with dense sampling on a uniform grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from math import cos, floor, isfinite, sin
+from math import cos, floor, inf, sin
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import __version__
+from ._boundary import check_int, check_real, check_seed, write_csv, write_json
 from .bifurcation import natural_frequency_for_zero_rotation, rotation_speed_Omega
 from .graphs import (
     CouplingMatrix,
     GraphSpec,
     _band_holes,
-    _check_seed,
     build_coupling,
     empirical_band_density,
 )
-from .spectrum import _check_int
 
 __all__ = [
     "IntegrationError",
@@ -79,21 +77,18 @@ class SimulationConfig:
     ic_mode1_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_int("q", self.q, 0)
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        _check_seed("ic_seed", self.ic_seed)
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        if self.sample_dt <= 0.0:
-            raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
-        if self.rel_tol <= 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol!r}")
-        if self.perturbation_amplitude < 0.0:
-            raise ValueError("perturbation_amplitude must be >= 0")
+        check_int("q", self.q, 0)
+        check_real("sigma", self.sigma)
+        if self.omega is not None:
+            check_real("omega", self.omega)
+        check_real("t_end", self.t_end, 0.0, inf, "()")
+        check_real("rel_tol", self.rel_tol, 0.0, inf, "()")
+        check_real("abs_tol", self.abs_tol, 0.0, inf, "[)")
+        check_real("sample_dt", self.sample_dt, 0.0, inf, "()")
+        check_real("perturbation_amplitude", self.perturbation_amplitude, 0.0, inf, "[)")
+        check_seed("ic_seed", self.ic_seed)
+        check_real("ic_mode1_amplitude", self.ic_mode1_amplitude)
+        check_real("ic_mode1_phase", self.ic_mode1_phase)
         if self.perturbation_amplitude > 0.0 and self.ic_seed is None:
             raise ValueError("noisy initial conditions require ic_seed")
 
@@ -312,21 +307,15 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """Write sampled phases of trajectory.output_nodes() as CSV.
 
     The first line is a comment with run metadata; the header row names
-    columns t, u<k> with 1-based node labels.  Floats use repr (shortest
-    round-trip form).
+    columns t, u<k> with 1-based node labels.
     """
     nodes = trajectory.output_nodes()
     cfg = trajectory.config
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# n={cfg.graph.n} kind={cfg.graph.kind} q={cfg.q} "
-            f"kappa={cfg.graph.kappa!r} sigma={cfg.sigma!r} "
-            f"omega={trajectory.omega!r}\n"
-        )
-        fh.write(",".join(["t"] + [f"u{k + 1}" for k in nodes]) + "\n")
-        for t, row in zip(trajectory.times, trajectory.phases):
-            values = [repr(float(t))] + [repr(float(row[k])) for k in nodes]
-            fh.write(",".join(values) + "\n")
+    write_csv(path, ["t"] + [f"u{k + 1}" for k in nodes],
+              np.column_stack([trajectory.times, trajectory.phases[:, nodes]]).tolist(),
+              comment=f"n={cfg.graph.n} kind={cfg.graph.kind} q={cfg.q} "
+                      f"kappa={cfg.graph.kappa!r} sigma={cfg.sigma!r} "
+                      f"omega={trajectory.omega!r}")
 
 
 def write_run_json(path, trajectory: Trajectory, extra: dict | None = None) -> None:
@@ -343,6 +332,4 @@ def write_run_json(path, trajectory: Trajectory, extra: dict | None = None) -> N
     }
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)

@@ -18,7 +18,6 @@ diagonal (a self-loop) is part of the band.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from math import floor, sqrt
@@ -26,6 +25,8 @@ from typing import BinaryIO
 
 import numpy as np
 from scipy import sparse as _sparse
+
+from ._boundary import check_int, check_real, check_seed, write_csv
 
 __all__ = [
     "GraphSpec",
@@ -46,17 +47,8 @@ _HEADER_BYTES = 58  # magic, version, then n .. nnz as packed by the writer
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
-# Values per row chunk when sampling a graph or deriving its band holes.
+# Values per row chunk when sampling a graph, finding its holes or listing pixels.
 _CHUNK_VALUES = 1 << 16
-
-
-def _check_seed(name: str, seed) -> None:
-    """Raise ValueError unless seed is None or an integer in [0, 2**64)."""
-    if seed is not None and not (
-            isinstance(seed, (int, np.integer))
-            and not isinstance(seed, bool) and 0 <= seed < 2**64):
-        raise ValueError(
-            f"{name} must be None or an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -88,28 +80,16 @@ class GraphSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer))
-                and not isinstance(self.n, bool) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
-        if not 0.0 < self.kappa < 0.5:
-            raise ValueError(f"kappa must lie in (0, 1/2), got {self.kappa!r}")
+        check_int("n", self.n, 1)
+        check_real("p", self.p, 0.0, 1.0, "(]")
+        check_real("kappa", self.kappa, 0.0, 0.5, "()")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "random_sparse":
-            if self.gamma is None or not 0.0 < self.gamma < 0.5:
-                raise ValueError(
-                    f"random_sparse needs gamma in (0, 1/2), got {self.gamma!r}"
-                )
-            if self.edge_probability > 1.0:
-                raise ValueError(
-                    f"thinned edge probability n**(-gamma)*p = "
-                    f"{self.edge_probability!r} exceeds 1"
-                )
+        if self.gamma is not None or self.kind == "random_sparse":
+            check_real("gamma", self.gamma, 0.0, 0.5, "()")
         if self.kind != "deterministic_dense" and self.seed is None:
             raise ValueError(f"{self.kind} requires an explicit seed")
-        _check_seed("seed", self.seed)
+        check_seed("seed", self.seed)
 
     @property
     def halfwidth(self) -> int:
@@ -158,11 +138,7 @@ class CouplingMatrix:
         if (self.adjacency is None) != banded:
             raise ValueError(
                 f"{self.kind} {'takes no' if banded else 'requires an'} adjacency")
-        if not 0 <= 2 * self.halfwidth < self.n:
-            raise ValueError(
-                f"halfwidth must satisfy 0 <= 2*halfwidth < n = {self.n}, "
-                f"got {self.halfwidth!r}"
-            )
+        check_int("halfwidth", self.halfwidth, 0, (self.n - 1) // 2)  # 2*halfwidth < n
 
     @property
     def layout(self) -> str:
@@ -318,19 +294,22 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
 
 
 def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
-    """Write the nonzero pixel map as (k, j, w) rows, 1-based indices."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "w"])
-        if coupling.layout == "banded_uniform":
-            n, m, w = coupling.n, coupling.halfwidth, coupling.weight
-            for k in range(n):
-                for d in range(-m, m + 1):
-                    writer.writerow([k + 1, (k + d) % n + 1, repr(w)])
-        else:
-            coo = coupling.adjacency.tocoo()
-            for r, c in zip(coo.row, coo.col):
-                writer.writerow([int(r) + 1, int(c) + 1, repr(1.0)])
+    """Write the nonzero pixel map as (k, j, w) rows, 1-based indices.
+
+    A band row k lists the columns (k + d) mod n for d = -m..m.  Pixels are
+    listed in chunks of about _CHUNK_VALUES.
+    """
+    chunks = max(1, -(-coupling.nnz // _CHUNK_VALUES))
+    if coupling.layout == "banded_uniform":
+        n, w = coupling.n, coupling.weight
+        d = np.arange(-coupling.halfwidth, coupling.halfwidth + 1)
+        pixels = ((np.repeat(k, d.size), (k[:, None] + d).ravel() % n)
+                  for k in np.array_split(np.arange(n), chunks))
+    else:
+        coo = coupling.adjacency.tocoo()
+        pixels, w = zip(np.array_split(coo.row, chunks), np.array_split(coo.col, chunks)), 1.0
+    write_csv(path, ["k", "j", "w"], ((k, j, w) for ks, js in pixels
+                                      for k, j in zip((ks + 1).tolist(), (js + 1).tolist())))
 
 
 def _write_u64(fh: BinaryIO, *values: int) -> None:

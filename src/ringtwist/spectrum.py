@@ -20,12 +20,13 @@ and the spectrum is real.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import cos, pi, sin
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from ._boundary import check_int, check_real, write_csv
 
 __all__ = [
     "BracketError",
@@ -38,7 +39,6 @@ __all__ = [
     "zeta_extremum",
     "zeta0",
     "eigenvalues",
-    "write_chi_curves_csv",
     "write_spectrum_csv",
 ]
 
@@ -58,34 +58,10 @@ class BracketError(RuntimeError):
     """A root bracket showed no sign change (indicates a formula bug)."""
 
 
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
-    """Raise ValueError unless value is an integer (or integer array) in [lo, hi]."""
-    v = np.asarray(value)
-    if v.dtype.kind in "iu" and (
-            v.size == 0 or (v.min() >= lo and (hi is None or v.max() <= hi))):
-        return
-    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
-def _check_range(ok, name: str, value, interval: str) -> None:
-    """Raise ValueError naming the allowed interval unless ok holds everywhere.
-
-    For array input ok and value share a shape, and the first value outside
-    the interval is named.
-    """
-    ok = np.asarray(ok)
-    if not ok.all():
-        if ok.ndim:
-            value = np.asarray(value)[~ok][0].item()
-        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
-
-
 def _validate_mode(kappa, ell, q: int) -> None:
-    _check_int("ell", ell, 1)
-    _check_int("q", q, 0)
-    k = np.asarray(kappa)
-    _check_range((0.0 < k) & (k <= 0.5), "kappa", kappa, "(0, 1/2]")
+    check_int("ell", ell, 1)
+    check_int("q", q, 0)
+    check_real("kappa", kappa, 0.0, 0.5, "(]")
 
 
 def _scalar_or_array(values):
@@ -237,7 +213,7 @@ def zeta_extremum(j: int) -> float:
     BracketError
         If the bracket shows no sign change.
     """
-    _check_int("j", j, 1)
+    check_int("j", j, 1)
     lo = (j - 1) * pi
     if j == 1:
         # The equation has a degenerate root at z = 0 (both sides -> 1);
@@ -280,11 +256,10 @@ class ModeParams:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_int("q", self.q, 0)
-        _check_range(0.0 < self.kappa <= 0.5, "kappa", self.kappa, "(0, 1/2]")
-        _check_range(-pi / 2 < self.sigma < pi / 2, "sigma", self.sigma,
-                     "(-pi/2, pi/2)")
-        _check_range(0.0 < self.p <= 1.0, "p", self.p, "(0, 1]")
+        check_int("q", self.q, 0)
+        check_real("kappa", self.kappa, 0.0, 0.5, "(]")
+        check_real("sigma", self.sigma, -pi / 2, pi / 2, "()")
+        check_real("p", self.p, 0.0, 1.0, "(]")
 
 
 @dataclass(frozen=True)
@@ -327,7 +302,7 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     lambda_l = -p*cos(sigma)*(2*kappa - sin(2*pi*l*kappa)/(pi*l)), negative
     for every l since |sin z| < z for z > 0.
     """
-    _check_int("ell_max", ell_max, 1)
+    check_int("ell_max", ell_max, 1)
     kappa, q = params.kappa, params.q
     cc, ss = _window_integrals(kappa, np.arange(1, ell_max + 1), q)
     re = params.p * (cc - 2.0 * _half_window(kappa, q)) * cos(params.sigma)
@@ -346,26 +321,9 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
                           max_real_part=max_real, critical_mode=crit + 1)
 
 
-def write_chi_curves_csv(path, q: int, ell_list: Sequence[int],
-                         kappa_grid: Sequence[float]) -> None:
-    """Write (kappa, ell, chi1, chi2) rows for plotting mode curves."""
-    kappas = np.asarray(kappa_grid, dtype=float)
-    curves = [(ell, chi1(kappas, int(ell), q).tolist(),
-               chi2(kappas, int(ell), q).tolist()) for ell in ell_list]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "ell", "chi1", "chi2"])
-        for i, kappa in enumerate(kappas.tolist()):
-            for ell, c1, c2 in curves:
-                writer.writerow([repr(kappa), ell, repr(c1[i]), repr(c2[i])])
-
-
 def write_spectrum_csv(path, report: SpectrumReport) -> None:
     """Write (ell, branch, re, im) eigenvalue rows; the zero mode is ell 0."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ell", "branch", "re", "im"])
-        writer.writerow([0, "zero", repr(0.0), repr(0.0)])
-        for ell, pair in enumerate(report.eigenvalues.tolist(), start=1):
-            for branch, lam in zip(("plus", "minus"), pair):
-                writer.writerow([ell, branch, repr(lam.real), repr(lam.imag)])
+    write_csv(path, ["ell", "branch", "re", "im"], [[0, "zero", 0.0, 0.0]] + [
+        [ell, branch, lam.real, lam.imag]
+        for ell, pair in enumerate(report.eigenvalues.tolist(), start=1)
+        for branch, lam in zip(("plus", "minus"), pair)])

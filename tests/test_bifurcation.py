@@ -249,12 +249,6 @@ class TestPredictions:
             assert pred.hypothesis_ok
             assert pred.hypothesis_violations == ()
 
-    def test_amplitude_at_matches_prediction(self):
-        c = normal_form_constants(1)
-        pred = predict_bifurcation(c, 0.32)
-        assert pred.amplitude_at(0.32) == pytest.approx(pred.amplitude, abs=1e-15)
-        assert isnan(pred.amplitude_at(0.36))
-
 
 class TestReducedFlow:
     @pytest.mark.parametrize("mu, p, beta, r0", [

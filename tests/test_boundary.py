@@ -1,0 +1,131 @@
+"""One rule for every numeric input, one writer for every CSV and JSON file."""
+
+import csv
+import json
+from math import ceil, floor, inf, nan, pi
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ringtwist._boundary import check_int, check_real, write_csv, write_json
+from ringtwist.dynamics import SimulationConfig
+from ringtwist.graphs import GraphSpec
+from ringtwist.spectrum import ModeParams
+
+
+def graph(**kwargs):
+    return GraphSpec(**{"n": 20, "p": 1.0, "kappa": 0.3, **kwargs})
+
+
+def sparse_graph(**kwargs):
+    return graph(**{"kind": "random_sparse", "gamma": 0.3, "seed": 1, **kwargs})
+
+
+def config(**kwargs):
+    return SimulationConfig(**{"graph": graph(), "q": 1, "ic_seed": 1, **kwargs})
+
+
+# every float field: (constructor, field, lo, hi, ends, may it be None)
+FLOAT_FIELDS = [
+    (graph, "p", 0.0, 1.0, "(]", False),
+    (graph, "kappa", 0.0, 0.5, "()", False),
+    (graph, "gamma", 0.0, 0.5, "()", True),
+    (sparse_graph, "gamma", 0.0, 0.5, "()", False),
+    (config, "sigma", -inf, inf, "[]", False),
+    (config, "omega", -inf, inf, "[]", True),
+    (config, "t_end", 0.0, inf, "()", False),
+    (config, "rel_tol", 0.0, inf, "()", False),
+    (config, "abs_tol", 0.0, inf, "[)", False),
+    (config, "sample_dt", 0.0, inf, "()", False),
+    (config, "perturbation_amplitude", 0.0, inf, "[)", False),
+    (config, "ic_mode1_amplitude", -inf, inf, "[]", False),
+    (config, "ic_mode1_phase", -inf, inf, "[]", False),
+    (ModeParams, "kappa", 0.0, 0.5, "(]", False),
+    (ModeParams, "sigma", -pi / 2, pi / 2, "()", False),
+    (ModeParams, "p", 0.0, 1.0, "(]", False),
+]
+IDS = [f"{make.__name__}.{name}" for make, name, *_ in FLOAT_FIELDS]
+
+NOT_REALS = st.one_of(st.booleans(), st.text(), st.lists(st.floats(), max_size=2),
+                      st.sampled_from([nan, inf, -inf]))
+
+
+@pytest.mark.parametrize("make, name, lo, hi, ends, optional", FLOAT_FIELDS, ids=IDS)
+@given(value=NOT_REALS)
+@example(value=True)
+@example(value=False)
+@example(value="0.5")
+@example(value=[0.5])
+@example(value=nan)
+@example(value=inf)
+@example(value=-inf)
+def test_float_fields_refuse_anything_but_a_finite_real(make, name, lo, hi, ends,
+                                                        optional, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("make, name, lo, hi, ends, optional", FLOAT_FIELDS, ids=IDS)
+def test_none_is_refused_unless_the_field_is_optional(make, name, lo, hi, ends,
+                                                      optional):
+    if optional:
+        assert getattr(make(**{name: None}), name) is None
+    else:
+        with pytest.raises(ValueError, match=name):
+            make(**{name: None})
+
+
+@pytest.mark.parametrize("make, name, lo, hi, ends, optional", FLOAT_FIELDS, ids=IDS)
+@given(data=st.data())
+def test_numpy_scalars_in_range_are_accepted(make, name, lo, hi, ends, optional, data):
+    x = data.draw(st.floats(lo, hi, exclude_min=ends[0] == "(",
+                            exclude_max=ends[1] == ")", allow_nan=False,
+                            allow_infinity=False))
+    assert getattr(make(**{name: np.float64(x)}), name) == x
+    ints = range(ceil(max(lo, -10)), floor(min(hi, 10)) + 1)
+    k = data.draw(st.sampled_from([k for k in ints
+                                   if (k != lo or ends[0] == "[")
+                                   and (k != hi or ends[1] == "]")] or [None]))
+    if k is not None:
+        assert getattr(make(**{name: np.int64(k)}), name) == k
+
+
+def test_check_real_names_the_first_bad_array_element():
+    check_real("kappa", np.array([0.1, 0.5]), 0.0, 0.5, "(]")
+    with pytest.raises(ValueError, match=r"kappa must be .* in \(0, 0.5\], got 0.7"):
+        check_real("kappa", np.array([0.1, 0.7, 0.0]), 0.0, 0.5, "(]")
+    with pytest.raises(ValueError, match="got nan"):
+        check_real("sigma", np.array([0.0, nan]))
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, np.bool_(True), 1 + 0j])
+def test_check_real_refuses_what_no_float_holds(value):
+    with pytest.raises(ValueError, match="x must be a finite real number"):
+        check_real("x", value)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", [1], None, np.array([1.0])])
+def test_check_int_refuses_non_integers(value):
+    with pytest.raises(ValueError, match="q must be an integer >= 0"):
+        check_int("q", value, 0)
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"],
+              [[1, np.float64(0.1), None], [np.int64(2), 1e-20, "x,y"]],
+              comment="run 1")
+    text = path.read_bytes().decode()
+    assert text == '# run 1\na,b,c\n1,0.1,\n2,1e-20,"x,y"\n'
+    rows = list(csv.reader(text.splitlines()[1:]))
+    assert float(rows[2][1]) == 1e-20
+
+
+def test_write_json_format(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"x": 0.1, "path": tmp_path})
+    text = path.read_text()
+    assert text.endswith("}\n") and text.startswith('{\n  "x": 0.1,')
+    assert json.loads(text)["path"] == str(tmp_path)

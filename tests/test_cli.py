@@ -199,6 +199,22 @@ class TestEstimate:
                      "--out", str(tmp_path / "o")]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_sampleless_window_fails_before_the_run(self, tmp_path, sim_config,
+                                                    monkeypatch):
+        def no_run(config):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(["estimate", "--config", str(sim_config),
+                     "--t-min", "2.2", "--t-max", "2.8",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert main(["estimate", "--config", str(sim_config),
+                     "--t-min", "4.5", "--out", str(tmp_path / "o")]) == 3
+        # a sample 1e-13 outside the window counts, as in estimate_modulation
+        with pytest.raises(AssertionError, match="run_experiment was called"):
+            main(["estimate", "--config", str(sim_config),
+                  "--t-min", "4.0000000000001", "--out", str(tmp_path / "o")])
+
 
 class TestSweep:
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -256,11 +272,22 @@ def test_version_flag():
     ["sweep", "--param", "q", "--values", "1", "--jobs", "0"],
     ["sweep", "--param", "q", "--values", "1", "--escape-threshold", "nan"],
     ["sweep", "--param", "q", "--values", "1", "--escape-threshold", "-0.1"],
+    # a bool once ran as 1 or 0, a string or list died with a traceback
+    ["simulate", "--set", "sigma=true"],
+    ["simulate", "--set", 'sigma="0.5"'],
+    ["simulate", "--set", "omega=[1]"],
+    ["simulate", "--set", 'ic_mode1_amplitude="0.1"'],
+    ["simulate", "--set", "graph.p=true"],
+    ["simulate", "--set", "rel_tol=true"],
+    ["simulate", "--set", "abs_tol=false"],
+    ["simulate", "--set", 't_end="5"'],
 ], ids=["q-list", "p", "ell-max", "sigma-grid", "sigma-grid-fractional-count",
         "sigma-grid-zero-count", "ic-seed-float", "ic-seed-text", "ic-seed-bool",
         "ic-seed-negative", "graph-n-bool", "window-reversed", "window-nan",
         "window-infinite", "window-after-run", "window-before-run", "jobs-negative",
-        "jobs-zero", "escape-threshold-nan", "escape-threshold-negative"])
+        "jobs-zero", "escape-threshold-nan", "escape-threshold-negative",
+        "sigma-bool", "sigma-text", "omega-list", "ic-mode1-amplitude-text",
+        "graph-p-bool", "rel-tol-bool", "abs-tol-bool", "t-end-text"])
 def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_config):
     out = tmp_path / "o"
     if argv[0] in ("simulate", "estimate", "sweep"):
@@ -270,6 +297,9 @@ def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_conf
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1  # one line, no traceback
     assert list(out.iterdir()) == []  # no partial output, no manifest
+    if "--set" in argv:  # the message names the overridden field
+        field = argv[argv.index("--set") + 1].split("=")[0].split(".")[-1]
+        assert f"{field} must be" in err
 
 
 def test_no_root_error_stays_numeric(tmp_path, capsys, monkeypatch):
@@ -280,3 +310,44 @@ def test_no_root_error_stays_numeric(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "constants_rows", no_root)
     assert main(["constants", "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def is_float_text(field):
+    try:
+        float(field)
+    except ValueError:  # a name, or an empty field
+        return False
+    return not field.lstrip("-").isdigit()
+
+
+def test_every_csv_is_lf_terminated_with_round_trip_floats(tmp_path, sim_config,
+                                                           graph_config):
+    runs = [
+        ["constants", "--q-list", "1,2", "--sigma", "0.3"],
+        ["spectrum", "--q", "0", "--kappa", "0.3", "--sigma", "0.7", "--ell-max", "4"],
+        ["betasigma", "--q", "2", "--sigma-grid", "0:1.2:7"],
+        ["graph", "--config", str(graph_config), "--pixels"],
+        ["graph", "--config", str(graph_config), "--set", "kind=deterministic_dense",
+         "--pixels"],
+        ["simulate", "--config", str(sim_config)],
+        ["estimate", "--config", str(sim_config), "--set", "ic_mode1_amplitude=0.1"],
+        ["sweep", "--config", str(sim_config), "--param", "graph.kappa",
+         "--values", "0.2,0.31", "--jobs", "1"],
+    ]
+    paths = []
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        paths += sorted((tmp_path / str(i)).glob("*.csv"))
+    assert {p.name for p in paths} == {
+        "constants.csv", "zeta.csv", "spectrum.csv", "beta_sigma_q2.csv", "pixels.csv",
+        "trajectory.csv", "modulation.csv", "sweep.csv", "trajectory_000.csv",
+        "trajectory_001.csv"}
+    for path in paths:
+        text = path.read_bytes().decode()
+        assert "\r" not in text, path.name
+        rows = list(csv.reader(line for line in text.split("\n")[:-1]
+                               if not line.startswith("#")))
+        floats = [field for row in rows[1:] for field in row if is_float_text(field)]
+        assert floats, path.name
+        for field in floats:  # the shortest text that reads back as its value
+            assert repr(float(field)) == field, (path.name, field)

@@ -262,6 +262,21 @@ class TestFileFormats:
         assert ks == set(range(1, 11))
         assert all(float(r["w"]) == 0.8 for r in rows)
 
+    @pytest.mark.parametrize("n, kappa, chunk_values", [
+        (10, 0.31, 1), (10, 0.31, 1 << 16), (37, 0.05, 7), (200, 0.49, 100)])
+    def test_pixel_csv_banded_matches_the_double_loop(self, tmp_path, monkeypatch,
+                                                      n, kappa, chunk_values):
+        # the row order of the loop the array build replaced, chunk by chunk
+        monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
+        coupling = build_coupling(GraphSpec(n=n, p=0.8, kappa=kappa))
+        path = tmp_path / "pixels.csv"
+        write_pixel_csv(path, coupling)
+        m = coupling.halfwidth
+        expected = [["k", "j", "w"]] + [[str(k + 1), str((k + d) % n + 1), "0.8"]
+                                        for k in range(n) for d in range(-m, m + 1)]
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+
     def test_pixel_csv_sparse_row_count(self, tmp_path):
         coupling = build_coupling(dense_spec(n=60))
         path = tmp_path / "pixels.csv"

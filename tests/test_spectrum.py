@@ -22,7 +22,6 @@ from ringtwist.spectrum import (
     chi2,
     eigenvalues,
     phi,
-    write_chi_curves_csv,
     write_spectrum_csv,
     zeta0,
     zeta_extremum,
@@ -229,16 +228,6 @@ def test_spectrum_csv_round_trip(tmp_path):
     lam_plus = report.eigenvalues[0][0]
     assert float(rows[1]["re"]) == lam_plus.real
     assert float(rows[1]["im"]) == lam_plus.imag
-
-
-def test_chi_curves_csv(tmp_path):
-    path = tmp_path / "chi.csv"
-    write_chi_curves_csv(path, 1, [1, 2], [0.1, 0.2, 0.3])
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    assert float(rows[0]["chi1"]) == chi1(0.1, 1, 1)
-    assert float(rows[-1]["chi2"]) == chi2(0.3, 2, 1)
 
 
 def test_report_is_frozen():

@@ -2,9 +2,11 @@
 
 The harness calls many public names and its tracer rebinds every function
 listed in each layer module's ``__all__``, so a renamed or removed public
-name shows up here as a failing self-test or benchmark round.
+name shows up here as a failing self-test or benchmark round.  A source
+check keeps every CSV and JSON writer in the boundary module.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -42,3 +44,20 @@ def test_untraced_round(workload):
     result = json.loads(bench.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, bench.stderr
     assert result["correct"] is True, bench.stderr
+
+
+def test_only_the_boundary_module_writes_csv_or_json():
+    # one module decides how a number is written; every other module calls it
+    banned = {("csv", "writer"), ("csv", "DictWriter"), ("json", "dump")}
+    calls = []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        if path.name == "_boundary.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and (node.value.id, node.attr) in banned:
+                calls.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                calls += [f"{path.name}:{node.lineno} from {node.module} import {a.name}"
+                          for a in node.names if (node.module, a.name) in banned]
+    assert calls == []
