@@ -130,9 +130,20 @@ def fourier_mode1(v: np.ndarray) -> tuple[float, float, float, float]:
     psi = atan2(c, s), so that v ~ r * sin(x + psi).
     """
     v = np.asarray(v, dtype=float)
-    x = 2.0 * np.pi * np.arange(1, len(v) + 1) / len(v)
-    c = float(np.mean(v * np.cos(x)))
-    s = float(np.mean(v * np.sin(x)))
+    return _mode1(v, *_harmonics(len(v)))
+
+
+def _harmonics(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # cos x and sin x on the node grid x = 2*pi*k/n, k = 1..n
+    x = 2.0 * np.pi * np.arange(1, n + 1) / n
+    return np.cos(x), np.sin(x)
+
+
+def _mode1(v: np.ndarray, cos_x: np.ndarray,
+           sin_x: np.ndarray) -> tuple[float, float, float, float]:
+    # fourier_mode1 on a precomputed harmonic grid
+    c = float(np.mean(v * cos_x))
+    s = float(np.mean(v * sin_x))
     r = 2.0 * float(np.hypot(c, s))
     psi = float(np.arctan2(c, s))
     return c, s, r, psi
@@ -206,11 +217,12 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
     times = trajectory.times
     idx = _window(times, t_min, t_max)
     profile = twisted_profile(trajectory.n, q)
+    harmonics = _harmonics(trajectory.n)
     drift_raw = np.empty(len(idx))
     modes = np.empty((4, len(idx)))
     for out, i in enumerate(idx):
         drift_raw[out], v = _align(trajectory.phases[i] - profile)
-        modes[:, out] = fourier_mode1(v)
+        modes[:, out] = _mode1(v, *harmonics)
     c_arr, s_arr, r_arr, psi_raw = modes
     steps = wrap_angle(np.diff(psi_raw))
     meaningful = (r_arr[1:] > _PSI_AMPLITUDE_FLOOR) & (r_arr[:-1] > _PSI_AMPLITUDE_FLOOR)

@@ -233,7 +233,8 @@ def cmd_simulate(args) -> RunManifest:
     csv_path = os.path.join(args.out, "trajectory.csv")
     json_path = os.path.join(args.out, "run.json")
     write_trajectory_csv(csv_path, trajectory)
-    results = {"omega": trajectory.omega, "t_final": float(trajectory.times[-1])}
+    results = {"omega": trajectory.omega, "t_final": float(trajectory.times[-1]),
+               "nfev": trajectory.nfev, "steps": trajectory.steps}
     try:
         fit = fit_twisted(trajectory.phases[-1], config.q)
         results["final_residual_max"] = fit.residual_max
@@ -265,6 +266,7 @@ def cmd_estimate(args) -> RunManifest:
         "r_final": estimate.r_final, "r_min": estimate.r_min,
         "r_max": estimate.r_max, "psi_rate": estimate.psi_rate,
         "omega_tilde": estimate.omega_tilde,
+        "nfev": trajectory.nfev, "steps": trajectory.steps,
     }
     try:
         fit = fit_twisted(trajectory.phases[-1], config.q)

@@ -9,7 +9,11 @@ sums take one of three routes: O(n) circular prefix sums (deterministic
 band), the same sums minus the missing in-band edges (random graphs
 storing more than half of their in-band pairs), or a sparse matvec (other
 random graphs).  Time stepping is the explicit high-order Runge-Kutta
-DOP853 from scipy with dense sampling on a uniform grid.
+DOP853 from scipy, driven one step at a time: each accepted step's dense
+output fills the grid points it covers straight into one preallocated
+(samples, n) array, so a run holds its trajectory once.  A non-finite
+sample or a failed step stops the run at once, and the run records the
+solver's right-hand-side evaluations and accepted steps.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import cos, floor, inf, sin
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
@@ -118,7 +122,9 @@ class Trajectory:
     """Sampled solution of one run.
 
     phases has shape (len(times), n) and holds raw (unwrapped, lab-frame)
-    phases as produced by the integrator.
+    phases as produced by the integrator.  nfev and steps are the solver
+    record of the run (right-hand-side evaluations and accepted steps),
+    None for a trajectory not made by run_experiment.
     """
 
     times: np.ndarray
@@ -126,6 +132,8 @@ class Trajectory:
     config: SimulationConfig
     omega: float
     rotation_speed: float = 0.0
+    nfev: int | None = None
+    steps: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -237,38 +245,69 @@ def _sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
     return grid
 
 
+class _Samples(tuple):
+    # the pair (times, states), carrying the solver record as attributes
+    def __new__(cls, times: np.ndarray, states: np.ndarray, nfev: int, steps: int):
+        pair = super().__new__(cls, (times, states))
+        pair.nfev, pair.steps = nfev, steps
+        return pair
+
+
 def integrate_system(rhs: Callable[[float, np.ndarray], np.ndarray],
                      y0: np.ndarray, t_end: float, *, rel_tol: float = 1e-8,
                      abs_tol: float = 1e-8,
                      sample_dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Integrate du/dt = rhs(t, u) from t = 0 with DOP853 on a uniform sample grid.
 
-    Returns (times, states) with states of shape (len(times), n); the
-    final time is exactly t_end.
+    Returns (times, states) with states a C-ordered array of shape
+    (len(times), n); the final time is exactly t_end.  The solver is
+    stepped directly: after each accepted step, its dense output evaluates
+    the grid points the step covered and writes them into their rows, so
+    no second copy of the trajectory is ever built.  The samples
+    are bit for bit those of solve_ivp(method="DOP853", t_eval=times).
+    The returned pair also carries the solver record as attributes: nfev,
+    the right-hand-side evaluations, and steps, the accepted steps.
 
     Raises
     ------
     IntegrationError
-        If the solver reports failure or any sampled state is non-finite;
-        the message includes the last time reached.
+        At the first failed step, naming the time the solver reached, or
+        at the first step whose samples are not all finite, naming the
+        first such sample time.
     """
     t_eval = _sample_grid(t_end, sample_dt)
-    sol = solve_ivp(
-        rhs, (0.0, t_end), np.asarray(y0, dtype=float), method="DOP853",
-        rtol=rel_tol, atol=abs_tol, t_eval=t_eval,
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(
-            f"integrator stopped at t={reached:g} of {t_end:g}: {sol.message}"
-        )
-    states = sol.y.T
-    if not np.all(np.isfinite(states)):
-        bad = int(np.argmax(~np.isfinite(states).all(axis=1)))
-        raise IntegrationError(
-            f"non-finite phases at t={sol.t[bad]:g} of {t_end:g}"
-        )
-    return sol.t, states
+    # the interpolant fills at most 1/16 of the grid per call, so its temporary
+    # block stays small beside the trajectory; it computes each row on its
+    # own, so the split changes no sample
+    rows = -(-len(t_eval) // 16)
+    solver = DOP853(rhs, 0.0, np.asarray(y0, dtype=float), float(t_end),
+                    rtol=rel_tol, atol=abs_tol)
+    states = np.empty((len(t_eval), solver.n))
+    filled = steps = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(
+                f"integrator stopped at t={solver.t:g} of {t_end:g}: {message}"
+            )
+        steps += 1
+        end = int(np.searchsorted(t_eval, solver.t, side="right"))
+        if end == filled:
+            continue
+        interpolant = solver.dense_output()
+        for lo in range(filled, end, rows):
+            hi = min(lo + rows, end)
+            # the interpolant returns (n, k); its transpose is C-ordered
+            block = interpolant(t_eval[lo:hi]).T
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise IntegrationError(
+                    f"non-finite phases at t={t_eval[bad]:g} of {t_end:g}"
+                )
+            states[lo:hi] = block
+        filled = end
+    return _Samples(t_eval, states, solver.nfev, steps)
 
 
 def run_experiment(config: SimulationConfig,
@@ -276,7 +315,8 @@ def run_experiment(config: SimulationConfig,
     """Build the graph, set up the initial condition, integrate, package.
 
     A prebuilt coupling may be passed to reuse one random graph across
-    several runs; it must match config.graph in size.
+    several runs; it must match config.graph in size.  The Trajectory
+    keeps the solver record (nfev, steps).
     """
     if coupling is None:
         coupling = build_coupling(config.graph)
@@ -290,7 +330,7 @@ def run_experiment(config: SimulationConfig,
         config.ic_mode1_amplitude, config.ic_mode1_phase,
     )
     rhs = make_rhs(coupling, omega, config.sigma)
-    times, states = integrate_system(
+    samples = integrate_system(
         rhs, y0, config.t_end, rel_tol=config.rel_tol, abs_tol=config.abs_tol,
         sample_dt=config.sample_dt,
     )
@@ -299,8 +339,9 @@ def run_experiment(config: SimulationConfig,
         speed = rotation_speed_Omega(
             omega, config.graph.p, config.q, config.graph.kappa, config.sigma
         )
+    times, states = samples
     return Trajectory(times=times, phases=states, config=config, omega=omega,
-                      rotation_speed=speed)
+                      rotation_speed=speed, nfev=samples.nfev, steps=samples.steps)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:

@@ -6,10 +6,11 @@ overlap factors and eigenvalues via adaptive quadrature of the
 linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
 oscillator right-hand side via a literal double loop over neighbors, the
-band as a dense matrix, and random graphs via one unchunked draw of every
-in-band pair.  The one exception is the step-kernel error, summed over
-every cell offset with the package's exact band fraction, which checks
-only the package's choice of the offsets that can contribute.
+band as a dense matrix, random graphs via one unchunked draw of every
+in-band pair, and sampled runs via scipy's own solve_ivp loop.  The one
+exception is the step-kernel error, summed over every cell offset with the
+package's exact band fraction, which checks only the package's choice of
+the offsets that can contribute.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from ringtwist.graphs import _band_fraction
 
@@ -110,6 +111,23 @@ def step_graphon_error_loop(spec) -> float:
         f = _band_fraction(o / n, n, kappa)
         total += f * (1.0 - f)
     return spec.p * sqrt(total / n)
+
+
+def integrate_solve_ivp(rhs, y0: np.ndarray, times: np.ndarray, *, rel_tol: float,
+                        abs_tol: float):
+    """(times, states, nfev) from solve_ivp with DOP853, sampled at the given times."""
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0, method="DOP853", rtol=rel_tol,
+                    atol=abs_tol, t_eval=times)
+    assert sol.success, sol.message
+    return sol.t, sol.y.T, sol.nfev
+
+
+def dop853_accepted_steps(rhs, y0: np.ndarray, t_end: float, *, rel_tol: float,
+                          abs_tol: float) -> int:
+    """Accepted DOP853 steps: solve_ivp without t_eval keeps every step's end."""
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rel_tol, atol=abs_tol)
+    assert sol.success, sol.message
+    return len(sol.t) - 1
 
 
 def band_matrix(n: int, m: int, weight: float = 1.0) -> np.ndarray:

@@ -174,6 +174,17 @@ class TestEstimateModulation:
         assert est.r_max == pytest.approx(np.max(amps), abs=1e-12)
         assert est.r_final == pytest.approx(amps[-1], abs=1e-12)
 
+    def test_modes_equal_fourier_mode1_per_sample(self):
+        # the harmonic grid is computed once per call, not once per sample
+        times = np.arange(0.0, 20.5, 0.5)
+        traj = synthetic_trajectory(times, modulated_rows(times, n=97), n=97)
+        est = estimate_modulation(traj)
+        modes = [fourier_mode1(deviation_field(row, 1)) for row in traj.phases]
+        c, s, r, psi = (np.array(col) for col in zip(*modes))
+        assert est.c.tobytes() == c.tobytes() and est.s.tobytes() == s.tobytes()
+        assert est.r.tobytes() == r.tobytes()
+        assert est.psi.tobytes() == np.unwrap(psi).tobytes()
+
     def test_window_selection(self):
         times = np.arange(0.0, 80.5, 0.5)
         traj = synthetic_trajectory(times, modulated_rows(times))

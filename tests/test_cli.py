@@ -149,6 +149,9 @@ class TestSimulate:
         assert manifest["results"]["final_residual_max"] < 0.05
         run = json.loads((out / "run.json").read_text())
         assert run["config"]["q"] == 1
+        # the solver record: right-hand-side evaluations and accepted steps
+        for key in ("nfev", "steps"):
+            assert run["results"][key] == manifest["results"][key] > 0
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 2 + 6  # comment, header, six samples
@@ -187,6 +190,7 @@ class TestEstimate:
         manifest = read_manifest(out)
         assert set(manifest["results"]) >= {"r_final", "r_min", "r_max",
                                             "psi_rate", "omega_tilde"}
+        assert manifest["results"]["nfev"] > manifest["results"]["steps"] > 0
         with open(out / "modulation.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 11

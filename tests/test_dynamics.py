@@ -2,6 +2,8 @@
 
 import csv
 import json
+import sys
+import tracemalloc
 from math import floor, pi, sin, sqrt
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import rhs_naive
+from _oracles import dop853_accepted_steps, integrate_solve_ivp, rhs_naive
 from ringtwist import dynamics
 from ringtwist.analysis import fourier_mode1
 from ringtwist.dynamics import (
@@ -29,6 +31,7 @@ from ringtwist.dynamics import (
 from ringtwist.graphs import (
     GraphSpec,
     build_coupling,
+    empirical_band_density,
     read_adjacency_binary,
     write_adjacency_binary,
 )
@@ -233,6 +236,81 @@ class TestIntegration:
         with pytest.raises(IntegrationError, match="t="):
             integrate_system(rhs, np.array([1.0]), 2.0, sample_dt=0.1)
 
+    @pytest.mark.parametrize("spec, t_end, sample_dt", [
+        (det_graph(n=400), 20.0, 1.0),
+        # p > 1/2: the window-sums-minus-holes route
+        (GraphSpec(n=300, p=0.9, kappa=0.31, kind="random_dense", seed=3), 10.0, 0.5),
+        (det_graph(n=200), 1.05, 0.1),  # ragged grid
+        (det_graph(n=200), 5.0, 5.0),  # sample_dt = t_end, as convergence_study runs
+        # a few steps cover the 201 samples, so the interpolant fills each in parts
+        (det_graph(n=200), 2.0, 0.01),
+    ])
+    def test_matches_solve_ivp_bit_for_bit(self, spec, t_end, sample_dt):
+        coupling = build_coupling(spec)
+        if spec.kind == "random_dense":
+            assert empirical_band_density(coupling) > 0.5
+        rhs = make_rhs(coupling, 0.2, 0.3)
+        y0 = twisted_initial_condition(spec.n, 1, 1e-2, 5)
+        result = integrate_system(rhs, y0, t_end, rel_tol=1e-8, abs_tol=1e-8,
+                                  sample_dt=sample_dt)
+        times, states = result
+        ref_times, ref_states, ref_nfev = integrate_solve_ivp(
+            rhs, y0, _sample_grid(t_end, sample_dt), rel_tol=1e-8, abs_tol=1e-8)
+        assert times.tobytes() == ref_times.tobytes()
+        assert states.shape == ref_states.shape and states.flags.c_contiguous
+        assert states.tobytes() == ref_states.tobytes()
+        assert result.nfev == ref_nfev
+
+    def test_failure_names_the_time_the_solver_reached(self):
+        # the solver creeps up to t=1 before its step size underflows; the
+        # last sample it stored is t=0
+        rhs = lambda t, u: np.full_like(u, np.nan) if t > 1.0 else -u
+        with pytest.raises(IntegrationError,
+                           match=r"^integrator stopped at t=1 of 100000: "):
+            integrate_system(rhs, np.ones(3), 1e5)
+
+    def test_non_finite_samples_name_the_first_bad_time(self):
+        # NaN only in the interpolant's extra stages past t=1: every step is
+        # accepted, and the step over [0.67, 1.27] samples NaN at 0.75, 1, 1.25
+        def in_interpolant():
+            frame = sys._getframe()
+            while frame is not None and frame.f_code.co_name != "_dense_output_impl":
+                frame = frame.f_back
+            return frame is not None
+
+        rhs = lambda t, u: np.full_like(u, np.nan) if t >= 1.0 and in_interpolant() else -u
+        with pytest.raises(IntegrationError, match=r"^non-finite phases at t=0\.75 of 4$"):
+            integrate_system(rhs, np.ones(2), 4.0, sample_dt=0.25)
+
+    @pytest.mark.parametrize("t_end", [2.0, 200.0])
+    def test_trajectory_is_held_once(self, t_end):
+        # solve_ivp peaks at 2.13x the trajectory: its sample blocks plus their stack
+        n = 20_000
+        rhs = make_rhs(build_coupling(det_graph(n=n)), 0.0, 0.0)
+        y0 = twisted_initial_condition(n, 1, 1e-2, 7)
+        tracemalloc.start()
+        try:
+            _, states = integrate_system(rhs, y0, t_end, sample_dt=t_end / 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (201, n)
+        assert peak <= 1.6 * states.nbytes
+
+    def test_solver_record_counts_calls_and_steps(self):
+        rhs = make_rhs(build_coupling(det_graph(n=100)), 0.2, 0.3)
+        calls = []
+
+        def counting(t, u):
+            calls.append(t)
+            return rhs(t, u)
+
+        y0 = twisted_initial_condition(100, 1, 1e-2, 5)
+        result = integrate_system(counting, y0, 10.0, sample_dt=0.5)
+        assert result.nfev == len(calls) > 0
+        assert result.steps == dop853_accepted_steps(rhs, y0, 10.0, rel_tol=1e-8,
+                                                     abs_tol=1e-8)
+
     def test_twisted_state_stays_put(self):
         coupling = build_coupling(det_graph(n=100))
         u0 = twisted_profile(100, 1)
@@ -248,6 +326,14 @@ class TestRunExperiment:
         assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert traj.phases.shape == (6, 100)
         assert traj.n == 100
+
+    def test_solver_record_is_kept(self):
+        cfg = quiet_config(t_end=5.0)
+        traj = run_experiment(cfg)
+        rhs = make_rhs(build_coupling(cfg.graph), traj.omega, cfg.sigma)
+        result = integrate_system(rhs, twisted_profile(100, 1), 5.0)
+        assert (traj.nfev, traj.steps) == (result.nfev, result.steps)
+        assert traj.steps > 0
 
     def test_prebuilt_coupling_reused(self):
         cfg = SimulationConfig(

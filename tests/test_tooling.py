@@ -3,7 +3,8 @@
 The harness calls many public names and its tracer rebinds every function
 listed in each layer module's ``__all__``, so a renamed or removed public
 name shows up here as a failing self-test or benchmark round.  A source
-check keeps every CSV and JSON writer in the boundary module.
+check keeps every CSV and JSON writer in the boundary module, and another
+keeps the stepping loop of ``integrate_system`` the one integration path.
 """
 
 import ast
@@ -61,3 +62,17 @@ def test_only_the_boundary_module_writes_csv_or_json():
                 calls += [f"{path.name}:{node.lineno} from {node.module} import {a.name}"
                           for a in node.names if (node.module, a.name) in banned]
     assert calls == []
+
+
+def test_no_module_imports_solve_ivp():
+    # integrate_system steps DOP853 itself; solve_ivp would hold a second copy
+    # of every trajectory
+    uses = []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                uses += [f"{path.name}:{node.lineno}" for a in node.names
+                         if a.name == "solve_ivp"]
+            elif isinstance(node, ast.Attribute) and node.attr == "solve_ivp":
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
