@@ -6,7 +6,9 @@ phase), using the argument of the mean resultant of the pointwise
 difference as the optimal alignment angle.  The slow modulation around a
 twisted state is summarized by its first spatial harmonic: amplitude r
 and phase psi of the best fit v ~ r * sin(2*pi*k/n + psi) to the aligned
-deviation field.
+deviation field.  Every per-sample summary (the deviation series, the
+modulation estimate and the sweep's escape detection) reads one record,
+made by the only loop over stored samples, which aligns each row once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "fit_twisted",
     "deviation_field",
     "deviation_series",
-    "fourier_mode1",
     "ModulationEstimate",
     "estimate_modulation",
     "distance_mod_rotation",
@@ -112,41 +113,29 @@ def deviation_field(phases: np.ndarray, q: int) -> np.ndarray:
     return _align(phases - twisted_profile(len(phases), q))[1]
 
 
-def deviation_series(trajectory: Trajectory, q: int | None = None) -> np.ndarray:
-    """Per-sample max absolute deviation from the aligned twisted profile."""
-    if q is None:
-        q = trajectory.config.q
-    profile = twisted_profile(trajectory.n, q)
-    return np.array(
-        [np.max(np.abs(_align(row - profile)[1])) for row in trajectory.phases]
-    )
+def _deviation_record(trajectory: Trajectory,
+                      rows: slice = slice(None)) -> np.ndarray:
+    """Rows (drift, max |v|, c, s) for each sample of trajectory.phases[rows].
 
-
-def fourier_mode1(v: np.ndarray) -> tuple[float, float, float, float]:
-    """First-harmonic content of a deviation field on nodes k = 1..n.
-
-    Returns (c, s, r, psi) with c = mean(v*cos x), s = mean(v*sin x) for
-    x = 2*pi*k/n, amplitude r = 2*sqrt(c^2 + s^2) and phase
-    psi = atan2(c, s), so that v ~ r * sin(x + psi).
+    v is the sample's aligned deviation from the q-twisted profile and
+    drift its alignment angle; c = mean(v*cos x) and s = mean(v*sin x) on
+    x = 2*pi*k/n give v ~ r * sin(x + psi) with r = 2*hypot(c, s) and
+    psi = arctan2(c, s).
     """
-    v = np.asarray(v, dtype=float)
-    return _mode1(v, *_harmonics(len(v)))
+    phases = trajectory.phases[rows]
+    profile = twisted_profile(trajectory.n, trajectory.config.q)
+    x = 2.0 * np.pi * np.arange(1, trajectory.n + 1) / trajectory.n
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    record = np.empty((4, len(phases)))
+    for i, row in enumerate(phases):
+        theta, v = _align(row - profile)
+        record[:, i] = theta, np.max(np.abs(v)), np.mean(v * cos_x), np.mean(v * sin_x)
+    return record
 
 
-def _harmonics(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # cos x and sin x on the node grid x = 2*pi*k/n, k = 1..n
-    x = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return np.cos(x), np.sin(x)
-
-
-def _mode1(v: np.ndarray, cos_x: np.ndarray,
-           sin_x: np.ndarray) -> tuple[float, float, float, float]:
-    # fourier_mode1 on a precomputed harmonic grid
-    c = float(np.mean(v * cos_x))
-    s = float(np.mean(v * sin_x))
-    r = 2.0 * float(np.hypot(c, s))
-    psi = float(np.arctan2(c, s))
-    return c, s, r, psi
+def deviation_series(trajectory: Trajectory) -> np.ndarray:
+    """Per-sample max absolute deviation from the aligned twisted profile."""
+    return _deviation_record(trajectory)[1]
 
 
 @dataclass(frozen=True)
@@ -182,8 +171,8 @@ class ModulationEstimate:
 
 
 def _window(times: np.ndarray, t_min: float | None,
-            t_max: float | None) -> np.ndarray:
-    """Indices of the times in [t_min, t_max] (None: first/last time), 1e-12 slack.
+            t_max: float | None) -> slice:
+    """Slice of the times in [t_min, t_max] (None: first/last time), 1e-12 slack.
 
     Raises NoFitError if fewer than two samples fall in the window.
     """
@@ -192,11 +181,12 @@ def _window(times: np.ndarray, t_min: float | None,
     idx = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
     if len(idx) < 2:
         raise NoFitError(f"need at least 2 samples in [{lo:g}, {hi:g}], found {len(idx)}")
-    return idx
+    # times ascend, so the window is one run of rows: a slice reads the
+    # phases as a view where the index array would copy them
+    return slice(idx[0], idx[-1] + 1)
 
 
-def estimate_modulation(trajectory: Trajectory, q: int | None = None,
-                        t_min: float | None = None,
+def estimate_modulation(trajectory: Trajectory, *, t_min: float | None = None,
                         t_max: float | None = None) -> ModulationEstimate:
     """Track the first-harmonic modulation over a time window.
 
@@ -212,25 +202,17 @@ def estimate_modulation(trajectory: Trajectory, q: int | None = None,
         more than 0.9*pi between consecutive samples while the amplitude
         is meaningful (rate estimate would alias; decrease sample_dt).
     """
-    if q is None:
-        q = trajectory.config.q
-    times = trajectory.times
-    idx = _window(times, t_min, t_max)
-    profile = twisted_profile(trajectory.n, q)
-    harmonics = _harmonics(trajectory.n)
-    drift_raw = np.empty(len(idx))
-    modes = np.empty((4, len(idx)))
-    for out, i in enumerate(idx):
-        drift_raw[out], v = _align(trajectory.phases[i] - profile)
-        modes[:, out] = _mode1(v, *harmonics)
-    c_arr, s_arr, r_arr, psi_raw = modes
+    window = _window(trajectory.times, t_min, t_max)
+    drift_raw, _, c_arr, s_arr = _deviation_record(trajectory, window)
+    r_arr = 2.0 * np.hypot(c_arr, s_arr)
+    psi_raw = np.arctan2(c_arr, s_arr)
     steps = wrap_angle(np.diff(psi_raw))
     meaningful = (r_arr[1:] > _PSI_AMPLITUDE_FLOOR) & (r_arr[:-1] > _PSI_AMPLITUDE_FLOOR)
     if np.any(meaningful & (np.abs(steps) > 0.9 * np.pi)):
         raise NoFitError(
             "psi advances more than 0.9*pi per sample; decrease sample_dt"
         )
-    t_sel = times[idx]
+    t_sel = trajectory.times[window]
     psi = np.unwrap(psi_raw)
     drift = np.unwrap(drift_raw)
     omega_tilde = float(np.polyfit(t_sel, drift, 1)[0])

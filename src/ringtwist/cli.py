@@ -31,12 +31,10 @@ from . import __version__
 from ._boundary import check_int, check_real, write_csv, write_json
 from .analysis import (
     NoFitError,
+    _deviation_record,
     _window,
-    deviation_field,
-    deviation_series,
     estimate_modulation,
     fit_twisted,
-    fourier_mode1,
     write_fit_json,
     write_modulation_csv,
 )
@@ -50,7 +48,7 @@ from .bifurcation import (
 from .dynamics import (
     IntegrationError,
     SimulationConfig,
-    _sample_grid,
+    _sample_array,
     run_experiment,
     write_run_json,
     write_trajectory_csv,
@@ -251,12 +249,14 @@ def cmd_simulate(args) -> RunManifest:
 
 def cmd_estimate(args) -> RunManifest:
     config = _simulation_config(args)
-    # the window must overlap [0, t_end] and hold two samples of the run
+    # the window must overlap [0, t_end] and hold two samples of a run that fits
+    # in memory
     lo = 0.0 if args.t_min is None else args.t_min
     check_real("--t-min", lo, -inf, config.t_end)
     check_real("--t-max", config.t_end if args.t_max is None else args.t_max,
                max(lo, 0.0))
-    _window(_sample_grid(config.t_end, config.sample_dt), args.t_min, args.t_max)
+    grid, _ = _sample_array(config.graph.n, config.t_end, config.sample_dt)
+    _window(grid, args.t_min, args.t_max)
     trajectory = run_experiment(config)
     estimate = estimate_modulation(trajectory, t_min=args.t_min, t_max=args.t_max)
     mod_path = os.path.join(args.out, "modulation.csv")
@@ -288,18 +288,14 @@ def _sweep_worker(payload: dict) -> dict:
     config = SimulationConfig.from_dict(payload["config"])
     trajectory = run_experiment(config)
     write_trajectory_csv(payload["csv_path"], trajectory)
-    dev = deviation_series(trajectory)
-    threshold = payload["threshold"]
-    escape_idx = np.nonzero(dev > threshold)[0]
+    _, dev, c, s = _deviation_record(trajectory)
+    escape_idx = np.nonzero(dev > payload["threshold"])[0]
     escaped = len(escape_idx) > 0
-    _, _, r_final, _ = fourier_mode1(
-        deviation_field(trajectory.phases[-1], config.q)
-    )
     return {
         "value": payload["value"],
         "max_deviation": float(np.max(dev)),
         "final_deviation": float(dev[-1]),
-        "final_r": float(r_final),
+        "final_r": float(2.0 * np.hypot(c[-1], s[-1])),
         "escaped": int(escaped),
         "escape_time": float(trajectory.times[escape_idx[0]]) if escaped else None,
     }
@@ -323,7 +319,8 @@ def cmd_sweep(args) -> RunManifest:
             "csv_path": os.path.join(args.out, f"trajectory_{i:03d}.csv"),
             "threshold": args.escape_threshold,
         })
-    jobs = args.jobs or min(len(payloads), os.cpu_count() or 1)
+    # the executor starts every worker it is asked for, so no more than runs
+    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
     if jobs <= 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:

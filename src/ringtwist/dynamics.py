@@ -235,14 +235,25 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
     return rhs
 
 
-def _sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
+def _sample_array(n: int, t_end: float,
+                  sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid on [0, t_end] by sample_dt, ending at t_end, and an empty (len(grid), n) array.
+
+    Raises ValueError, a configuration error, if either cannot be allocated.
+    """
     n_steps = int(floor(t_end / sample_dt + 1e-9))
-    grid = sample_dt * np.arange(n_steps + 1)
-    if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
-        grid = np.append(grid, t_end)
-    else:
-        grid[-1] = t_end
-    return grid
+    try:
+        grid = sample_dt * np.arange(n_steps + 1)
+        if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
+            grid = np.append(grid, t_end)
+        else:
+            grid[-1] = t_end
+        return grid, np.empty((len(grid), n))
+    except MemoryError:
+        raise ValueError(
+            f"cannot allocate {n_steps + 1} samples of n={n} phases "
+            f"(t_end={t_end:g}, sample_dt={sample_dt:g})"
+        ) from None
 
 
 class _Samples(tuple):
@@ -275,14 +286,13 @@ def integrate_system(rhs: Callable[[float, np.ndarray], np.ndarray],
         at the first step whose samples are not all finite, naming the
         first such sample time.
     """
-    t_eval = _sample_grid(t_end, sample_dt)
+    y0 = np.asarray(y0, dtype=float)
+    t_eval, states = _sample_array(len(y0), t_end, sample_dt)
     # the interpolant fills at most 1/16 of the grid per call, so its temporary
     # block stays small beside the trajectory; it computes each row on its
     # own, so the split changes no sample
     rows = -(-len(t_eval) // 16)
-    solver = DOP853(rhs, 0.0, np.asarray(y0, dtype=float), float(t_end),
-                    rtol=rel_tol, atol=abs_tol)
-    states = np.empty((len(t_eval), solver.n))
+    solver = DOP853(rhs, 0.0, y0, float(t_end), rtol=rel_tol, atol=abs_tol)
     filled = steps = 0
     while solver.status == "running":
         message = solver.step()

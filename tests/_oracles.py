@@ -7,10 +7,13 @@ linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
 oscillator right-hand side via a literal double loop over neighbors, the
 band as a dense matrix, random graphs via one unchunked draw of every
-in-band pair, and sampled runs via scipy's own solve_ivp loop.  The one
+in-band pair, and sampled runs via scipy's own solve_ivp loop.  One
 exception is the step-kernel error, summed over every cell offset with the
 package's exact band fraction, which checks only the package's choice of
-the offsets that can contribute.
+the offsets that can contribute.  The per-row modulation summaries are a
+second: they align each stored row on its own with the package's `_align`
+and project it one scalar at a time, so they check that the package's one
+pass over the samples gives the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad, solve_ivp
 
+from ringtwist.analysis import _align
+from ringtwist.dynamics import twisted_profile
 from ringtwist.graphs import _band_fraction
 
 
@@ -204,3 +209,53 @@ def sample_adjacency_one_shot(n: int, m: int, probability: float, seed: int):
     row_idx, col_idx = np.concatenate(rows), np.concatenate(cols)
     return sparse.csr_array((np.ones(len(row_idx)), (row_idx, col_idx)),
                             shape=(n, n))
+
+
+def _mode1_per_row(row: np.ndarray, q: int) -> tuple[float, float, float, float, float]:
+    # (drift, c, s, r, psi) of one row's aligned deviation from the q-twist
+    n = len(row)
+    theta, v = _align(row - twisted_profile(n, q))
+    x = 2.0 * np.pi * np.arange(1, n + 1) / n
+    c = float(np.mean(v * np.cos(x)))
+    s = float(np.mean(v * np.sin(x)))
+    return float(theta), c, s, 2.0 * float(np.hypot(c, s)), float(np.arctan2(c, s))
+
+
+def deviation_series_per_row(trajectory) -> np.ndarray:
+    """Max |deviation| from the aligned q-twist, one row at a time."""
+    profile = twisted_profile(trajectory.n, trajectory.config.q)
+    return np.array([np.max(np.abs(_align(row - profile)[1]))
+                     for row in trajectory.phases])
+
+
+def modulation_per_row(trajectory, t_min=None, t_max=None) -> dict:
+    """Every ModulationEstimate field, each window row aligned and projected alone.
+
+    The window is picked by an index array, psi and the drift are unwrapped
+    and both rates are least-squares slopes, as estimate_modulation does.
+    """
+    times = trajectory.times
+    lo = times[0] if t_min is None else t_min
+    hi = times[-1] if t_max is None else t_max
+    idx = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
+    drift, c, s, r, psi = (np.array(col) for col in zip(
+        *[_mode1_per_row(trajectory.phases[i], trajectory.config.q) for i in idx]))
+    drift, psi = np.unwrap(drift), np.unwrap(psi)
+    return {"times": times[idx], "c": c, "s": s, "r": r, "psi": psi, "drift": drift,
+            "omega_tilde": float(np.polyfit(times[idx], drift, 1)[0]),
+            "psi_rate": float(np.polyfit(times[idx], psi, 1)[0])}
+
+
+def sweep_row_per_row(trajectory, value, threshold: float) -> dict:
+    """A sweep.csv row: the deviation series, then the final row aligned again."""
+    dev = deviation_series_per_row(trajectory)
+    escape_idx = np.nonzero(dev > threshold)[0]
+    escaped = len(escape_idx) > 0
+    return {
+        "value": value,
+        "max_deviation": float(np.max(dev)),
+        "final_deviation": float(dev[-1]),
+        "final_r": _mode1_per_row(trajectory.phases[-1], trajectory.config.q)[3],
+        "escaped": int(escaped),
+        "escape_time": float(trajectory.times[escape_idx[0]]) if escaped else None,
+    }

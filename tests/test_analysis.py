@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import distance_grid
+from _oracles import (
+    deviation_series_per_row,
+    distance_grid,
+    modulation_per_row,
+    sweep_row_per_row,
+)
+from ringtwist import analysis, cli
 from ringtwist.analysis import (
     ModulationEstimate,
     NoFitError,
@@ -19,13 +26,27 @@ from ringtwist.analysis import (
     distance_mod_rotation,
     estimate_modulation,
     fit_twisted,
-    fourier_mode1,
     write_fit_json,
     write_modulation_csv,
 )
 from ringtwist.circular import resultant, wrap_angle
-from ringtwist.dynamics import SimulationConfig, Trajectory, twisted_profile
+from ringtwist.dynamics import (
+    SimulationConfig,
+    Trajectory,
+    run_experiment,
+    twisted_profile,
+)
 from ringtwist.graphs import GraphSpec
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_estimate(est, reference):
+    for name, value in reference.items():
+        assert same_bits(getattr(est, name), value), name
 
 
 def synthetic_trajectory(times, phase_rows, n=128, q=1):
@@ -100,10 +121,19 @@ class TestDeviationField:
         assert np.all(series >= 0.99 * amps)
 
 
+def mode1(v, q=1):
+    # (c, s, r, psi) of estimate_modulation on a field v added to the q-twist
+    n = len(v)
+    row = twisted_profile(n, q) + v
+    est = estimate_modulation(synthetic_trajectory(np.array([0.0, 1.0]),
+                                                   np.stack([row, row]), n=n, q=q))
+    return est.c[0], est.s[0], est.r[0], est.psi[0]
+
+
 class TestFourierMode1:
     def test_pure_mode(self):
         x = 2.0 * np.pi * np.arange(1, 201) / 200
-        c, s, r, psi = fourier_mode1(0.4 * np.sin(x + 0.9))
+        c, s, r, psi = mode1(0.4 * np.sin(x + 0.9))
         assert c == pytest.approx(0.2 * np.sin(0.9), abs=1e-12)
         assert s == pytest.approx(0.2 * np.cos(0.9), abs=1e-12)
         assert r == pytest.approx(0.4, abs=1e-12)
@@ -112,12 +142,12 @@ class TestFourierMode1:
     def test_higher_harmonics_integrate_out(self):
         x = 2.0 * np.pi * np.arange(1, 201) / 200
         v = 0.4 * np.sin(x + 0.9) + 0.25 * np.sin(3 * x + 0.2)
-        _, _, r, psi = fourier_mode1(v)
+        _, _, r, psi = mode1(v, q=2)
         assert r == pytest.approx(0.4, abs=1e-12)
         assert psi == pytest.approx(0.9, abs=1e-12)
 
     def test_zero_field(self):
-        c, s, r, _ = fourier_mode1(np.zeros(32))
+        c, s, r, _ = mode1(np.zeros(32))
         assert (c, s, r) == (0.0, 0.0, 0.0)
 
 
@@ -175,15 +205,13 @@ class TestEstimateModulation:
         assert est.r_final == pytest.approx(amps[-1], abs=1e-12)
 
     def test_modes_equal_fourier_mode1_per_sample(self):
-        # the harmonic grid is computed once per call, not once per sample
+        # one record, aligned once per row, gives the per-row numbers bit for bit
         times = np.arange(0.0, 20.5, 0.5)
         traj = synthetic_trajectory(times, modulated_rows(times, n=97), n=97)
-        est = estimate_modulation(traj)
-        modes = [fourier_mode1(deviation_field(row, 1)) for row in traj.phases]
-        c, s, r, psi = (np.array(col) for col in zip(*modes))
-        assert est.c.tobytes() == c.tobytes() and est.s.tobytes() == s.tobytes()
-        assert est.r.tobytes() == r.tobytes()
-        assert est.psi.tobytes() == np.unwrap(psi).tobytes()
+        assert_same_estimate(estimate_modulation(traj), modulation_per_row(traj))
+        assert_same_estimate(estimate_modulation(traj, t_min=3.2, t_max=17.0),
+                             modulation_per_row(traj, t_min=3.2, t_max=17.0))
+        assert same_bits(deviation_series(traj), deviation_series_per_row(traj))
 
     def test_window_selection(self):
         times = np.arange(0.0, 80.5, 0.5)
@@ -213,6 +241,67 @@ class TestEstimateModulation:
                               mod_phase=lambda t: 3.0 * t)
         est = estimate_modulation(synthetic_trajectory(times, rows))
         assert est.r_max < 2e-4
+
+
+class TestDeviationRecord:
+    """Every per-sample summary reads one pass that aligns each stored row once."""
+
+    @pytest.fixture(scope="class")
+    def band_config(self):
+        return SimulationConfig(
+            graph=GraphSpec(n=400, p=1.0, kappa=0.168), q=2, sigma=pi / 3,
+            t_end=40.0, sample_dt=0.5, perturbation_amplitude=1e-2, ic_seed=7,
+            ic_mode1_amplitude=0.32,
+        )
+
+    @pytest.fixture()
+    def align_calls(self, monkeypatch):
+        calls, real = [], analysis._align
+
+        def counted(v_raw, strict=False):
+            calls.append(np.shape(v_raw))
+            return real(v_raw, strict)
+
+        monkeypatch.setattr(analysis, "_align", counted)
+        return calls
+
+    def test_band_run_matches_per_row_oracle(self, band_config, tmp_path):
+        traj = run_experiment(band_config)
+        assert_same_estimate(estimate_modulation(traj), modulation_per_row(traj))
+        assert_same_estimate(estimate_modulation(traj, t_min=10.0, t_max=30.0),
+                             modulation_per_row(traj, t_min=10.0, t_max=30.0))
+        assert same_bits(deviation_series(traj), deviation_series_per_row(traj))
+        for threshold in (0.3, 0.34, 10.0):  # escapes at once, midway, never
+            row = cli._sweep_worker({"config": band_config.to_dict(), "value": 0.168,
+                                     "csv_path": str(tmp_path / "t.csv"),
+                                     "threshold": threshold})
+            assert repr(row) == repr(sweep_row_per_row(traj, 0.168, threshold))
+
+    def test_each_stored_row_is_aligned_once(self, band_config, align_calls, tmp_path):
+        times = np.arange(0.0, 80.5, 0.5)
+        traj = synthetic_trajectory(times, modulated_rows(times))
+        deviation_series(traj)
+        assert align_calls == [(128,)] * len(times)
+        align_calls.clear()
+        estimate_modulation(traj, t_min=40.0, t_max=60.0)
+        assert align_calls == [(128,)] * 41
+        align_calls.clear()
+        cli._sweep_worker({"config": band_config.to_dict(), "value": 0.168,
+                           "csv_path": str(tmp_path / "t.csv"), "threshold": 0.5})
+        assert align_calls == [(400,)] * 81
+
+    def test_window_is_read_without_a_copy(self):
+        # a (200 x 5000) trajectory: the window's rows alone take 7.2 MB
+        times = np.arange(200.0)
+        traj = synthetic_trajectory(times, modulated_rows(times, n=5000), n=5000)
+        window_bytes = traj.phases[10:190].nbytes
+        tracemalloc.start()
+        try:
+            estimate_modulation(traj, t_min=10.0, t_max=189.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window_bytes / 10
 
 
 class TestConvergenceStudy:

@@ -237,6 +237,31 @@ class TestSweep:
         manifest = read_manifest(out)
         assert manifest["results"] == {"n_runs": 2, "n_escaped": 0}
 
+    @pytest.mark.parametrize("jobs, values, workers", [
+        ("64", "0.2,0.31", 2), ("2", "0.2,0.25,0.31", 2)])
+    def test_no_more_workers_than_runs(self, tmp_path, sim_config, monkeypatch,
+                                       jobs, values, workers):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert main(["sweep", "--config", str(sim_config), "--param", "graph.kappa",
+                     "--values", values, "--jobs", jobs,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert asked == [workers]
+
     def test_unknown_parameter(self, tmp_path, sim_config):
         assert main(["sweep", "--config", str(sim_config),
                      "--param", "graph.bogus", "--values", "1",
@@ -304,6 +329,24 @@ def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_conf
     if "--set" in argv:  # the message names the overridden field
         field = argv[argv.index("--set") + 1].split("=")[0].split(".")[-1]
         assert f"{field} must be" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["estimate"],
+    ["sweep", "--param", "graph.kappa", "--values", "0.31", "--jobs", "1"],
+])
+def test_unallocatable_samples_are_config_errors(argv, tmp_path, capsys, sim_config):
+    # 1e15 samples of float64 exceed any address space, whatever the
+    # machine's overcommit policy
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(sim_config), "--set", "t_end=1e15"]
+                + argv[1:] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert all(name in err for name in ("n=60", "t_end=1e+15", "sample_dt=1)"))
+    assert list(out.iterdir()) == []
 
 
 def test_no_root_error_stays_numeric(tmp_path, capsys, monkeypatch):

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from _oracles import dop853_accepted_steps, integrate_solve_ivp, rhs_naive
 from ringtwist import dynamics
-from ringtwist.analysis import fourier_mode1
+from ringtwist.analysis import estimate_modulation
 from ringtwist.dynamics import (
     IntegrationError,
     SimulationConfig,
     Trajectory,
-    _sample_grid,
+    _sample_array,
     _window_sums,
     integrate_system,
     make_rhs,
@@ -136,9 +136,12 @@ class TestInitialConditions:
     def test_modulated_profile_recovered_by_projection(self):
         u0 = twisted_initial_condition(200, 2, mode1_amplitude=0.25,
                                        mode1_phase=0.7)
-        _, _, r, psi = fourier_mode1(u0 - twisted_profile(200, 2))
-        assert r == pytest.approx(0.25, abs=1e-12)
-        assert psi == pytest.approx(0.7, abs=1e-12)
+        config = SimulationConfig(graph=GraphSpec(n=200, p=1.0, kappa=0.31), q=2,
+                                  perturbation_amplitude=0.0)
+        est = estimate_modulation(Trajectory(times=[0.0, 1.0], phases=[u0, u0],
+                                             config=config, omega=0.0))
+        assert est.r[0] == pytest.approx(0.25, abs=1e-12)
+        assert est.psi[0] == pytest.approx(0.7, abs=1e-12)
 
 
 class TestRightHandSides:
@@ -214,10 +217,11 @@ class TestRightHandSides:
 
 class TestIntegration:
     def test_sample_grid_exact_end(self):
-        grid = _sample_grid(10.0, 1.0)
+        grid, states = _sample_array(3, 10.0, 1.0)
         assert len(grid) == 11
         assert grid[-1] == 10.0
-        ragged = _sample_grid(1.05, 0.1)
+        assert states.shape == (11, 3)
+        ragged, _ = _sample_array(3, 1.05, 0.1)
         assert ragged[-1] == 1.05
         assert len(ragged) == 12
 
@@ -255,7 +259,7 @@ class TestIntegration:
                                   sample_dt=sample_dt)
         times, states = result
         ref_times, ref_states, ref_nfev = integrate_solve_ivp(
-            rhs, y0, _sample_grid(t_end, sample_dt), rel_tol=1e-8, abs_tol=1e-8)
+            rhs, y0, _sample_array(spec.n, t_end, sample_dt)[0], rel_tol=1e-8, abs_tol=1e-8)
         assert times.tobytes() == ref_times.tobytes()
         assert states.shape == ref_states.shape and states.flags.c_contiguous
         assert states.tobytes() == ref_states.tobytes()

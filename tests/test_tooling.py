@@ -3,8 +3,10 @@
 The harness calls many public names and its tracer rebinds every function
 listed in each layer module's ``__all__``, so a renamed or removed public
 name shows up here as a failing self-test or benchmark round.  A source
-check keeps every CSV and JSON writer in the boundary module, and another
-keeps the stepping loop of ``integrate_system`` the one integration path.
+check keeps every CSV and JSON writer in the boundary module, another
+keeps the stepping loop of ``integrate_system`` the one integration path,
+and a third keeps one pass over the stored samples the only place that
+aligns them.
 """
 
 import ast
@@ -76,3 +78,21 @@ def test_no_module_imports_solve_ivp():
             elif isinstance(node, ast.Attribute) and node.attr == "solve_ivp":
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == []
+
+
+def test_only_the_deviation_record_aligns_inside_a_loop():
+    # every per-sample summary reads one record; a second loop over the
+    # samples would align each of them again
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    uses = set()
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in (node for node in ast.walk(func) if isinstance(node, loops)):
+                uses |= {(path.name, func.name, call.lineno) for call in ast.walk(loop)
+                         if isinstance(call, ast.Call)
+                         and getattr(call.func, "id", getattr(call.func, "attr", None))
+                         == "_align"}
+    assert {name for _, name, _ in uses} == {"_deviation_record"}, sorted(uses)
