@@ -221,7 +221,8 @@ def cmd_graph(args) -> RunManifest:
         results={"halfwidth": coupling.halfwidth, "nnz": coupling.nnz,
                  "edge_probability": spec.edge_probability,
                  "empirical_band_density": density,
-                 "step_graphon_error": step_err},
+                 "step_graphon_error": step_err,
+                 "stored": coupling.stored, "stored_nnz": coupling.stored_nnz},
     )
 
 

@@ -5,10 +5,11 @@ The oscillator system is
     du_k/dt = omega + scale * sum_j w_kj * sin(u_j - u_k + sigma)
 
 with scale = 1/(n*alpha_n) carried by the coupling matrix.  The coupling
-sums take one of three routes: O(n) circular prefix sums (deterministic
-band), the same sums minus the missing in-band edges (random graphs
-storing more than half of their in-band pairs), or a sparse matvec (other
-random graphs).  Time stepping is the explicit high-order Runge-Kutta
+sums take one of three routes, following what the coupling stores: O(n)
+circular prefix sums (deterministic band), the same sums minus the stored
+missing in-band edges (random graphs realizing more than half of their
+in-band pairs), or a sparse matvec over the stored edges (other random
+graphs).  Time stepping is the explicit high-order Runge-Kutta
 DOP853 from scipy, driven one step at a time: each accepted step's dense
 output fills the grid points it covers straight into one preallocated
 (samples, n) array, so a run holds its trajectory once.  A non-finite
@@ -28,13 +29,7 @@ from scipy.integrate import DOP853
 from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
 from .bifurcation import natural_frequency_for_zero_rotation, rotation_speed_Omega
-from .graphs import (
-    CouplingMatrix,
-    GraphSpec,
-    _band_holes,
-    build_coupling,
-    empirical_band_density,
-)
+from .graphs import CouplingMatrix, GraphSpec, build_coupling
 
 __all__ = [
     "IntegrationError",
@@ -196,20 +191,21 @@ def _window_sums(values: np.ndarray, m: int) -> np.ndarray:
 def _coupling_sums(coupling: CouplingMatrix):
     """The prefactor and a map (sin u, cos u) -> (W @ sin u, W @ cos u).
 
-    Banded graphs use O(n) window sums.  A sparse graph that stores more
-    than half of its in-band pairs uses window sums minus its holes
-    H = band - A; any other sparse graph uses the direct CSR matvec.
+    The route follows what the coupling stores.  Banded graphs use O(n)
+    window sums.  A random graph storing its holes H = band - A (more than
+    half of its in-band pairs realized) uses window sums minus H @ x, with
+    the H it holds; one storing its edges A uses the direct CSR matvec.
     """
     m = coupling.halfwidth
-    if coupling.layout == "banded_uniform":
+    if coupling.stored == "band":
         return coupling.scale * coupling.weight, lambda s, c: (
             _window_sums(s, m), _window_sums(c, m))
-    adjacency = coupling.adjacency
-    if empirical_band_density(coupling) > 0.5:
-        holes = _band_holes(adjacency, m)
+    if coupling.stored == "holes":
+        holes = coupling.holes
         return coupling.scale, lambda s, c: (
             _window_sums(s, m) - holes @ s, _window_sums(c, m) - holes @ c)
-    return coupling.scale, lambda s, c: (adjacency @ s, adjacency @ c)
+    edges = coupling.edges
+    return coupling.scale, lambda s, c: (edges @ s, edges @ c)
 
 
 def make_rhs(coupling: CouplingMatrix, omega: float,
@@ -326,8 +322,11 @@ def run_experiment(config: SimulationConfig,
 
     A prebuilt coupling may be passed to reuse one random graph across
     several runs; it must match config.graph in size.  The Trajectory
-    keeps the solver record (nfev, steps).
+    keeps the solver record (nfev, steps).  Samples that cannot be
+    allocated are refused before the graph is built.
     """
+    # np.empty only reserves the array, so the trial costs no memory
+    _sample_array(config.graph.n, config.t_end, config.sample_dt)
     if coupling is None:
         coupling = build_coupling(config.graph)
     elif coupling.n != config.graph.n:

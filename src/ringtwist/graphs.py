@@ -10,6 +10,11 @@ kappa (window half-width), else 0.  At resolution n it is realized as
 * ``random_sparse`` - symmetric Bernoulli(n**(-gamma) * p) edges inside the
   band, with the thinning compensated by the dynamics prefactor.
 
+A random graph keeps one sparse matrix, the smaller of its edges A and its
+holes H = band - A: H when more than half of its in-band pairs are
+realized, A otherwise.  Above half edge probability the sampler draws H
+directly, so A is built only when a writer asks for it.
+
 Node k (1-based, k in [1..n]) sits at position x = k/n and owns the cell
 I_k = ((k-1)/n, k/n]; band membership at finite n uses circular index
 distance min(|k-j|, n-|k-j|) <= floor(n*kappa), ties included, and the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor, sqrt
 from typing import BinaryIO
 
@@ -47,7 +53,8 @@ _HEADER_BYTES = 58  # magic, version, then n .. nnz as packed by the writer
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
-# Values per row chunk when sampling a graph, finding its holes or listing pixels.
+# Values per row chunk when sampling a graph, taking its band complement or
+# listing pixels.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -118,16 +125,22 @@ class CouplingMatrix:
     """Realized n x n coupling structure.
 
     A deterministic_dense graph stores only (halfwidth, weight) - the
-    matrix is the circulant band pattern, no O(n^2) memory.  The random
-    kinds store a symmetric CSR 0/1 adjacency restricted to the band
-    (diagonal allowed).  ``scale`` is the dynamics prefactor 1/(n*alpha_n).
+    matrix is the circulant band pattern, no O(n^2) memory.  A random
+    graph stores one symmetric CSR: its holes H = band - A when more than
+    half of its in-band pairs are realized, its edges A otherwise.  Either
+    side may be passed, as ``edges`` or ``holes``; the matrix keeps the
+    smaller one, converting with the band complement when needed.
+    ``adjacency`` gives A for every random graph: the stored edges, or
+    band - H built on first access and cached.  ``scale`` is the dynamics
+    prefactor 1/(n*alpha_n).
     """
 
     n: int
     scale: float
     halfwidth: int
     weight: float = 1.0
-    adjacency: object | None = None
+    edges: object | None = None
+    holes: object | None = None
     kind: str = "deterministic_dense"
     seed: int | None = None
 
@@ -135,10 +148,21 @@ class CouplingMatrix:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         banded = self.layout == "banded_uniform"
-        if (self.adjacency is None) != banded:
-            raise ValueError(
-                f"{self.kind} {'takes no' if banded else 'requires an'} adjacency")
+        given = [csr for csr in (self.edges, self.holes) if csr is not None]
+        if len(given) != (0 if banded else 1):
+            raise ValueError(f"{self.kind} {'takes no' if banded else 'requires one'} "
+                             f"of edges or holes")
         check_int("halfwidth", self.halfwidth, 0, (self.n - 1) // 2)  # 2*halfwidth < n
+        if banded:
+            return
+        if not (_sparse.issparse(given[0]) and given[0].format == "csr"
+                and given[0].shape == (self.n, self.n)):
+            raise ValueError(f"the stored side must be an {self.n} x {self.n} CSR")
+        to_holes = empirical_band_density(self) > 0.5
+        if to_holes != (self.holes is not None):
+            other = _band_complement(given[0], self.halfwidth)
+            object.__setattr__(self, "edges", None if to_holes else other)
+            object.__setattr__(self, "holes", other if to_holes else None)
 
     @property
     def layout(self) -> str:
@@ -147,11 +171,32 @@ class CouplingMatrix:
                 else "sparse_binary")
 
     @property
-    def nnz(self) -> int:
-        """Stored nonzero count (symmetric entries counted twice)."""
+    def stored(self) -> str:
+        """What the matrix keeps: "band", "edges" (A) or "holes" (H = band - A)."""
         if self.layout == "banded_uniform":
-            return self.n * (2 * self.halfwidth + 1)
-        return int(self.adjacency.nnz)
+            return "band"
+        return "edges" if self.holes is None else "holes"
+
+    @property
+    def stored_nnz(self) -> int:
+        """Entries of the stored CSR (0 for the band, which stores none)."""
+        return 0 if self.stored == "band" else int(getattr(self, self.stored).nnz)
+
+    @property
+    def nnz(self) -> int:
+        """Nonzero count of A (symmetric entries counted twice)."""
+        band = self.n * (2 * self.halfwidth + 1)
+        if self.stored == "band":
+            return band
+        # H = band - A holds -1 where A has an entry outside the band
+        return int(self.edges.nnz) if self.holes is None else band - int(self.holes.sum())
+
+    @cached_property
+    def adjacency(self):
+        """A as a CSR with data 1.0 (None for the band), derived once from H if needed."""
+        if self.holes is None:
+            return self.edges
+        return _band_complement(self.holes, self.halfwidth)
 
 
 def _tri_cdf(t: float, z0: float, n: int) -> float:
@@ -183,20 +228,23 @@ def _band_fraction(z0: float, n: int, kappa: float) -> float:
     return total
 
 
-def _sample_band_pairs(rng: np.random.Generator, n: int, m: int,
-                       probability: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric (row, col) int32 pairs of a random in-band graph.
+def _sample_band_pairs(rng: np.random.Generator, n: int, m: int, probability: float,
+                       holes: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (row, col) int32 pairs of a random in-band graph or of its holes.
 
-    Pair {k, (k+d) mod n} is drawn when the uniform at row k, column d of a
-    row-major (n, m+1) draw is below the probability.  The draw is taken in
-    row chunks of about _CHUNK_VALUES, which reads the same stream, and
-    only the hits are kept, so memory follows the edge count.
+    Pair {k, (k+d) mod n} is an edge when the uniform at row k, column d of
+    a row-major (n, m+1) draw is below the probability, and a hole
+    otherwise; ``holes`` picks which of the two is kept, so both readings
+    of one seed describe one graph.  The draw is taken in row chunks of
+    about _CHUNK_VALUES, which reads the same stream, and only the kept
+    pairs are stored, so memory follows their count.
     """
     step = max(1, _CHUNK_VALUES // (m + 1))
     starts, offsets = [], []
     for lo in range(0, n, step):
-        draws = rng.random((min(step, n - lo), m + 1)) < probability
-        hits = np.flatnonzero(draws).astype(np.int32)
+        draws = rng.random((min(step, n - lo), m + 1))
+        kept = draws >= probability if holes else draws < probability
+        hits = np.flatnonzero(kept).astype(np.int32)
         start, offset = np.divmod(hits, m + 1)
         starts.append(start + lo)
         offsets.append(offset)
@@ -215,30 +263,35 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     d = 0..halfwidth, independently with ``spec.edge_probability`` and
     symmetrize.  The uniforms are streamed in row chunks, so a seed gives
     the same graph as one (n, halfwidth+1) draw would; indices are int32.
+    Above half edge probability the sampler keeps the holes instead of the
+    edges, so neither the build nor the dynamics ever holds A.
     """
     n, m = spec.n, spec.halfwidth
     if spec.kind == "deterministic_dense":
         return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m,
                               weight=spec.p, kind=spec.kind, seed=spec.seed)
+    holes = spec.edge_probability > 0.5
     row_idx, col_idx = _sample_band_pairs(
-        np.random.default_rng(spec.seed), n, m, spec.edge_probability
+        np.random.default_rng(spec.seed), n, m, spec.edge_probability, holes
     )
-    adjacency = _sparse.csr_array(
+    stored = _sparse.csr_array(
         (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
     )
-    return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m, adjacency=adjacency,
+    return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m,
+                          **{"holes" if holes else "edges": stored},
                           kind=spec.kind, seed=spec.seed)
 
 
-def _band_holes(adjacency, m: int):
-    """H = band - A: the in-band entries missing from A, as a sorted CSR.
+def _band_complement(matrix, m: int):
+    """band - matrix for the band of half-width m, as a sorted CSR.
 
-    Built in row chunks of about _CHUNK_VALUES band entries, with int32
-    indices when A has them.  Each chunk subtracts A's rows from the
-    band's, so the band's window sums minus H @ x give A @ x whatever A
-    stores, out-of-band entries included.
+    This turns edges A into holes H = band - A and holes back into
+    A = band - H.  Built in row chunks of about _CHUNK_VALUES band entries,
+    with int32 indices when the matrix has them.  Each chunk subtracts the
+    matrix's rows from the band's, so the complement is exact whatever the
+    matrix stores, out-of-band entries included (they come back as -1).
     """
-    n = adjacency.shape[0]
+    n = matrix.shape[0]
     width = 2 * m + 1
     step = max(1, _CHUNK_VALUES // width)
     j = np.arange(width, dtype=np.int32)
@@ -254,7 +307,7 @@ def _band_holes(adjacency, m: int):
              np.arange(0, cols.size + 1, width, dtype=np.int32)),
             shape=(len(rows), n),
         )
-        chunks.append(band - adjacency[lo:lo + len(rows)])
+        chunks.append(band - matrix[lo:lo + len(rows)])
     return _sparse.vstack(chunks, format="csr")
 
 
@@ -281,15 +334,18 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
     """Fraction of realized in-band Bernoulli draws (1.0 for deterministic).
 
     The sampling universe is n*(halfwidth+1) unordered in-band pairs
-    (diagonal included); symmetric off-diagonal entries count once.
+    (diagonal included); symmetric off-diagonal entries count once.  The
+    count is read from the stored side, A or H, without building the other.
     """
     n, m = coupling.n, coupling.halfwidth
     universe = n * (m + 1)
-    if coupling.layout == "banded_uniform":
+    if coupling.stored == "band":
         return 1.0
-    adj = coupling.adjacency
-    diag = int(_sparse.csr_array(adj).diagonal().sum())
-    realized = diag + (int(adj.nnz) - diag) // 2
+    if coupling.holes is None:
+        diag = int(coupling.edges.diagonal().sum())
+    else:
+        diag = n - int(coupling.holes.diagonal().sum())  # the diagonal is in the band
+    realized = diag + (coupling.nnz - diag) // 2
     return realized / universe
 
 
@@ -325,7 +381,8 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
       [sparse only: row offsets (n+1) x u64, then column indices nnz x u64].
     banded_uniform (kind deterministic_dense) stores no index arrays (nnz
     field 0); the pattern is implied by (n, halfwidth).  The random kinds
-    always carry both arrays, even when the graph has no edges.
+    always carry both arrays of A, even when the graph has no edges or
+    stores its holes (A is then derived, and cached, by ``adjacency``).
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -349,7 +406,9 @@ def read_adjacency_binary(path) -> CouplingMatrix:
 
     The layout follows the stored kind: deterministic_dense reads back as
     banded_uniform, the random kinds as sparse_binary with int32 indices,
-    as build_coupling makes them.
+    as build_coupling makes them.  The file holds A; a graph whose
+    realized in-band density is above 1/2 keeps its holes H = band - A
+    instead, as a built one does.
 
     Raises
     ------
@@ -394,9 +453,9 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     if (indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1])
             or (nnz and indices.max() >= n)):
         raise ValueError(f"{path}: row offsets or column indices out of range")
-    adjacency = _sparse.csr_array(
+    edges = _sparse.csr_array(
         (np.ones(nnz), indices.astype(np.int32), indptr.astype(np.int32)),
         shape=(int(n), int(n)),
     )
     return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
-                          weight=weight, adjacency=adjacency, kind=kind, seed=seed)
+                          weight=weight, edges=edges, kind=kind, seed=seed)

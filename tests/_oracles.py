@@ -7,7 +7,8 @@ linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
 oscillator right-hand side via a literal double loop over neighbors, the
 band as a dense matrix, random graphs via one unchunked draw of every
-in-band pair, and sampled runs via scipy's own solve_ivp loop.  One
+in-band pair kept as edges whatever the probability, their files byte by
+byte from the layout, and sampled runs via scipy's own solve_ivp loop.  One
 exception is the step-kernel error, summed over every cell offset with the
 package's exact band fraction, which checks only the package's choice of
 the offsets that can contribute.  The per-row modulation summaries are a
@@ -18,6 +19,7 @@ pass over the samples gives the same numbers bit for bit.
 
 from __future__ import annotations
 
+import struct
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -193,13 +195,14 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
 
 
 def sample_adjacency_one_shot(n: int, m: int, probability: float, seed: int):
-    """Random band adjacency from one (n, m+1) draw and a loop over offsets.
+    """Random band adjacency A from one (n, m+1) draw and a loop over offsets.
 
     Pair {k, (k+d) mod n}, d = 0..m, is an edge when draw[k, d] is below
-    the probability; the CSR is symmetric with int64 indices.
+    the probability; A is sampled directly whatever the probability, as a
+    symmetric CSR with data 1.0 and int32 indices.
     """
     draws = np.random.default_rng(seed).random((n, m + 1)) < probability
-    start = np.arange(n, dtype=np.int64)
+    start = np.arange(n, dtype=np.int32)
     rows, cols = [start[draws[:, 0]]], [start[draws[:, 0]]]
     for d in range(1, m + 1):
         hit = start[draws[:, d]]
@@ -209,6 +212,32 @@ def sample_adjacency_one_shot(n: int, m: int, probability: float, seed: int):
     row_idx, col_idx = np.concatenate(rows), np.concatenate(cols)
     return sparse.csr_array((np.ones(len(row_idx)), (row_idx, col_idx)),
                             shape=(n, n))
+
+
+def realized_density(adjacency, m: int) -> float:
+    """In-band pairs of a symmetric A over the n*(m+1) drawn, by a loop over entries."""
+    n = adjacency.shape[0]
+    coo = adjacency.tocoo()
+    pairs = sum(1 for k, j in zip(coo.row.tolist(), coo.col.tolist()) if k <= j)
+    return pairs / (n * (m + 1))
+
+
+def graph_file_bytes(adjacency, spec) -> tuple[bytes, bytes]:
+    """The v1 adjacency.bin and the pixels.csv of a random graph's A.
+
+    The binary file is the header (magic, version 1, n, kind code, seed
+    flag, seed, halfwidth, weight, scale, nnz) and A's row offsets and
+    column indices as u64; the CSV lists A's entries row by row, 1-based.
+    """
+    n, csr = spec.n, sparse.csr_array(adjacency)
+    kind_code = ("deterministic_dense", "random_dense", "random_sparse").index(spec.kind)
+    binary = (b"RTADJ\x00" + struct.pack("<HQBBQQddQ", 1, n, kind_code, 1, spec.seed,
+                                         spec.halfwidth, 1.0, spec.scale, csr.nnz)
+              + csr.indptr.astype("<u8").tobytes() + csr.indices.astype("<u8").tobytes())
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    pixels = "k,j,w\n" + "".join(f"{k + 1},{j + 1},1.0\n"
+                                 for k, j in zip(rows.tolist(), csr.indices.tolist()))
+    return binary, pixels.encode()
 
 
 def _mode1_per_row(row: np.ndarray, q: int) -> tuple[float, float, float, float, float]:

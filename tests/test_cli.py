@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ringtwist import cli
+from ringtwist import cli, dynamics
 from ringtwist.bifurcation import NoRootError
 from ringtwist.cli import main
 from ringtwist.graphs import read_adjacency_binary
@@ -113,6 +113,26 @@ class TestGraph:
         back = read_adjacency_binary(out / "adjacency.bin")
         assert back.n == 40
         assert back.nnz == manifest["results"]["nnz"]
+        assert manifest["results"]["stored"] == back.stored
+        assert manifest["results"]["stored_nnz"] == back.stored_nnz
+
+    @pytest.mark.parametrize("p, stored", [(0.3, "edges"), (0.9, "holes"), (1.0, "holes")])
+    def test_stored_side_in_results(self, tmp_path, graph_config, p, stored):
+        out = tmp_path / "out"
+        assert main(["graph", "--config", str(graph_config), "--set", f"p={p}",
+                     "--out", str(out)]) == 0
+        results = read_manifest(out)["results"]
+        assert results["stored"] == stored
+        band = 40 * (2 * results["halfwidth"] + 1)
+        assert results["stored_nnz"] == (results["nnz"] if stored == "edges"
+                                         else band - results["nnz"])
+
+    def test_band_stores_nothing(self, tmp_path, graph_config):
+        out = tmp_path / "out"
+        assert main(["graph", "--config", str(graph_config),
+                     "--set", "kind=deterministic_dense", "--out", str(out)]) == 0
+        results = read_manifest(out)["results"]
+        assert (results["stored"], results["stored_nnz"]) == ("band", 0)
 
     def test_set_override(self, tmp_path, graph_config):
         out = tmp_path / "out"
@@ -347,6 +367,23 @@ def test_unallocatable_samples_are_config_errors(argv, tmp_path, capsys, sim_con
     assert err.count("\n") == 1  # one line, no traceback
     assert all(name in err for name in ("n=60", "t_end=1e+15", "sample_dt=1)"))
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "--param", "graph.kappa", "--values", "0.31", "--jobs", "1"],
+])
+def test_unallocatable_samples_are_refused_before_the_graph(argv, tmp_path, capsys,
+                                                            sim_config, monkeypatch):
+    # a large random graph would take seconds to build for nothing
+    built = []
+    monkeypatch.setattr(dynamics, "build_coupling", built.append)
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(sim_config), "--set", "t_end=1e15",
+                            "--set", "graph.kind=random_dense", "--set", "graph.seed=1"]
+                + argv[1:] + ["--out", str(out)]) == 2
+    assert "cannot allocate" in capsys.readouterr().err
+    assert built == []
 
 
 def test_no_root_error_stays_numeric(tmp_path, capsys, monkeypatch):

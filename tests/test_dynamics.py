@@ -181,19 +181,26 @@ class TestRightHandSides:
 
     @pytest.mark.parametrize("p, holes_route", [(0.3, False), (0.9, True)])
     @pytest.mark.parametrize("via_file", [False, True])
-    def test_route_follows_stored_density(self, p, holes_route, via_file,
-                                          monkeypatch, tmp_path):
+    def test_route_follows_stored_density(self, p, holes_route, via_file, tmp_path):
         coupling = build_coupling(
             GraphSpec(n=60, p=p, kappa=0.31, kind="random_dense", seed=1))
         if via_file:
             write_adjacency_binary(tmp_path / "adj.bin", coupling)
             coupling = read_adjacency_binary(tmp_path / "adj.bin")
-        derived = []
-        real = dynamics._band_holes
-        monkeypatch.setattr(dynamics, "_band_holes",
-                            lambda adj, m: derived.append(m) or real(adj, m))
-        make_rhs(coupling, 0.0, 0.0)
-        assert derived == ([coupling.halfwidth] if holes_route else [])
+        assert (empirical_band_density(coupling) > 0.5) == holes_route
+        assert coupling.stored == ("holes" if holes_route else "edges")
+        # the right-hand side multiplies by the stored CSR itself, twice a call
+        stored, products = getattr(coupling, coupling.stored), []
+
+        class Spy:
+            def __matmul__(self, x):
+                products.append(len(x))
+                return stored @ x
+
+        object.__setattr__(coupling, coupling.stored, Spy())
+        make_rhs(coupling, 0.0, 0.0)(0.0, np.zeros(60))
+        assert products == [60, 60]
+        assert "adjacency" not in vars(coupling)  # A is never built for the dynamics
 
     def test_window_sums(self):
         rng = np.random.default_rng(0)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from _oracles import (
     band_matrix,
     band_fraction_quad,
+    graph_file_bytes,
+    realized_density,
     sample_adjacency_one_shot,
     step_graphon_error_loop,
 )
@@ -184,13 +186,20 @@ class TestRandomCoupling:
 
     @pytest.mark.parametrize("chunk_values", [1, 100, 1 << 16])
     def test_band_holes_are_band_minus_adjacency(self, chunk_values, monkeypatch):
+        # the band complement turns A into H and H back into A
         monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
-        coupling = build_coupling(dense_spec(n=53, p=0.8, seed=4))
-        holes = graphs._band_holes(coupling.adjacency, coupling.halfwidth)
-        assert np.array_equal(holes.toarray(),
-                              band_matrix(53, 16) - coupling.adjacency.toarray())
+        spec = dense_spec(n=53, p=0.8, seed=4)
+        adjacency = sample_adjacency_one_shot(53, 16, 0.8, spec.seed)
+        holes = graphs._band_complement(adjacency, 16)
+        assert np.array_equal(holes.toarray(), band_matrix(53, 16) - adjacency.toarray())
+        assert np.array_equal(graphs._band_complement(holes, 16).toarray(),
+                              adjacency.toarray())
         assert holes.indices.dtype == holes.indptr.dtype == np.int32
         assert holes.has_sorted_indices
+        stored = build_coupling(spec).holes
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stored, name), getattr(holes, name))
+            assert getattr(stored, name).dtype == getattr(holes, name).dtype
 
     def test_sampler_memory_stays_near_the_graph_size(self):
         # one float64 (n, halfwidth+1) draw array peaked at 1064 MiB here
@@ -212,6 +221,71 @@ class TestRandomCoupling:
     def test_deterministic_density_is_one(self):
         assert empirical_band_density(
             build_coupling(GraphSpec(n=50, p=0.9, kappa=0.2))) == 1.0
+
+
+class TestStoredSide:
+    """A random graph keeps the smaller of A and H = band - A, and every
+    reading of it is the A sampled directly, as the builder once made it."""
+
+    @pytest.mark.parametrize("spec, chunk_values", [
+        (dense_spec(p=0.3, seed=1), None),
+        (dense_spec(p=0.5, seed=2), None),
+        (dense_spec(p=0.51, seed=3), None),
+        (dense_spec(p=0.9, seed=4), None),
+        (dense_spec(p=1.0, seed=5), None),                   # no holes at all
+        (dense_spec(n=60, p=0.9, kappa=0.01, seed=6), None),  # halfwidth 0
+        (dense_spec(n=60, p=0.3, kappa=0.01, seed=6), None),
+        # n = 30 near 1/2: realized density on the far side of 1/2 from p,
+        # so the sampled side is converted, and exactly 1/2, which keeps A
+        (dense_spec(n=30, p=0.5, kappa=0.3, seed=1), None),   # 0.51: sampled A, keeps H
+        (dense_spec(n=30, p=0.51, kappa=0.3, seed=0), None),  # 0.457: sampled H, keeps A
+        (dense_spec(n=30, p=0.5, kappa=0.3, seed=24), None),  # 0.5
+        (dense_spec(n=30, p=0.51, kappa=0.3, seed=60), None),  # 0.5
+        (dense_spec(n=203, p=0.9, seed=7), 400),              # 203 = 33*6 + 5 rows
+        (dense_spec(n=61, p=0.51, kappa=0.49, seed=8), 1),
+        (dense_spec(n=61, p=0.9, kappa=0.49, seed=9), 1),
+    ])
+    def test_every_reading_is_the_directly_sampled_graph(self, spec, chunk_values,
+                                                         monkeypatch, tmp_path):
+        if chunk_values is not None:
+            monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
+        oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.p, spec.seed)
+        density = realized_density(oracle, spec.halfwidth)
+        coupling = build_coupling(spec)
+        # the side the right-hand side reads: H exactly when the density is above 1/2
+        assert coupling.stored == ("holes" if density > 0.5 else "edges")
+        assert "adjacency" not in vars(coupling)  # A is not built with the graph
+        assert coupling.nnz == oracle.nnz
+        assert empirical_band_density(coupling) == density
+        for name in ("indptr", "indices", "data"):
+            built, expected = getattr(coupling.adjacency, name), getattr(oracle, name)
+            assert built.dtype == expected.dtype, name
+            assert np.array_equal(built, expected), name
+
+        binary, pixels = graph_file_bytes(oracle, spec)
+        write_adjacency_binary(tmp_path / "adj.bin", coupling)
+        write_pixel_csv(tmp_path / "pixels.csv", coupling)
+        assert (tmp_path / "adj.bin").read_bytes() == binary
+        assert (tmp_path / "pixels.csv").read_bytes() == pixels
+        back = read_adjacency_binary(tmp_path / "adj.bin")
+        assert back.stored == coupling.stored
+        assert back.stored_nnz == coupling.stored_nnz
+        stored = getattr(coupling, coupling.stored)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(getattr(back, back.stored), name),
+                                  getattr(stored, name)), name
+
+    @pytest.mark.parametrize("side", ["edges", "holes"])
+    def test_either_side_may_be_passed(self, side):
+        spec = dense_spec(n=80, p=0.8, seed=2)
+        oracle = sample_adjacency_one_shot(80, spec.halfwidth, 0.8, spec.seed)
+        given = oracle if side == "edges" else graphs._band_complement(
+            oracle, spec.halfwidth)
+        coupling = CouplingMatrix(n=80, scale=spec.scale, halfwidth=spec.halfwidth,
+                                  kind=spec.kind, seed=spec.seed, **{side: given})
+        assert coupling.stored == "holes"
+        assert coupling.edges is None
+        assert np.array_equal(coupling.adjacency.toarray(), oracle.toarray())
 
 
 class TestStepApproximation:
@@ -417,14 +491,28 @@ class TestFileFormats:
 
 
 def test_coupling_matrix_validation():
+    edges = build_coupling(dense_spec(n=10, p=0.3)).edges
     with pytest.raises(ValueError, match="kind must be one of"):
         CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="banded")
-    with pytest.raises(ValueError, match="random_dense requires an adjacency"):
+    with pytest.raises(ValueError, match="random_dense requires one of edges or holes"):
         CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="random_dense")
-    with pytest.raises(ValueError, match="takes no adjacency"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3,
-                       adjacency=build_coupling(dense_spec(n=10)).adjacency)
+    with pytest.raises(ValueError, match="random_dense requires one of edges or holes"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges, holes=edges,
+                       kind="random_dense")
+    with pytest.raises(ValueError, match="takes no"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges)
+    with pytest.raises(ValueError, match="takes no"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, holes=edges)
     with pytest.raises(ValueError, match="halfwidth"):
         CouplingMatrix(n=10, scale=0.1, halfwidth=5)
+    with pytest.raises(ValueError, match="10 x 10 CSR"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges.toarray(),
+                       kind="random_dense")
+    with pytest.raises(ValueError, match="10 x 10 CSR"):
+        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges.tocsc(),
+                       kind="random_dense")
+    with pytest.raises(ValueError, match="11 x 11 CSR"):
+        CouplingMatrix(n=11, scale=0.1, halfwidth=3, edges=edges, kind="random_dense")
     assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).nnz == 1
     assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).layout == "banded_uniform"
+    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).stored == "band"

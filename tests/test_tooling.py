@@ -5,8 +5,8 @@ listed in each layer module's ``__all__``, so a renamed or removed public
 name shows up here as a failing self-test or benchmark round.  A source
 check keeps every CSV and JSON writer in the boundary module, another
 keeps the stepping loop of ``integrate_system`` the one integration path,
-and a third keeps one pass over the stored samples the only place that
-aligns them.
+a third keeps one pass over the stored samples the only place that aligns
+them, and a fourth keeps the dynamics from rebuilding a graph's holes.
 """
 
 import ast
@@ -38,9 +38,11 @@ def test_benchmark_selftest_and_traced_round():
     assert result["correct"] is True, bench.stderr
 
 
-@pytest.mark.parametrize("workload", ["band_threshold", "random_sparse_lock"])
+@pytest.mark.parametrize("workload", ["band_threshold", "random_dense_lock",
+                                      "random_sparse_lock"])
 def test_untraced_round(workload):
-    # band_threshold's checks read 1,920 spectra and the banded coupling
+    # band_threshold's checks read 1,920 spectra and the banded coupling;
+    # random_dense_lock's read the adjacency a holes-stored graph derives
     bench = run("benchmark/run.py", "--workload", workload, "--seed", "1",
                 "--seconds", "0")
     assert bench.returncode == 0, bench.stderr
@@ -96,3 +98,21 @@ def test_only_the_deviation_record_aligns_inside_a_loop():
                          and getattr(call.func, "id", getattr(call.func, "attr", None))
                          == "_align"}
     assert {name for _, name, _ in uses} == {"_deviation_record"}, sorted(uses)
+
+
+def test_dynamics_never_takes_a_band_complement():
+    # a graph stores its holes H = band - A when they are the smaller side, and
+    # the right-hand side reads them as stored: taking a band complement, or
+    # reading ``adjacency`` (A, derived from H), would cost a pass over the
+    # whole graph for each run
+    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    assert {name for name in names if "complement" in name or "band_holes" in name
+            or name == "adjacency"} == set()
