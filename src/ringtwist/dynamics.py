@@ -9,7 +9,10 @@ sums take one of three routes, following what the coupling stores: O(n)
 circular prefix sums (deterministic band), the same sums minus the stored
 missing in-band edges (random graphs realizing more than half of their
 in-band pairs), or a sparse matvec over the stored edges (other random
-graphs).  Time stepping is the explicit high-order Runge-Kutta
+graphs).  On both band routes one complex prefix sum over cos u + i sin u
+gives the sums of sin u and cos u together, in a workspace the right-hand
+side allocates once and reuses, with the numbers of two real prefix sums.
+Time stepping is the explicit high-order Runge-Kutta
 DOP853 from scipy, driven one step at a time: each accepted step's dense
 output fills the grid points it covers straight into one preallocated
 (samples, n) array, so a run holds its trajectory once.  A non-finite
@@ -179,13 +182,35 @@ def twisted_initial_condition(n: int, q: int, perturbation_amplitude: float = 0.
     return u0
 
 
-def _window_sums(values: np.ndarray, m: int) -> np.ndarray:
-    # circular sliding-window sum over offsets -m..m via prefix sums, O(n)
-    if m == 0:
-        return values.copy()
-    ext = np.concatenate([values[-m:], values, values[:m]])
-    cum = np.concatenate([[0.0], np.cumsum(ext)])
-    return cum[2 * m + 1:] - cum[: len(values)]
+def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """A map (s, c) -> circular window sums of s and c over offsets -m..m.
+
+    One complex prefix sum gives both: c + i*s fills the middle of a reused
+    workspace of length n + 2m + 1, the m ghost cells on each side repeat
+    the opposite end of the ring, and an in-place cumsum runs over all but
+    the leading zero.  Complex addition adds real and imaginary parts
+    apart, in order, so each sum is bit for bit a real prefix-sum
+    difference.  At m = 0 the sum is the identity and the map copies.  The
+    returned arrays are the map's own buffers, overwritten by its next call.
+    """
+    ws, wc = np.empty(n), np.empty(n)
+    z = np.zeros(n + 2 * m + 1, dtype=complex)
+    middle, run = z[m + 1:n + m + 1], z[1:]
+
+    def sums(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if m == 0:
+            np.copyto(ws, s)
+            np.copyto(wc, c)
+            return ws, wc
+        middle.real, middle.imag = c, s
+        z[1:m + 1] = z[n + 1:n + m + 1]
+        z[n + m + 1:] = z[m + 1:2 * m + 1]
+        np.cumsum(run, out=run)
+        np.subtract(z.imag[2 * m + 1:], z.imag[:n], out=ws)
+        np.subtract(z.real[2 * m + 1:], z.real[:n], out=wc)
+        return ws, wc
+
+    return sums
 
 
 def _coupling_sums(coupling: CouplingMatrix):
@@ -195,17 +220,21 @@ def _coupling_sums(coupling: CouplingMatrix):
     window sums.  A random graph storing its holes H = band - A (more than
     half of its in-band pairs realized) uses window sums minus H @ x, with
     the H it holds; one storing its edges A uses the direct CSR matvec.
+    The window-sum routes return buffers that their next call overwrites.
     """
-    m = coupling.halfwidth
+    if coupling.stored == "edges":
+        edges = coupling.edges
+        return coupling.scale, lambda s, c: (edges @ s, edges @ c)
+    window = _window_sums(coupling.n, coupling.halfwidth)
     if coupling.stored == "band":
-        return coupling.scale * coupling.weight, lambda s, c: (
-            _window_sums(s, m), _window_sums(c, m))
-    if coupling.stored == "holes":
-        holes = coupling.holes
-        return coupling.scale, lambda s, c: (
-            _window_sums(s, m) - holes @ s, _window_sums(c, m) - holes @ c)
-    edges = coupling.edges
-    return coupling.scale, lambda s, c: (edges @ s, edges @ c)
+        return coupling.scale * coupling.weight, window
+    holes = coupling.holes
+
+    def minus_holes(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ws, wc = window(s, c)
+        return np.subtract(ws, holes @ s, out=ws), np.subtract(wc, holes @ c, out=wc)
+
+    return coupling.scale, minus_holes
 
 
 def make_rhs(coupling: CouplingMatrix, omega: float,
@@ -217,11 +246,20 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
     coupling sum to two linear operations (see _coupling_sums), and the
     angle-addition formulas give cos(u_k - sigma) and sin(u_k - sigma)
     from sin u and cos u, so a call evaluates two transcendentals per node.
+    On the band routes one fused complex prefix sum gives both window sums
+    (see _window_sums), in a workspace the closure allocates once; that
+    workspace makes a closure unsafe to share between threads, so build one
+    per thread.  Each call returns a fresh array, since the solver keeps
+    the last one.  A state whose shape is not (n,) raises ValueError.
     """
     prefactor, coupling_sums = _coupling_sums(coupling)
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
+    n = coupling.n
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        if u.shape != (n,):
+            raise ValueError(
+                f"state of shape {u.shape} given to a right-hand side built for n={n}")
         s, c = np.sin(u), np.cos(u)
         ws, wc = coupling_sums(s, c)
         return omega + prefactor * (

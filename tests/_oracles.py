@@ -5,7 +5,9 @@ brute force, deliberately sharing no code path with the package: window
 overlap factors and eigenvalues via adaptive quadrature of the
 linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
-oscillator right-hand side via a literal double loop over neighbors, the
+oscillator right-hand side via a literal double loop over neighbors and as
+one plain expression over two separate real prefix sums (the package's
+arithmetic before its sums were fused, so it must agree bit for bit), the
 band as a dense matrix, random graphs via one unchunked draw of every
 in-band pair kept as edges whatever the probability, their files byte by
 byte from the layout, and sampled runs via scipy's own solve_ivp loop.  One
@@ -192,6 +194,47 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
                 acc += np.sin(u[j] - u[k] + sigma)
             du[k] = omega + coupling.scale * acc
     return du
+
+
+def window_sums(values: np.ndarray, m: int) -> np.ndarray:
+    """Circular sliding-window sum over offsets -m..m from one real prefix sum.
+
+    The ring is padded with m ghost cells on each side, cumsum'd behind a
+    leading zero, and each window is a difference of two prefix sums; at
+    m = 0 the sum is a copy.
+    """
+    if m == 0:
+        return values.copy()
+    ext = np.concatenate([values[-m:], values, values[:m]])
+    cum = np.concatenate([[0.0], np.cumsum(ext)])
+    return cum[2 * m + 1:] - cum[: len(values)]
+
+
+def rhs_two_sums(coupling, omega: float, sigma: float):
+    """The right-hand side as one plain expression, each coupling sum on its own.
+
+    W @ sin u and W @ cos u are two window_sums calls (minus the stored holes
+    H @ x on a holes-stored graph) or two matvecs over the stored edges.
+    """
+    m, stored = coupling.halfwidth, coupling.stored
+    prefactor = coupling.scale * coupling.weight if stored == "band" else coupling.scale
+    cos_sigma, sin_sigma = cos(sigma), sin(sigma)
+
+    def coupling_sum(x: np.ndarray) -> np.ndarray:
+        if stored == "edges":
+            return coupling.edges @ x
+        if stored == "holes":
+            return window_sums(x, m) - coupling.holes @ x
+        return window_sums(x, m)
+
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        s, c = np.sin(u), np.cos(u)
+        ws, wc = coupling_sum(s), coupling_sum(c)
+        return omega + prefactor * (
+            (c * cos_sigma + s * sin_sigma) * ws - (s * cos_sigma - c * sin_sigma) * wc
+        )
+
+    return rhs
 
 
 def sample_adjacency_one_shot(n: int, m: int, probability: float, seed: int):

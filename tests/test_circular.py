@@ -41,10 +41,56 @@ def test_wrap_angle_range_on_dense_grid():
 def test_wrap_angle_lands_in_half_open_interval_and_is_idempotent(x):
     w = wrap_angle(x)
     assert -np.pi < w <= np.pi
-    # a second wrap only repeats the rounding of the shift by pi
-    assert abs(wrap_angle(w) - w) <= 1e-15
+    # a wrapped angle is already in range, so a second wrap returns it exactly
+    assert wrap_angle(w) == w
     # the wrapped angle is the same point on the circle
     assert abs(np.sin(w) - np.sin(x)) < 1e-9 and abs(np.cos(w) - np.cos(x)) < 1e-9
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(x=st.floats(-np.pi, np.pi, exclude_min=True))
+def test_wrap_angle_returns_in_range_angles_exactly(x):
+    assert _bits(wrap_angle(x)) == _bits(x)
+    assert _bits(wrap_angle(np.array([x]))) == _bits([x])
+
+
+@pytest.mark.parametrize("x", [np.pi, np.nextafter(-np.pi, 0.0), 0.0, -0.0, 1e-300, 3.0])
+def test_wrap_angle_in_range_edges_are_exact(x):
+    assert _bits(wrap_angle(x)) == _bits(x)
+
+
+def test_wrap_angle_minus_pi_maps_to_pi():
+    assert wrap_angle(-np.pi) == np.pi
+    assert _bits(wrap_angle(np.array([-np.pi, np.pi]))) == _bits([np.pi, np.pi])
+
+
+@given(xs=st.lists(angles, min_size=1, max_size=40))
+def test_wrap_angle_each_element_alone(xs):
+    # in-range and out-of-range elements mixed: no element's result
+    # depends on its neighbours
+    x = np.array(xs)
+    w = wrap_angle(x)
+    assert _bits(w) == b"".join(_bits(wrap_angle(v)) for v in x)
+    assert _bits(wrap_angle(x.reshape(1, -1))) == _bits(w)
+
+
+@pytest.mark.parametrize("shift", [2 * np.pi, -2 * np.pi, 40 * np.pi, 0.5, 0.0])
+def test_wrap_angle_rows_outside_take_the_mod_formula(shift):
+    # a row wholly outside (-pi, pi] (a pattern wound past +-pi), one
+    # straddling an end of it, and one wholly inside: elements outside get
+    # the np.mod formula bit for bit, elements inside come back as they are
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, 200) + shift
+    moved = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    moved = np.where(moved <= -np.pi, moved + 2.0 * np.pi, moved)
+    inside = (x > -np.pi) & (x <= np.pi)
+    assert _bits(wrap_angle(x)) == _bits(np.where(inside, x, moved))
+
+
+def test_wrap_angle_empty_array():
+    assert wrap_angle(np.array([])).shape == (0,)
 
 
 def test_wrap_angle_scalar_returns_scalar():

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import dop853_accepted_steps, integrate_solve_ivp, rhs_naive
+from _oracles import (
+    dop853_accepted_steps,
+    integrate_solve_ivp,
+    rhs_naive,
+    rhs_two_sums,
+    window_sums,
+)
 from ringtwist import dynamics
 from ringtwist.analysis import estimate_modulation
 from ringtwist.dynamics import (
@@ -204,15 +210,109 @@ class TestRightHandSides:
 
     def test_window_sums(self):
         rng = np.random.default_rng(0)
-        v = rng.normal(size=17)
-        out0 = _window_sums(v, 0)
+        v, w = rng.normal(size=17), rng.normal(size=17)
+        out0, _ = _window_sums(17, 0)(v, w)
         assert np.array_equal(out0, v)
         assert out0 is not v
-        out3 = _window_sums(v, 3)
+        out3, _ = _window_sums(17, 3)(v, w)
         explicit = np.array([
             sum(v[(k + d) % 17] for d in range(-3, 4)) for k in range(17)
         ])
         assert np.max(np.abs(out3 - explicit)) < 1e-12
+
+    @pytest.mark.parametrize("n, m", [(17, 0), (17, 1), (17, 5), (17, 8), (1000, 168)])
+    def test_fused_window_sums_are_the_two_real_prefix_sums(self, n, m):
+        rng = np.random.default_rng(n + m)
+        s, c = rng.normal(size=n), rng.normal(size=n)
+        ws, wc = _window_sums(n, m)(s, c)
+        assert ws.tobytes() == window_sums(s, m).tobytes()
+        assert wc.tobytes() == window_sums(c, m).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        # band halfwidths 0, 1, mid-size and (n - 1)/2
+        GraphSpec(n=101, p=1.0, kappa=0.005),
+        GraphSpec(n=101, p=0.7, kappa=0.011),
+        GraphSpec(n=1000, p=1.0, kappa=0.168),
+        GraphSpec(n=101, p=1.0, kappa=0.499),
+        GraphSpec(n=300, p=0.9, kappa=0.31, kind="random_dense", seed=4),
+        GraphSpec(n=300, p=0.3, kappa=0.31, kind="random_dense", seed=4),
+    ])
+    @pytest.mark.parametrize("sigma", [0.0, pi / 3, -1.2])
+    def test_matches_two_sum_oracle_bit_for_bit(self, spec, sigma):
+        coupling = build_coupling(spec)
+        assert coupling.stored == {1.0: "band", 0.7: "band", 0.9: "holes",
+                                   0.3: "edges"}[spec.p]
+        rng = np.random.default_rng(21)
+        rhs, oracle = make_rhs(coupling, 0.3, sigma), rhs_two_sums(coupling, 0.3, sigma)
+        for _ in range(3):  # the workspace is reused across calls
+            u = rng.uniform(-20.0, 20.0, spec.n)
+            assert rhs(0.0, u).tobytes() == oracle(0.0, u).tobytes()
+
+    @staticmethod
+    def _closure_arrays(fn):
+        # every array a closure (or a closure it holds) keeps between calls
+        found, todo = [], [fn]
+        while todo:
+            for cell in todo.pop().__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    found.append(value)
+                elif getattr(value, "__closure__", None) is not None:
+                    todo.append(value)
+        return found
+
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=200, p=1.0, kappa=0.31),
+        GraphSpec(n=200, p=0.9, kappa=0.31, kind="random_dense", seed=4),
+        GraphSpec(n=200, p=0.3, kappa=0.31, kind="random_dense", seed=4),
+    ])
+    def test_each_call_returns_a_fresh_array_and_leaves_u_alone(self, spec):
+        coupling = build_coupling(spec)
+        rhs = make_rhs(coupling, 0.3, 0.4)
+        workspace = self._closure_arrays(rhs)
+        # the window-sum routes hold the fused complex workspace, the edges route none
+        assert any(b.dtype == complex and b.size == spec.n + 2 * coupling.halfwidth + 1
+                   for b in workspace) == (coupling.stored != "edges")
+        u = twisted_initial_condition(spec.n, 1, 1e-2, seed=3)
+        kept = u.copy()
+        first, second = rhs(0.0, u), rhs(0.0, u)
+        assert u.tobytes() == kept.tobytes()
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+        for buffer in workspace:
+            assert not np.shares_memory(first, buffer)
+            assert not np.shares_memory(second, buffer)
+
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=100, p=1.0, kappa=0.31),
+        GraphSpec(n=100, p=0.9, kappa=0.31, kind="random_dense", seed=4),
+        GraphSpec(n=100, p=0.3, kappa=0.31, kind="random_dense", seed=4),
+    ])
+    @pytest.mark.parametrize("size", [99, 101])
+    def test_rejects_a_state_of_another_size(self, spec, size):
+        # a state of another size must not be summed as a ring of that size
+        rhs = make_rhs(build_coupling(spec), 0.0, 0.0)
+        with pytest.raises(ValueError, match=rf"^state of shape \({size},\) .* n=100$"):
+            rhs(0.0, np.zeros(size))
+        with pytest.raises(ValueError, match="n=100"):
+            integrate_system(rhs, np.zeros(size), 2.0)
+
+    def test_one_band_call_allocates_no_prefix_sum_temporaries(self):
+        # the workspace is allocated with the closure; a call allocates sin u,
+        # cos u and the expression's temporaries (six n-vectors at most), and
+        # none of the concatenations and prefix sums of two real window sums,
+        # which take the peak to eight
+        n = 20_000
+        rhs = make_rhs(build_coupling(GraphSpec(n=n, p=1.0, kappa=0.3)), 0.1, 0.4)
+        u = twisted_initial_condition(n, 2, 1e-2, seed=1)
+        rhs(0.0, u)
+        tracemalloc.start()
+        try:
+            rhs(0.0, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * n
 
     def test_twisted_profile_is_fixed_point(self):
         # symmetric window, sigma = 0, omega = 0: the coupling sum cancels
@@ -271,6 +371,18 @@ class TestIntegration:
         assert states.shape == ref_states.shape and states.flags.c_contiguous
         assert states.tobytes() == ref_states.tobytes()
         assert result.nfev == ref_nfev
+
+    def test_band_run_matches_solve_ivp_on_the_two_sum_oracle(self):
+        # the solver keeps each returned derivative, so a result that aliased
+        # the workspace would change the run
+        spec = det_graph(n=400)
+        coupling = build_coupling(spec)
+        assert coupling.halfwidth > 0
+        y0 = twisted_initial_condition(spec.n, 1, 1e-2, 5)
+        times, states = integrate_system(make_rhs(coupling, 0.2, 0.3), y0, 20.0)
+        _, ref_states, _ = integrate_solve_ivp(rhs_two_sums(coupling, 0.2, 0.3), y0,
+                                               times, rel_tol=1e-8, abs_tol=1e-8)
+        assert states.tobytes() == ref_states.tobytes()
 
     def test_failure_names_the_time_the_solver_reached(self):
         # the solver creeps up to t=1 before its step size underflows; the
