@@ -14,20 +14,13 @@ made by the only loop over stored samples, which aligns each row once.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._boundary import write_csv, write_json
 from .circular import resultant, wrap_angle
-from .dynamics import (
-    SimulationConfig,
-    Trajectory,
-    integrate_system,
-    make_rhs,
-    twisted_profile,
-)
-from .graphs import build_coupling
+from .dynamics import SimulationConfig, Trajectory, run_experiment, twisted_profile
 
 __all__ = [
     "NoFitError",
@@ -124,7 +117,7 @@ def _deviation_record(trajectory: Trajectory,
     """
     phases = trajectory.phases[rows]
     profile = twisted_profile(trajectory.n, trajectory.config.q)
-    x = 2.0 * np.pi * np.arange(1, trajectory.n + 1) / trajectory.n
+    x = twisted_profile(trajectory.n, 1)
     cos_x, sin_x = np.cos(x), np.sin(x)
     record = np.empty((4, len(phases)))
     for i, row in enumerate(phases):
@@ -240,47 +233,31 @@ def distance_mod_rotation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def convergence_study(config_template: SimulationConfig,
-                      n_list: Sequence[int], reference_n: int,
-                      profile: Callable[[np.ndarray], np.ndarray] | None = None,
-                      t_end: float | None = None) -> list[dict]:
+                      n_list: Sequence[int], reference_n: int) -> list[dict]:
     """Distance of coarse runs to a fine reference at the final time.
 
-    Each resolution n integrates from the exact (noise-free) profile
-    u0_k = g(k/n); the default g is the template's twisted profile plus a
-    smooth bump, g(x) = 2*pi*q*x + 0.1*sin(2*pi*x).  Final states are
-    embedded onto the reference grid piecewise-constantly (reference_n
-    must be a multiple of every n) and compared modulo rotation.
+    Each resolution n is the template run by run_experiment on n nodes,
+    noise-free and sampled only at t = 0 and t_end: it starts from the
+    template's twisted profile plus its first-harmonic bump
+    (ic_mode1_amplitude, ic_mode1_phase).  Final states are embedded onto
+    the reference grid piecewise-constantly (reference_n must be a
+    multiple of every n) and compared modulo rotation.
 
     Returns one row dict per coarse n: {"n", "error"}.
     """
-    q = config_template.q
-    if profile is None:
-        def profile(x):
-            return 2.0 * np.pi * q * x + 0.1 * np.sin(2.0 * np.pi * x)
-    horizon = config_template.t_end if t_end is None else t_end
     for n in n_list:
         if reference_n % n != 0:
             raise ValueError(f"reference_n={reference_n} is not a multiple of n={n}")
 
     def final_state(n: int) -> np.ndarray:
-        graph = replace(config_template.graph, n=n)
-        config = replace(config_template, graph=graph, t_end=horizon,
+        config = replace(config_template, graph=replace(config_template.graph, n=n),
+                         sample_dt=config_template.t_end,
                          perturbation_amplitude=0.0, ic_seed=None)
-        coupling = build_coupling(graph)
-        y0 = profile(np.arange(1, n + 1) / n)
-        rhs = make_rhs(coupling, config.resolved_omega(), config.sigma)
-        _, states = integrate_system(
-            rhs, y0, horizon, rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-            sample_dt=horizon,
-        )
-        return states[-1]
+        return run_experiment(config).phases[-1]
 
     reference = final_state(reference_n)
-    rows = []
-    for n in n_list:
-        embedded = np.repeat(final_state(n), reference_n // n)
-        rows.append({"n": int(n), "error": distance_mod_rotation(embedded, reference)})
-    return rows
+    return [{"n": int(n), "error": distance_mod_rotation(
+        np.repeat(final_state(n), reference_n // n), reference)} for n in n_list]
 
 
 def write_fit_json(path, fit: TwistedFit) -> None:

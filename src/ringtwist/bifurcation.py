@@ -149,8 +149,6 @@ class NormalFormConstants:
         Linear damping p*chi1(kappa_crit; j, q)*cos(sigma) and precession
         p*chi2(kappa_crit; j, q)*sin(sigma) of modes j = 1..3 (mu_j[0] ~ 0
         by definition of the threshold).
-    c1, c2 : float
-        Quadratic center-manifold shape coefficients of the mode-2 slave.
     beta0 : float
         Effective cubic coefficient at sigma = 0:
         beta1 + delta1*rho1/chi1(kappa_crit; 2, q).  Independent of p.
@@ -161,11 +159,9 @@ class NormalFormConstants:
         Coupling-induced rotation speed p*sin(2*pi*q*kappa_crit)*
         sin(sigma)/(pi*q) of the twisted state for zero natural frequency;
         add the natural frequency for the general case (see
-        rotation_speed_Omega).
-    Omega_tilde_slope : float
-        Coefficient of (kappa - kappa_crit) in the drift correction of the
-        oscillating branch, p*rho0*sin(sigma)*chi1_dk/beta_sigma (0 up to
-        tolerance because rho0 vanishes at the threshold).
+        rotation_speed_Omega).  It is also the branch's drift-corrected
+        rotation speed: the correction p*rho0*sin(sigma)*chi1_dk/beta_sigma
+        per unit (kappa - kappa_crit) vanishes with rho0 at the threshold.
     nu1 : float
         Modulation angular frequency of the first mode, nu_j[0].
     """
@@ -186,12 +182,9 @@ class NormalFormConstants:
     rho2: float
     mu_j: tuple[float, float, float]
     nu_j: tuple[float, float, float]
-    c1: float
-    c2: float
     beta0: float
     beta_sigma: float
     Omega: float
-    Omega_tilde_slope: float
     nu1: float
 
 
@@ -232,25 +225,23 @@ def _threshold(q: int) -> tuple[dict, np.ndarray, np.ndarray]:
 
 
 def _lagged(t: dict, chi1_j: np.ndarray, chi2_j: np.ndarray, p: float, sigma):
-    """beta_sigma and the mode-2 shape coefficients (c1, c2) at phase-lag(s) sigma.
+    """beta_sigma at phase-lag(s) sigma.
 
-    All three divide by mu2^2 + gyro^2 with mu2 = p*chi1(kappa_crit; 2, q)*
-    cos(sigma) and gyro = 2*nu1 - nu2.  It is positive: _threshold rejects
-    chi1(kappa_crit; 2, q) = 0, and cos(sigma) > 0 on (-pi/2, pi/2).
+    Its mode-2 term divides by mu2^2 + gyro^2 with
+    mu2 = p*chi1(kappa_crit; 2, q)*cos(sigma) and gyro = 2*nu1 - nu2.  It is
+    positive: _threshold rejects chi1(kappa_crit; 2, q) = 0, and
+    cos(sigma) > 0 on (-pi/2, pi/2).
     """
     cos_s, sin_s = np.cos(sigma), np.sin(sigma)
     mu2 = p * chi1_j[1] * cos_s
     gyro = 2.0 * (p * chi2_j[0] * sin_s) - p * chi2_j[1] * sin_s
     denom = mu2 * mu2 + gyro * gyro
     d1, d2, r1, r2 = t["delta1"], t["delta2"], t["rho1"], t["rho2"]
-    beta_sigma = t["beta1"] * cos_s + p / (2.0 * denom) * (
+    return t["beta1"] * cos_s + p / (2.0 * denom) * (
         mu2 * (d1 * r1 + d2 * r2)
         + mu2 * (d1 * r1 - d2 * r2) * np.cos(2.0 * sigma)
         + gyro * (d1 * r2 - d2 * r1) * np.sin(2.0 * sigma)
     )
-    c1 = (p * gyro * r1 * cos_s - mu2 * r2 * sin_s) / denom
-    c2 = (p * mu2 * r1 * cos_s - gyro * r2 * sin_s) / denom
-    return beta_sigma, c1, c2
 
 
 def normal_form_constants(q: int, p: float = 1.0,
@@ -276,14 +267,12 @@ def normal_form_constants(q: int, p: float = 1.0,
     """
     _check_args(q, p, sigma)
     t, chi1_j, chi2_j = _threshold(q)
-    beta_sigma, c1, c2 = (float(v) for v in _lagged(t, chi1_j, chi2_j, p, sigma))
+    beta_sigma = float(_lagged(t, chi1_j, chi2_j, p, sigma))
     nu_j = p * chi2_j * sin(sigma)
     return NormalFormConstants(
         q=int(q), p=float(p), sigma=float(sigma), **t,
         mu_j=tuple((p * chi1_j * cos(sigma)).tolist()), nu_j=tuple(nu_j.tolist()),
-        c1=c1, c2=c2, beta_sigma=beta_sigma,
-        Omega=_rotation_term(p, q, t["kappa_crit"], sigma),
-        Omega_tilde_slope=p * t["rho0"] * sin(sigma) * t["chi1_dk"] / beta_sigma,
+        beta_sigma=beta_sigma, Omega=_rotation_term(p, q, t["kappa_crit"], sigma),
         nu1=float(nu_j[0]),
     )
 
@@ -298,18 +287,28 @@ def beta_sigma_curve(q: int, p: float,
     sigma = np.asarray(sigma_grid, dtype=float)
     _check_args(q, p, sigma)
     t, chi1_j, chi2_j = _threshold(q)
-    return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma)[0].tolist()))
+    return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma).tolist()))
 
 
 def _rotation_term(p: float, q: int, kappa: float, sigma: float) -> float:
-    # coupling-induced rotation speed of the q-twisted solution
-    check_int("q", q, 1)
+    # coupling-induced rotation speed of the q-twisted solution; at q = 0 the
+    # limit of sin(2*pi*q*kappa)/(pi*q) as q -> 0, which is 2*kappa
+    check_int("q", q, 0)
+    if q == 0:
+        return 2 * p * kappa * sin(sigma)
     return p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
 
 
 def rotation_speed_Omega(omega: float, p: float, q: int, kappa: float,
                          sigma: float) -> float:
-    """Rotation speed of the q-twisted solution: omega + p*sin(2*pi*q*kappa)*sin(sigma)/(pi*q)."""
+    """Rotation speed of the q-twisted solution, for any q >= 0.
+
+    It is omega + p*sin(2*pi*q*kappa)*sin(sigma)/(pi*q), and at q = 0, the
+    synchronized state, its limit omega + 2*p*kappa*sin(sigma).  These are
+    continuum-limit speeds: on a band of n nodes the window holds 2m + 1
+    nodes with m = floor(n*kappa) rather than 2*n*kappa, so at q = 0 a run
+    rotates at this speed plus p*sin(sigma)*(2m + 1 - 2*n*kappa)/n.
+    """
     return omega + _rotation_term(p, q, kappa, sigma)
 
 
@@ -347,7 +346,7 @@ class BifurcationPrediction:
     kappa, nan if negative), ``hypothesis_ok`` (all higher-mode dampings
     negative), ``modulation_frequency``/``modulation_period`` (nu1 and
     2*pi/|nu1|, sigma != 0 only), and ``omega_tilde`` (drift-corrected
-    rotation speed at the query kappa, sigma != 0 only).
+    rotation speed, which is Omega, sigma != 0 only).
     """
 
     constants: NormalFormConstants = field(repr=False)
@@ -414,7 +413,7 @@ def predict_bifurcation(constants: NormalFormConstants,
     else:
         mod_freq = c.nu1
         mod_period = (2.0 * pi / abs(c.nu1)) if c.nu1 != 0.0 else inf
-        omega_tilde = c.Omega + c.Omega_tilde_slope * d
+        omega_tilde = c.Omega
 
     return BifurcationPrediction(
         constants=c,
@@ -511,7 +510,7 @@ def constants_rows(q_list: Sequence[int], p: float = 1.0,
             t, q=int(q), mu2_over_p=float(chi1_j[1]),
             nu1_over_p_sin_sigma=float(chi2_j[0]),
             nu2_over_p_sin_sigma=float(chi2_j[1]),
-            beta_sigma=float(_lagged(t, chi1_j, chi2_j, p, sigma)[0]),
+            beta_sigma=float(_lagged(t, chi1_j, chi2_j, p, sigma)),
         )
         rows.append({name: values[name] for name in _TABLE_COLUMNS})
     return rows

@@ -5,9 +5,10 @@ output directory recording the command, the effective configuration,
 output paths, code version, and wall time.  Each ``cmd_*`` function
 returns its manifest; :func:`main` creates the output directory, times
 the command, writes the manifest and maps errors to exit codes: 0
-success, 2 for configuration problems (bad files, bad values, bad paths:
-any ValueError or OSError), 3 for numeric failures (integration
-breakdown, ill-posed fits, missing roots).
+success, 2 for configuration problems (bad files, bad values, bad paths,
+sizes that cannot be allocated: any ValueError, OSError or MemoryError),
+3 for numeric failures (integration breakdown, ill-posed fits, missing
+roots).
 
 Run configurations are JSON files; any entry can be overridden on the
 command line with ``--set dotted.key=value`` (values parsed as JSON,
@@ -420,8 +421,8 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"configuration error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -98,8 +98,6 @@ class SimulationConfig:
         """The natural frequency actually used (auto zero-rotation if None)."""
         if self.omega is not None:
             return self.omega
-        if self.q == 0:
-            return 0.0
         return natural_frequency_for_zero_rotation(
             self.graph.p, self.q, self.graph.kappa, self.sigma
         )
@@ -273,10 +271,14 @@ def _sample_array(n: int, t_end: float,
                   sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid on [0, t_end] by sample_dt, ending at t_end, and an empty (len(grid), n) array.
 
-    Raises ValueError, a configuration error, if either cannot be allocated.
+    Raises ValueError, a configuration error, if either cannot be allocated,
+    a sample count that overflows to inf (sample_dt near 1e-310) included.
     """
-    n_steps = int(floor(t_end / sample_dt + 1e-9))
+    n_steps = t_end / sample_dt + 1e-9
     try:
+        if n_steps == inf:  # floor cannot take it, and no array could hold it
+            raise MemoryError
+        n_steps = floor(n_steps)
         grid = sample_dt * np.arange(n_steps + 1)
         if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
             grid = np.append(grid, t_end)
@@ -381,11 +383,8 @@ def run_experiment(config: SimulationConfig,
         rhs, y0, config.t_end, rel_tol=config.rel_tol, abs_tol=config.abs_tol,
         sample_dt=config.sample_dt,
     )
-    speed = 0.0
-    if config.q >= 1:
-        speed = rotation_speed_Omega(
-            omega, config.graph.p, config.q, config.graph.kappa, config.sigma
-        )
+    speed = rotation_speed_Omega(omega, config.graph.p, config.q, config.graph.kappa,
+                                 config.sigma)
     times, states = samples
     return Trajectory(times=times, phases=states, config=config, omega=omega,
                       rotation_speed=speed, nfev=samples.nfev, steps=samples.steps)

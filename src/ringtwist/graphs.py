@@ -27,7 +27,6 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, sqrt
-from typing import BinaryIO
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -49,7 +48,8 @@ KINDS = ("deterministic_dense", "random_dense", "random_sparse")
 
 _MAGIC = b"RTADJ\x00"
 _VERSION = 1
-_HEADER_BYTES = 58  # magic, version, then n .. nnz as packed by the writer
+# magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
+_HEADER = struct.Struct("<6sHQBBQQddQ")
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
@@ -368,14 +368,10 @@ def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
                                       for k, j in zip((ks + 1).tolist(), (js + 1).tolist())))
 
 
-def _write_u64(fh: BinaryIO, *values: int) -> None:
-    fh.write(struct.pack("<" + "Q" * len(values), *values))
-
-
 def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     """Write a compact little-endian adjacency dump.
 
-    Layout (all little-endian):
+    Layout (all little-endian; the 58-byte header is the one struct _HEADER):
       magic 6s "RTADJ\\0" | version u16 | n u64 | kind u8 | has_seed u8 |
       seed u64 | halfwidth u64 | weight f64 | scale f64 | nnz u64 |
       [sparse only: row offsets (n+1) x u64, then column indices nnz x u64].
@@ -384,19 +380,15 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     always carry both arrays of A, even when the graph has no edges or
     stores its holes (A is then derived, and cached, by ``adjacency``).
     """
+    banded = coupling.layout == "banded_uniform"
+    csr = None if banded else _sparse.csr_array(coupling.adjacency)
+    has_seed = coupling.seed is not None
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        kind_code = _KIND_CODES[coupling.kind]
-        has_seed = coupling.seed is not None
-        fh.write(struct.pack("<QBB", coupling.n, kind_code, int(has_seed)))
-        _write_u64(fh, coupling.seed if has_seed else 0, coupling.halfwidth)
-        fh.write(struct.pack("<dd", coupling.weight, coupling.scale))
-        if coupling.layout == "banded_uniform":
-            _write_u64(fh, 0)
-        else:
-            csr = _sparse.csr_array(coupling.adjacency)
-            _write_u64(fh, int(csr.nnz))
+        fh.write(_HEADER.pack(
+            _MAGIC, _VERSION, coupling.n, _KIND_CODES[coupling.kind], int(has_seed),
+            coupling.seed if has_seed else 0, coupling.halfwidth, coupling.weight,
+            coupling.scale, 0 if banded else int(csr.nnz)))
+        if not banded:
             fh.write(np.asarray(csr.indptr, dtype="<u8").tobytes())
             fh.write(np.asarray(csr.indices, dtype="<u8").tobytes())
 
@@ -422,22 +414,20 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     magic = raw[:6]
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    if len(raw) < _HEADER_BYTES:
+    if len(raw) < _HEADER.size:
         raise ValueError(
-            f"{path}: header needs {_HEADER_BYTES} bytes, found {len(raw)}"
+            f"{path}: header needs {_HEADER.size} bytes, found {len(raw)}"
         )
-    (version,) = struct.unpack_from("<H", raw, 6)
+    _, version, n, kind_code, has_seed, seed, halfwidth, weight, scale, nnz = (
+        _HEADER.unpack_from(raw))
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
-    n, kind_code, has_seed, seed, halfwidth, weight, scale, nnz = struct.unpack_from(
-        "<QBBQQddQ", raw, 8
-    )
     if kind_code not in _CODE_KINDS:
         raise ValueError(f"{path}: kind code {kind_code} out of range "
                          f"(0..{len(KINDS) - 1})")
     kind = _CODE_KINDS[kind_code]
     banded = kind == "deterministic_dense"
-    expected = _HEADER_BYTES + (0 if banded else 8 * (n + 1 + nnz))
+    expected = _HEADER.size + (0 if banded else 8 * (n + 1 + nnz))
     if len(raw) != expected:
         raise ValueError(
             f"{path}: expected {expected} bytes for n={n}, nnz={nnz}, "
@@ -447,9 +437,9 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     if banded:
         return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
                               weight=weight, kind=kind, seed=seed)
-    indptr = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER_BYTES)
+    indptr = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER.size)
     indices = np.frombuffer(raw, dtype="<u8", count=nnz,
-                            offset=_HEADER_BYTES + 8 * (n + 1))
+                            offset=_HEADER.size + 8 * (n + 1))
     if (indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1])
             or (nnz and indices.max() >= n)):
         raise ValueError(f"{path}: row offsets or column indices out of range")

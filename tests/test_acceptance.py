@@ -197,7 +197,7 @@ def test_criterion_09_errors_decrease_toward_continuum_reference():
     template = SimulationConfig(
         graph=GraphSpec(n=250, p=1.0, kappa=0.31), q=1, sigma=0.0,
         t_end=10.0, rel_tol=1e-10, abs_tol=1e-12,
-        perturbation_amplitude=0.0,
+        perturbation_amplitude=0.0, ic_mode1_amplitude=0.1,
     )
     rows = convergence_study(template, [250, 500, 1000], 2000)
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 from math import pi, sqrt
 
 import numpy as np
@@ -309,7 +310,7 @@ class TestConvergenceStudy:
         defaults = dict(
             graph=GraphSpec(n=20, p=1.0, kappa=0.31), q=1,
             perturbation_amplitude=0.0, t_end=2.0, rel_tol=1e-10,
-            abs_tol=1e-12,
+            abs_tol=1e-12, ic_mode1_amplitude=0.1,
         )
         defaults.update(kwargs)
         return SimulationConfig(**defaults)
@@ -324,22 +325,38 @@ class TestConvergenceStudy:
             convergence_study(self.template(), [30], 80)
 
     def test_custom_profile_embedding_floor(self):
-        # the exact twisted profile stays twisted at every resolution, so
-        # the reported error is purely the piecewise-constant embedding of
-        # the coarse grid: alternating residuals +-pi/40 after alignment
+        # with no bump the exact twisted profile stays twisted at every
+        # resolution, so the reported error is purely the piecewise-constant
+        # embedding of the coarse grid: alternating residuals +-pi/40 after
+        # alignment
         rows = convergence_study(
-            self.template(), [20], 40,
-            profile=lambda x: 2.0 * np.pi * x, t_end=1.0,
-        )
+            self.template(ic_mode1_amplitude=0.0, t_end=1.0), [20], 40)
         assert rows[0]["error"] == pytest.approx(pi / 40, abs=1e-6)
 
     def test_constant_profile_no_floor(self):
-        # a uniform state is a fixed point at sigma = 0 and embeds exactly
+        # the q = 0 state is uniform, a fixed point at sigma = 0 that embeds
+        # exactly
         rows = convergence_study(
-            self.template(), [20], 40,
-            profile=lambda x: np.full_like(x, 0.3), t_end=1.0,
-        )
+            self.template(q=0, ic_mode1_amplitude=0.0, t_end=1.0), [20], 40)
         assert rows[0]["error"] < 1e-10
+
+    def test_runs_through_run_experiment(self, monkeypatch):
+        # each resolution is the template on n nodes, noise-free, sampled at
+        # 0 and t_end only
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return run_experiment(config)
+
+        monkeypatch.setattr(analysis, "run_experiment", record)
+        template = self.template(perturbation_amplitude=0.01, ic_seed=4)
+        convergence_study(template, [20, 40], 80)
+        assert [c.graph.n for c in configs] == [80, 20, 40]
+        for config in configs:
+            graph = replace(template.graph, n=config.graph.n)
+            assert config == replace(template, graph=graph, sample_dt=2.0,
+                                     perturbation_amplitude=0.0, ic_seed=None)
 
 
 class TestWriters:

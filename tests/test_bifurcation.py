@@ -109,7 +109,6 @@ def test_rho0_identity_general_kappa(q, kappa):
 def test_rho0_vanishes_at_threshold(q):
     c = normal_form_constants(q)
     assert abs(c.rho0) < 1e-11
-    assert abs(c.Omega_tilde_slope) < 1e-9
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -176,8 +175,15 @@ def test_rotation_speed_and_zero_rotation_frequency():
         0.0, abs=1e-15)
     assert rotation_speed_Omega(0.0, p, q, kappa, sigma) == pytest.approx(
         p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q), abs=1e-15)
+    for q in range(1, 9):  # the closed form as written, bit for bit
+        assert rotation_speed_Omega(0.0, p, q, kappa, sigma) == (
+            p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q))
+    # q = 0, the synchronized state, takes the q -> 0 limit 2*p*kappa*sin(sigma)
+    limit = 2 * p * kappa * sin(sigma)
+    assert rotation_speed_Omega(0, p, 0, kappa, sigma) == limit
+    assert natural_frequency_for_zero_rotation(p, 0, kappa, sigma) == -limit
     with pytest.raises(ValueError):
-        rotation_speed_Omega(0.0, 1.0, 0, 0.2, 0.1)
+        rotation_speed_Omega(0.0, 1.0, -1, 0.2, 0.1)
 
 
 def test_normal_form_constants_validation():

@@ -371,6 +371,38 @@ def test_unallocatable_samples_are_config_errors(argv, tmp_path, capsys, sim_con
 
 @pytest.mark.parametrize("argv", [
     ["simulate"],
+    ["estimate"],
+    ["sweep", "--param", "graph.kappa", "--values", "0.31", "--jobs", "1"],
+])
+def test_sample_count_overflowing_to_inf_is_a_config_error(argv, tmp_path, capsys,
+                                                          sim_config):
+    # t_end/sample_dt overflows to inf, which no grid can hold
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(sim_config), "--set", "sample_dt=1e-310"]
+                + argv[1:] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot allocate inf samples of n=60")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["betasigma", "--q", "1", "--sigma-grid", "0:1:100000000000000"],
+    ["spectrum", "--q", "1", "--kappa", "0.3", "--ell-max", "100000000000000"],
+])
+def test_unallocatable_grids_are_config_errors(argv, tmp_path, capsys):
+    # 1e14 eight-byte values (728 TiB) exceed any address space, so the
+    # allocation is refused at once, whatever the overcommit policy
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
     ["sweep", "--param", "graph.kappa", "--values", "0.31", "--jobs", "1"],
 ])
 def test_unallocatable_samples_are_refused_before_the_graph(argv, tmp_path, capsys,

@@ -112,7 +112,9 @@ class TestSimulationConfig:
 
     def test_resolved_omega_passthrough_and_q0(self):
         assert quiet_config(omega=0.25).resolved_omega() == 0.25
-        assert quiet_config(q=0, sigma=0.3).resolved_omega() == 0.0
+        # q = 0 compensates the synchronized state's rotation 2*p*kappa*sin(sigma)
+        assert quiet_config(q=0, sigma=0.3).resolved_omega() == -2 * 1.0 * 0.31 * sin(0.3)
+        assert quiet_config(q=0, sigma=0.0).resolved_omega() == 0.0
 
 
 class TestInitialConditions:
@@ -472,6 +474,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="size"):
             run_experiment(quiet_config(),
                            coupling=build_coupling(det_graph(n=60)))
+
+    @pytest.mark.parametrize("omega", [None, 0.0, 0.7])
+    def test_synchronized_state_turns_at_its_rotation_speed(self, omega):
+        # q = 0 with a phase lag: the uniform state turns at omega plus the
+        # q -> 0 limit 2*p*kappa*sin(sigma), up to the band's finite-n offset
+        # (its window holds 2m + 1 nodes, not 2*n*kappa)
+        n, p, kappa, sigma = 1000, 1.0, 0.3, 0.5
+        cfg = quiet_config(graph=det_graph(n=n, p=p, kappa=kappa), q=0, sigma=sigma,
+                           omega=omega, t_end=4.0)
+        traj = run_experiment(cfg)
+        rate = (np.mean(traj.phases[-1]) - np.mean(traj.phases[0])) / traj.times[-1]
+        m = floor(n * kappa)
+        offset = p * abs(sin(sigma)) * abs(2 * m + 1 - 2 * n * kappa) / n
+        assert abs(rate - traj.rotation_speed) <= offset + 1e-12
+        assert abs(rate - traj.omega) > 0.28  # the coupling does turn it
 
     def test_rotation_speed_matches_observed_drift(self):
         # explicit omega = 0 leaves the coupling-induced rotation visible;

@@ -1,6 +1,7 @@
 """Band graphon, coupling-matrix realizations, and their file formats."""
 
 import csv
+import hashlib
 import tracemalloc
 from math import floor, sqrt
 
@@ -358,6 +359,23 @@ class TestFileFormats:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == coupling.nnz
+
+    @pytest.mark.parametrize("spec, stored, digest", [
+        (GraphSpec(n=200, p=0.7, kappa=0.31), "band",
+         "9cf645a4eda43a2c46554b84efa4ca423dc1f0425755161e7a35c2fbe545c7f7"),
+        (dense_spec(p=0.9, seed=11), "holes",
+         "08137716596aa88fba3fb7b3b91a6e609f6944eb79544663d8439d42f1b3c8ae"),
+        (sparse_spec(n=200, gamma=0.4, seed=12), "edges",
+         "5837805e4b8536f110164cbbba4a4e6fa2a781c16009ec14ea567916fe9991fa"),
+    ])
+    def test_binary_bytes_are_frozen(self, spec, stored, digest, tmp_path):
+        # sha256 of the version-1 files as the writer made them when it packed
+        # the header field by field: the one header struct writes the same bytes
+        coupling = build_coupling(spec)
+        assert coupling.stored == stored
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, coupling)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_binary_round_trip_banded(self, tmp_path):
         coupling = build_coupling(GraphSpec(n=100, p=0.7, kappa=0.31))

@@ -6,7 +6,9 @@ name shows up here as a failing self-test or benchmark round.  A source
 check keeps every CSV and JSON writer in the boundary module, another
 keeps the stepping loop of ``integrate_system`` the one integration path,
 a third keeps one pass over the stored samples the only place that aligns
-them, and a fourth keeps the dynamics from rebuilding a graph's holes.
+them, a fourth keeps the dynamics from rebuilding a graph's holes, and a
+fifth keeps ``run_experiment`` the one path from a configuration to a
+trajectory.
 """
 
 import ast
@@ -98,6 +100,32 @@ def test_only_the_deviation_record_aligns_inside_a_loop():
                          and getattr(call.func, "id", getattr(call.func, "attr", None))
                          == "_align"}
     assert {name for _, name, _ in uses} == {"_deviation_record"}, sorted(uses)
+
+
+def test_only_run_experiment_builds_and_integrates_a_right_hand_side():
+    # one run path: a second caller of make_rhs or integrate_system would
+    # build its own initial condition and natural frequency, and could drift
+    # from what a configuration means
+    names = {"make_rhs", "integrate_system"}
+
+    def calls(tree):
+        return {node: getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    outside, inside = [], set()
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {}
+        if path.name == "dynamics.py":
+            run = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and node.name == "run_experiment")
+            allowed = calls(run)
+            inside = set(allowed.values()) & names
+        outside += [f"{path.name}:{node.lineno} {name}"
+                    for node, name in calls(tree).items()
+                    if name in names and node not in allowed]
+    assert inside == names
+    assert outside == []
 
 
 def test_dynamics_never_takes_a_band_complement():
