@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._boundary import write_csv, write_json
+from ._boundary import check_int, write_csv, write_json
 from .circular import resultant, wrap_angle
 from .dynamics import SimulationConfig, Trajectory, run_experiment, twisted_profile
 
@@ -246,6 +246,7 @@ def convergence_study(config_template: SimulationConfig,
     Returns one row dict per coarse n: {"n", "error"}.
     """
     for n in n_list:
+        check_int("n", n, 1)
         if reference_n % n != 0:
             raise ValueError(f"reference_n={reference_n} is not a multiple of n={n}")
 

@@ -5,15 +5,14 @@ mode of a q-twisted state loses linear stability.  A center-manifold
 reduction collapses the dynamics near the threshold onto the radial normal
 form
 
-    rdot = mu*r - p*beta*r^3,      mu = p*chibar'*(kappa - kappa_crit),
+    rdot = mu*r - p*beta*r^3,      mu = p*cos(sigma)*chibar'*(kappa - kappa_crit),
 
-with chibar' the kappa-derivative of chi1 at the root and beta a combination
-of window overlap coefficients: beta0 for zero phase-lag and beta_sigma for
-nonzero phase-lag, where the mode additionally precesses at nu1.  This
-module computes every constant of that reduction in closed form, evaluates
-the branch-side and branch-stability sign rules for both regimes (their
-conventions disagree; see predict_bifurcation), and solves the reduced
-radial flow exactly.
+with chibar' the kappa-derivative of chi1 at the root and beta = beta_sigma a
+combination of window overlap coefficients (beta0 at zero phase-lag); at
+nonzero phase-lag the mode additionally precesses at nu1.  This module
+computes every constant of that reduction in closed form, reads the side,
+stability and amplitude of the branch from the radial equation (see
+predict_bifurcation), and solves the reduced radial flow exactly.
 """
 
 from __future__ import annotations
@@ -322,38 +321,26 @@ def natural_frequency_for_zero_rotation(p: float, q: int, kappa: float,
 class BifurcationPrediction:
     """Branch prediction at a query kappa near the threshold.
 
-    The side/stability assignment follows one sign rule per regime:
-
-    * sigma = 0: chibar'*beta0 > 0 puts a stable modulated branch on the
-      kappa > kappa_crit side; chibar'*beta0 < 0 an unstable branch on the
-      kappa < kappa_crit side.
-    * sigma != 0: chibar'*beta_sigma < 0 puts a stable oscillating branch
-      on the kappa > kappa_crit side; chibar'*beta_sigma > 0 an unstable
-      branch on the kappa < kappa_crit side.
-
-    The two rules contradict each other in the limit sigma -> 0
-    (beta_sigma -> beta0); each regime keeps its own rule, and
-    ``amplitude_radicand`` exposes the radial-equation consistency check:
-    a real branch amplitude requires chibar'*(kappa - kappa_crit)/beta > 0,
-    which fails on the claimed side whenever the applied rule is
-    internally inconsistent.  In both regimes the twisted family itself is
-    stable below kappa_crit and unstable above it
+    Side, stability, existence and amplitude are read from the radial
+    equation rdot = mu*r - p*beta_sigma*r^3 with
+    mu = p*cos(sigma)*chibar'*(kappa - kappa_crit), for every phase-lag.  Its
+    nonzero equilibrium r^2 = radicand = cos(sigma)*chibar'*(kappa -
+    kappa_crit)/beta_sigma exists on the kappa > kappa_crit side iff
+    chibar'*beta_sigma > 0, and it is stable iff beta_sigma > 0.  The twisted
+    family itself is stable below kappa_crit and unstable above it
     (``family_stability_at_query``).  Predictions are local: valid only for
     kappa near kappa_crit.
 
-    Attributes primarily of note: ``branch_side``/``branch_stability`` (the
-    rule's assignment), ``amplitude`` (sqrt of the radicand at the query
-    kappa, nan if negative), ``hypothesis_ok`` (all higher-mode dampings
-    negative), ``modulation_frequency``/``modulation_period`` (nu1 and
-    2*pi/|nu1|, sigma != 0 only), and ``omega_tilde`` (drift-corrected
-    rotation speed, which is Omega, sigma != 0 only).
+    Attributes primarily of note: ``branch_side``/``branch_stability``,
+    ``amplitude`` (sqrt of the radicand at the query kappa, nan if
+    negative), ``hypothesis_ok`` (all higher-mode dampings negative),
+    ``modulation_frequency``/``modulation_period`` (nu1 and 2*pi/|nu1|,
+    sigma != 0 only), and ``omega_tilde`` (drift-corrected rotation speed,
+    which is Omega, sigma != 0 only).
     """
 
     constants: NormalFormConstants = field(repr=False)
     kappa: float
-    regime: str
-    beta_selected: float
-    criterion_product: float
     branch_side: str
     branch_stability: str
     side_of_query: str
@@ -376,39 +363,21 @@ def predict_bifurcation(constants: NormalFormConstants,
     ----------
     constants : NormalFormConstants
     kappa : float
-        Query half-width near constants.kappa_crit.
+        Query half-width in (0, 1/2], near constants.kappa_crit.
 
     The hypothesis (all mode dampings mu_j < 0 for j >= 2) is checked over
     j = 2..8; violations are reported, not raised.
     """
+    check_real("kappa", kappa, 0.0, 0.5, "(]")
     c = constants
-    sigma_zero = c.sigma == 0.0
-    beta_sel = c.beta0 if sigma_zero else c.beta_sigma
-    product = c.chi1_dk * beta_sel
-
-    if sigma_zero:
-        # Zero phase-lag statement: positive product -> stable branch above.
-        side, stab = ("above", "stable") if product > 0 else ("below", "unstable")
-    else:
-        # Nonzero phase-lag statement: negative product -> stable branch above.
-        side, stab = ("above", "stable") if product < 0 else ("below", "unstable")
-
     modes = np.arange(2, 9)
     violations = tuple(modes[chi1(c.kappa_crit, modes, c.q) >= 0.0].tolist())
 
     d = kappa - c.kappa_crit
     side_query = "at" if d == 0.0 else ("above" if d > 0.0 else "below")
-    # The twisted family itself: stable below threshold, unstable above
-    # (both regimes agree on this part).
-    family_at_query = {"below": "stable", "above": "unstable", "at": "marginal"}[
-        side_query
-    ]
-    rad = c.chi1_dk * d / beta_sel
-    # A real branch amplitude needs rad > 0; on the predicted side this can
-    # fail (sigma != 0 rule), which is the documented inconsistency.
-    exists = (side_query == side and rad > 0.0) or d == 0.0
+    rad = cos(c.sigma) * c.chi1_dk * d / c.beta_sigma
 
-    if sigma_zero:
+    if c.sigma == 0.0:
         mod_freq = mod_period = omega_tilde = None
     else:
         mod_freq = c.nu1
@@ -418,14 +387,12 @@ def predict_bifurcation(constants: NormalFormConstants,
     return BifurcationPrediction(
         constants=c,
         kappa=float(kappa),
-        regime="sigma_zero" if sigma_zero else "sigma_nonzero",
-        beta_selected=beta_sel,
-        criterion_product=product,
-        branch_side=side,
-        branch_stability=stab,
+        branch_side="above" if c.chi1_dk * c.beta_sigma > 0.0 else "below",
+        branch_stability="stable" if c.beta_sigma > 0.0 else "unstable",
         side_of_query=side_query,
-        family_stability_at_query=family_at_query,
-        branch_exists_at_query=exists,
+        family_stability_at_query={"below": "stable", "above": "unstable",
+                                   "at": "marginal"}[side_query],
+        branch_exists_at_query=rad > 0.0 or d == 0.0,
         amplitude_radicand=rad,
         amplitude=sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan),
         hypothesis_ok=not violations,
@@ -448,19 +415,23 @@ def reduced_amplitude_flow(mu: float, p: float, beta_sel: float, r0: float,
     Parameters
     ----------
     mu, p, beta_sel : float
-        Reduced flow coefficients.
+        Reduced flow coefficients, finite.
     r0 : float
         Initial amplitude >= 0.
     t_span : (float, float)
-        Time interval.
+        Time interval with finite ends.
     num : int
-        Number of equally spaced samples.
+        Number of equally spaced samples, >= 1.
 
     Returns
     -------
     (times, r) : ndarray pair
     """
+    for name, value in (("mu", mu), ("p", p), ("beta_sel", beta_sel),
+                        ("t_span[0]", t_span[0]), ("t_span[1]", t_span[1])):
+        check_real(name, value)
     check_real("r0", r0, 0.0)
+    check_int("num", num, 1)
     t0, t1 = float(t_span[0]), float(t_span[1])
     times = np.linspace(t0, t1, num)
     y0 = r0 * r0
@@ -480,11 +451,10 @@ def reduced_amplitude_flow(mu: float, p: float, beta_sel: float, r0: float,
             # den and mu are both negative along valid solutions.
             y = np.where(den < 0.0, mu * y0 * grow / den, np.inf)
     # After a blow-up the closed form re-enters a spurious branch; freeze inf.
-    blown = np.isinf(y) | (y < 0.0) | ~np.isfinite(y)
+    blown = (y < 0.0) | ~np.isfinite(y)
     if blown.any():
-        first = int(np.argmax(blown))
-        y[first:] = np.inf
-    return times, np.sqrt(np.where(np.isfinite(y), y, np.inf))
+        y[int(np.argmax(blown)):] = np.inf
+    return times, np.sqrt(y)
 
 
 _TABLE_COLUMNS = [

@@ -128,9 +128,12 @@ def _load_config(path: str, overrides: list[str]) -> dict:
 
 def _parse_int_list(raw: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
+        values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"expected comma-separated integers, got {raw!r}")
+    return values
 
 
 def _parse_config(parse, data: dict, what: str):

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per shipped criterion, tolerances pinned.
 
 Each test prints as its own pass/fail line under ``pytest -v``.  Slow
-whole-trajectory criteria (7, 8, 10) sit at the end of the file; the
+whole-trajectory criteria (7, 8, 10, 11) sit at the end of the file; the
 frozen seeds and thresholds used there were calibrated once and are part
 of the contract, not tunable knobs.
 """
@@ -10,7 +10,7 @@ import csv
 import time
 import warnings
 from dataclasses import replace
-from math import pi, sin, sqrt
+from math import ceil, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from ringtwist.bifurcation import (
     constants_rows,
     kappa_critical,
     normal_form_constants,
+    predict_bifurcation,
 )
 from ringtwist.circular import wrap_angle
 from ringtwist.cli import main
@@ -322,3 +323,27 @@ def test_criterion_10_random_graph_twisted_state_persists(graph, q, kappa,
     assert worst <= 0.3, f"bulk deviation reached median {worst:.3f}"
     wind = robust_winding(trajectory.phases[-1])
     assert wind == q, f"winding slipped from {q} to {wind}"
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1], ids=["inside", "outside"])
+def test_criterion_11_subcritical_basin_at_nonzero_lag(factor):
+    # Two half-widths below the finite-n threshold m_c the twisted state is
+    # stable, and the unstable branch of rdot = mu*r - p*beta_sigma*r^3
+    # bounds its basin: a mode-1 bump inside the predicted amplitude decays
+    # and one outside escapes.  The amplitude carries the cos(sigma) of mu.
+    n, sigma = 2000, 1.0
+    c = normal_form_constants(1, 1.0, sigma)
+    m = ceil(n * c.kappa_crit - 0.5) - 2
+    kappa_eff = (m + 0.5) / n
+    graph = GraphSpec(n=n, p=1.0, kappa=kappa_eff)
+    assert graph.halfwidth == 679
+    amplitude = predict_bifurcation(c, kappa_eff).amplitude
+    trajectory = run_experiment(SimulationConfig(
+        graph=graph, q=1, sigma=sigma, t_end=3000.0, sample_dt=100.0,
+        perturbation_amplitude=0.0, ic_mode1_amplitude=factor * amplitude,
+    ))
+    dev = deviation_series(trajectory)
+    if factor < 1.0:
+        assert dev[-1] < dev[0], f"bump grew from {dev[0]:.3f} to {dev[-1]:.3f}"
+    else:
+        assert dev[-1] > 1.0, f"bump stayed at {dev[-1]:.3f} (from {dev[0]:.3f})"

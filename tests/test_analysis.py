@@ -324,6 +324,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="multiple"):
             convergence_study(self.template(), [30], 80)
 
+    @pytest.mark.parametrize("n_list", [[0], [20, 0], [-20], [2.5]])
+    def test_resolutions_must_be_positive_integers(self, n_list):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            convergence_study(self.template(), n_list, 80)
+
     def test_custom_profile_embedding_floor(self):
         # with no bump the exact twisted profile stays twisted at every
         # resolution, so the reported error is purely the piecewise-constant

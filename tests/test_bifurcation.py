@@ -202,8 +202,6 @@ class TestPredictions:
         c = normal_form_constants(1, 1.0, 0.0)
         pred = predict_bifurcation(c, 0.33)
         # chibar' > 0 and beta0 < 0: product negative -> unstable branch below
-        assert pred.regime == "sigma_zero"
-        assert pred.criterion_product < 0.0
         assert pred.branch_side == "below"
         assert pred.branch_stability == "unstable"
         assert pred.side_of_query == "below"
@@ -221,18 +219,17 @@ class TestPredictions:
         assert not pred.branch_exists_at_query
         assert isnan(pred.amplitude)
 
-    def test_nonzero_lag_rule_and_radicand_inconsistency(self):
+    def test_nonzero_lag_branch_is_unstable_below(self):
         c = normal_form_constants(2, 1.0, pi / 3)
         pred = predict_bifurcation(c, 0.168)
-        # chibar' > 0, beta_sigma < 0: the sign rule places a stable
-        # oscillating branch above threshold ...
-        assert pred.regime == "sigma_nonzero"
-        assert pred.criterion_product < 0.0
-        assert pred.branch_side == "above"
-        assert pred.branch_stability == "stable"
+        # chibar' > 0, beta_sigma < 0: the radial equation puts an unstable
+        # branch below threshold, so the query above has no branch
+        assert pred.branch_side == "below"
+        assert pred.branch_stability == "unstable"
         assert pred.side_of_query == "above"
-        # ... but the radial equation then has a negative radicand there,
-        # the internal inconsistency the prediction object surfaces
+        assert pred.amplitude_radicand == pytest.approx(
+            cos(pi / 3) * c.chi1_dk * (0.168 - c.kappa_crit) / c.beta_sigma,
+            rel=1e-15)
         assert pred.amplitude_radicand < 0.0
         assert not pred.branch_exists_at_query
         assert isnan(pred.amplitude)
@@ -240,6 +237,52 @@ class TestPredictions:
         assert pred.modulation_period == pytest.approx(
             2 * pi / abs(c.nu1), abs=1e-9)
         assert pred.omega_tilde == pytest.approx(c.Omega, abs=1e-9)
+        below = predict_bifurcation(c, 0.165)
+        assert below.branch_exists_at_query
+        assert below.amplitude == pytest.approx(sqrt(
+            cos(pi / 3) * c.chi1_dk * (0.165 - c.kappa_crit) / c.beta_sigma),
+            rel=1e-15)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_one_rule_across_zero_lag(self, q):
+        # no fork at sigma = 0: a tiny lag gives the zero-lag prediction
+        for d in (-1e-3, 1e-3):
+            zero, tiny = (predict_bifurcation(normal_form_constants(q, 0.8, s),
+                                              kappa_critical(1, q) + d)
+                          for s in (0.0, 1e-9))
+            for name in ("branch_side", "branch_stability", "side_of_query",
+                         "branch_exists_at_query", "family_stability_at_query"):
+                assert getattr(tiny, name) == getattr(zero, name), name
+            assert tiny.amplitude_radicand == pytest.approx(
+                zero.amplitude_radicand, rel=1e-9)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    @pytest.mark.parametrize("sigma", [-1.2, -0.5, 0.0, 0.5, 1.2])
+    def test_branch_is_the_reduced_flow_equilibrium(self, q, sigma):
+        p = 0.8
+        c = normal_form_constants(q, p, sigma)
+        preds = [predict_bifurcation(c, c.kappa_crit + d) for d in (-1e-3, 1e-3)]
+        exists = [pred for pred in preds if pred.branch_exists_at_query]
+        assert len(exists) == 1
+        pred = exists[0]
+        mu = p * cos(sigma) * c.chi1_dk * (pred.kappa - c.kappa_crit)
+        amp = pred.amplitude
+        _, r_in = reduced_amplitude_flow(mu, p, c.beta_sigma, 0.99 * amp,
+                                         (0.0, 50.0 / abs(mu)))
+        _, r_out = reduced_amplitude_flow(mu, p, c.beta_sigma, 1.01 * amp,
+                                          (0.0, 50.0 / abs(mu)))
+        if pred.branch_stability == "stable":
+            assert r_in[-1] == pytest.approx(amp, rel=1e-9)
+            assert r_out[-1] == pytest.approx(amp, rel=1e-9)
+        else:
+            assert r_in[-1] < 1e-6 * amp
+            assert np.isinf(r_out[-1])
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf"),
+                                       0.0, -1.0, 0.6, True])
+    def test_query_kappa_checked(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            predict_bifurcation(normal_form_constants(1), kappa)
 
     def test_query_at_threshold(self):
         c = normal_form_constants(1)
@@ -313,6 +356,27 @@ class TestReducedFlow:
     def test_negative_r0_rejected(self):
         with pytest.raises(ValueError):
             reduced_amplitude_flow(0.1, 1.0, 0.3, -0.1, (0.0, 1.0))
+
+    @pytest.mark.parametrize("name, args", [
+        ("mu", (float("nan"), 1.0, 0.3, 0.1, (0.0, 1.0))),
+        ("mu", (float("inf"), 1.0, 0.3, 0.1, (0.0, 1.0))),
+        ("p", (0.1, float("nan"), 0.3, 0.1, (0.0, 1.0))),
+        ("beta_sel", (0.1, 1.0, float("-inf"), 0.1, (0.0, 1.0))),
+        (r"t_span\[0\]", (0.1, 1.0, 0.3, 0.1, (float("nan"), 1.0))),
+        (r"t_span\[1\]", (0.1, 1.0, 0.3, 0.1, (0.0, float("nan")))),
+        (r"t_span\[1\]", (0.1, 1.0, 0.3, 0.1, (0.0, float("inf")))),
+    ], ids=["mu-nan", "mu-inf", "p-nan", "beta-inf", "t0-nan", "t1-nan", "t1-inf"])
+    def test_non_finite_inputs_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            reduced_amplitude_flow(*args)
+
+    def test_sample_count_checked(self):
+        for num in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="num"):
+                reduced_amplitude_flow(0.1, 1.0, 0.3, 0.1, (0.0, 1.0), num=num)
+        times, r = reduced_amplitude_flow(0.1, 1.0, 0.3, 0.1, (0.0, 1.0), num=1)
+        assert times.tolist() == [0.0]
+        assert r == pytest.approx([0.1], rel=1e-15)
 
 
 def test_constants_rows_columns_and_values():

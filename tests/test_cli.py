@@ -59,6 +59,12 @@ class TestConstants:
         assert main(["constants", "--q-list", "1,x", "--out",
                      str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("q_list", ["", ",", " , "])
+    def test_empty_q_list(self, tmp_path, q_list):
+        out = tmp_path / "o"
+        assert main(["constants", "--q-list", q_list, "--out", str(out)]) == 2
+        assert not (out / "constants.csv").exists()
+
 
 class TestSpectrum:
     def test_stable_and_unstable_verdicts(self, tmp_path, capsys):
