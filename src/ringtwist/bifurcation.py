@@ -47,8 +47,6 @@ __all__ = [
     "a_coeffs",
     "normal_form_constants",
     "beta_sigma_curve",
-    "rotation_speed_Omega",
-    "natural_frequency_for_zero_rotation",
     "predict_bifurcation",
     "reduced_amplitude_flow",
     "constants_rows",
@@ -155,12 +153,14 @@ class NormalFormConstants:
         Effective cubic coefficient at the stored sigma (reduces to beta0
         at sigma = 0).  Independent of p.
     Omega : float
-        Coupling-induced rotation speed p*sin(2*pi*q*kappa_crit)*
-        sin(sigma)/(pi*q) of the twisted state for zero natural frequency;
-        add the natural frequency for the general case (see
-        rotation_speed_Omega).  It is also the branch's drift-corrected
-        rotation speed: the correction p*rho0*sin(sigma)*chi1_dk/beta_sigma
-        per unit (kappa - kappa_crit) vanishes with rho0 at the threshold.
+        Continuum rotation speed p*sin(2*pi*q*kappa_crit)*sin(sigma)/(pi*q)
+        of the twisted state at the threshold for zero natural frequency;
+        add the natural frequency for the general case.  A run on n nodes
+        turns at the speed of its realized window instead (see
+        Trajectory.rotation_speed).  Omega is also the branch's
+        drift-corrected rotation speed: the correction
+        p*rho0*sin(sigma)*chi1_dk/beta_sigma per unit (kappa - kappa_crit)
+        vanishes with rho0 at the threshold.
     nu1 : float
         Modulation angular frequency of the first mode, nu_j[0].
     """
@@ -271,7 +271,8 @@ def normal_form_constants(q: int, p: float = 1.0,
     return NormalFormConstants(
         q=int(q), p=float(p), sigma=float(sigma), **t,
         mu_j=tuple((p * chi1_j * cos(sigma)).tolist()), nu_j=tuple(nu_j.tolist()),
-        beta_sigma=beta_sigma, Omega=_rotation_term(p, q, t["kappa_crit"], sigma),
+        beta_sigma=beta_sigma,
+        Omega=p * sin(2 * pi * q * t["kappa_crit"]) * sin(sigma) / (pi * q),
         nu1=float(nu_j[0]),
     )
 
@@ -287,34 +288,6 @@ def beta_sigma_curve(q: int, p: float,
     _check_args(q, p, sigma)
     t, chi1_j, chi2_j = _threshold(q)
     return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma).tolist()))
-
-
-def _rotation_term(p: float, q: int, kappa: float, sigma: float) -> float:
-    # coupling-induced rotation speed of the q-twisted solution; at q = 0 the
-    # limit of sin(2*pi*q*kappa)/(pi*q) as q -> 0, which is 2*kappa
-    check_int("q", q, 0)
-    if q == 0:
-        return 2 * p * kappa * sin(sigma)
-    return p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q)
-
-
-def rotation_speed_Omega(omega: float, p: float, q: int, kappa: float,
-                         sigma: float) -> float:
-    """Rotation speed of the q-twisted solution, for any q >= 0.
-
-    It is omega + p*sin(2*pi*q*kappa)*sin(sigma)/(pi*q), and at q = 0, the
-    synchronized state, its limit omega + 2*p*kappa*sin(sigma).  These are
-    continuum-limit speeds: on a band of n nodes the window holds 2m + 1
-    nodes with m = floor(n*kappa) rather than 2*n*kappa, so at q = 0 a run
-    rotates at this speed plus p*sin(sigma)*(2m + 1 - 2*n*kappa)/n.
-    """
-    return omega + _rotation_term(p, q, kappa, sigma)
-
-
-def natural_frequency_for_zero_rotation(p: float, q: int, kappa: float,
-                                        sigma: float) -> float:
-    """Natural frequency that makes the q-twisted solution stationary."""
-    return -_rotation_term(p, q, kappa, sigma)
 
 
 @dataclass(frozen=True)

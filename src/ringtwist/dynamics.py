@@ -31,7 +31,6 @@ from scipy.integrate import DOP853
 
 from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
-from .bifurcation import natural_frequency_for_zero_rotation, rotation_speed_Omega
 from .graphs import CouplingMatrix, GraphSpec, build_coupling
 
 __all__ = [
@@ -56,8 +55,9 @@ class IntegrationError(RuntimeError):
 class SimulationConfig:
     """Full description of one simulation run.
 
-    omega=None resolves to the natural frequency that makes the q-twisted
-    solution stationary (zero rotation speed), so deviations from the
+    omega=None resolves to minus the speed at which the coupling turns the
+    q-twisted state on the graph's realized window (see _coupling_speed),
+    so on the band that state is stationary and deviations from the
     twisted profile are directly readable from raw phases.  ic_seed feeds
     the initial-condition noise only; the graph has its own seed, and both
     are None or an integer in [0, 2**64).  A nonzero ic_mode1_amplitude
@@ -95,12 +95,10 @@ class SimulationConfig:
             raise ValueError("noisy initial conditions require ic_seed")
 
     def resolved_omega(self) -> float:
-        """The natural frequency actually used (auto zero-rotation if None)."""
+        """The natural frequency actually used: omega, or -_coupling_speed if None."""
         if self.omega is not None:
             return self.omega
-        return natural_frequency_for_zero_rotation(
-            self.graph.p, self.q, self.graph.kappa, self.sigma
-        )
+        return -_coupling_speed(self.graph, self.q, self.sigma)
 
     def to_dict(self) -> dict:
         """Every field as plain JSON-ready data, the graph as a nested dict."""
@@ -118,9 +116,12 @@ class Trajectory:
     """Sampled solution of one run.
 
     phases has shape (len(times), n) and holds raw (unwrapped, lab-frame)
-    phases as produced by the integrator.  nfev and steps are the solver
-    record of the run (right-hand-side evaluations and accepted steps),
-    None for a trajectory not made by run_experiment.
+    phases as produced by the integrator.  rotation_speed is omega plus
+    the speed at which the coupling turns the q-twisted state on the
+    realized window (see _coupling_speed), 0 for an omega=None run.  nfev
+    and steps are the solver record of the run (right-hand-side
+    evaluations and accepted steps), None for a trajectory not made by
+    run_experiment.
     """
 
     times: np.ndarray
@@ -151,6 +152,22 @@ class Trajectory:
         """
         n = self.n
         return np.arange(min(floor(n / 20), n - 1), n, max(1, floor(n / 10)))
+
+
+def _coupling_speed(graph: GraphSpec, q: int, sigma: float) -> float:
+    """The speed at which the coupling turns the q-twisted state, for any q >= 0.
+
+    On u_k = 2*pi*q*k/n every node's coupling sum is
+    (p/n) * sum_{|d| <= m} sin(2*pi*q*d/n + sigma) over the realized window,
+    m = graph.halfwidth; the sine terms cancel in pairs, leaving
+    (p/n) * sin(sigma) * sum_{|d| <= m} cos(2*pi*q*d/n), which is
+    (p/n) * (2m + 1) * sin(sigma) at q = 0.  It is exact on the band and the
+    expected speed of a random graph, whose scale times edge probability is
+    p/n too.
+    """
+    d = np.arange(-graph.halfwidth, graph.halfwidth + 1)
+    window = float(np.cos(2 * np.pi * q * d / graph.n).sum())
+    return graph.p / graph.n * sin(sigma) * window
 
 
 def twisted_profile(n: int, q: int) -> np.ndarray:
@@ -361,21 +378,23 @@ def run_experiment(config: SimulationConfig,
     """Build the graph, set up the initial condition, integrate, package.
 
     A prebuilt coupling may be passed to reuse one random graph across
-    several runs; it must match config.graph in size.  The Trajectory
-    keeps the solver record (nfev, steps).  Samples that cannot be
-    allocated are refused before the graph is built.
+    several runs; its n, kind, halfwidth, seed and scale must be those of
+    config.graph, and a mismatch raises ValueError naming the field.  The
+    Trajectory keeps the solver record (nfev, steps).  Samples that cannot
+    be allocated are refused before the graph is built.
     """
+    graph = config.graph
     # np.empty only reserves the array, so the trial costs no memory
-    _sample_array(config.graph.n, config.t_end, config.sample_dt)
+    _sample_array(graph.n, config.t_end, config.sample_dt)
     if coupling is None:
-        coupling = build_coupling(config.graph)
-    elif coupling.n != config.graph.n:
-        raise ValueError(
-            f"coupling size {coupling.n} does not match graph n {config.graph.n}"
-        )
+        coupling = build_coupling(graph)
+    for name in ("n", "kind", "halfwidth", "seed", "scale"):
+        if getattr(coupling, name) != getattr(graph, name):
+            raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
+                             f"match graph {name} {getattr(graph, name)!r}")
     omega = config.resolved_omega()
     y0 = twisted_initial_condition(
-        config.graph.n, config.q, config.perturbation_amplitude, config.ic_seed,
+        graph.n, config.q, config.perturbation_amplitude, config.ic_seed,
         config.ic_mode1_amplitude, config.ic_mode1_phase,
     )
     rhs = make_rhs(coupling, omega, config.sigma)
@@ -383,11 +402,10 @@ def run_experiment(config: SimulationConfig,
         rhs, y0, config.t_end, rel_tol=config.rel_tol, abs_tol=config.abs_tol,
         sample_dt=config.sample_dt,
     )
-    speed = rotation_speed_Omega(omega, config.graph.p, config.q, config.graph.kappa,
-                                 config.sigma)
     times, states = samples
     return Trajectory(times=times, phases=states, config=config, omega=omega,
-                      rotation_speed=speed, nfev=samples.nfev, steps=samples.steps)
+                      rotation_speed=omega + _coupling_speed(graph, config.q, config.sigma),
+                      nfev=samples.nfev, steps=samples.steps)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:

@@ -132,7 +132,7 @@ class CouplingMatrix:
     smaller one, converting with the band complement when needed.
     ``adjacency`` gives A for every random graph: the stored edges, or
     band - H built on first access and cached.  ``scale`` is the dynamics
-    prefactor 1/(n*alpha_n).
+    prefactor 1/(n*alpha_n); it and ``weight`` lie in (0, 1].
     """
 
     n: int
@@ -147,6 +147,8 @@ class CouplingMatrix:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_real("weight", self.weight, 0.0, 1.0, "(]")
+        check_real("scale", self.scale, 0.0, 1.0, "(]")
         banded = self.layout == "banded_uniform"
         given = [csr for csr in (self.edges, self.holes) if csr is not None]
         if len(given) != (0 if banded else 1):
@@ -405,9 +407,10 @@ def read_adjacency_binary(path) -> CouplingMatrix:
     Raises
     ------
     ValueError
-        On a bad magic or version, an unknown kind code, a file whose
-        length differs from the one its header implies (truncated or
-        trailing bytes), or index arrays that do not describe an n x n CSR.
+        On a bad magic or version, an unknown kind code, a weight or scale
+        outside (0, 1], a file whose length differs from the one its header
+        implies (truncated or trailing bytes), or index arrays that do not
+        describe an n x n CSR.
     """
     with open(path, "rb") as fh:
         raw = fh.read()

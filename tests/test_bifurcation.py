@@ -16,11 +16,9 @@ from ringtwist.bifurcation import (
     constants_rows,
     kappa_critical,
     kappa_critical_all,
-    natural_frequency_for_zero_rotation,
     normal_form_constants,
     predict_bifurcation,
     reduced_amplitude_flow,
-    rotation_speed_Omega,
     write_beta_sigma_csv,
     write_constants_csv,
     write_zeta_csv,
@@ -168,22 +166,13 @@ def test_mu_nu_definitions():
     assert c.nu1 == c.nu_j[0]
 
 
-def test_rotation_speed_and_zero_rotation_frequency():
-    q, p, kappa, sigma = 2, 0.6, 0.21, 0.8
-    omega = natural_frequency_for_zero_rotation(p, q, kappa, sigma)
-    assert rotation_speed_Omega(omega, p, q, kappa, sigma) == pytest.approx(
-        0.0, abs=1e-15)
-    assert rotation_speed_Omega(0.0, p, q, kappa, sigma) == pytest.approx(
-        p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q), abs=1e-15)
-    for q in range(1, 9):  # the closed form as written, bit for bit
-        assert rotation_speed_Omega(0.0, p, q, kappa, sigma) == (
-            p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q))
-    # q = 0, the synchronized state, takes the q -> 0 limit 2*p*kappa*sin(sigma)
-    limit = 2 * p * kappa * sin(sigma)
-    assert rotation_speed_Omega(0, p, 0, kappa, sigma) == limit
-    assert natural_frequency_for_zero_rotation(p, 0, kappa, sigma) == -limit
-    with pytest.raises(ValueError):
-        rotation_speed_Omega(0.0, 1.0, -1, 0.2, 0.1)
+def test_omega_is_the_closed_form():
+    # the continuum rotation speed at the threshold, as written, bit for bit
+    p = 0.6
+    for q in range(1, 9):
+        for sigma in (-0.8, 0.0, 0.8):
+            c = normal_form_constants(q, p, sigma)
+            assert c.Omega == p * sin(2 * pi * q * c.kappa_crit) * sin(sigma) / (pi * q)
 
 
 def test_normal_form_constants_validation():

@@ -4,7 +4,8 @@ import csv
 import json
 import sys
 import tracemalloc
-from math import floor, pi, sin, sqrt
+from dataclasses import replace
+from math import pi, sin
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ from ringtwist.graphs import (
 
 def det_graph(n=100, p=1.0, kappa=0.31):
     return GraphSpec(n=n, p=p, kappa=kappa)
+
+
+def window_speed(p, n, m, q, sigma):
+    # the coupling sum (p/n) * sum_{|d| <= m} sin(2*pi*q*d/n + sigma) on the twisted state
+    return p / n * sum(sin(2 * pi * q * d / n + sigma) for d in range(-m, m + 1))
 
 
 def quiet_config(**kwargs):
@@ -103,18 +109,34 @@ class TestSimulationConfig:
         assert quiet_config(sigma=0.0).resolved_omega() == 0.0
 
     def test_resolved_omega_compensates_rotation(self):
+        # minus the coupling sum of the twisted state over the realized
+        # window, m = floor(100*0.168) = 16
         cfg = quiet_config(
             graph=det_graph(kappa=0.168), q=2, sigma=pi / 3)
-        expected = -sin(4 * pi * 0.168) * sin(pi / 3) / (2 * pi)
-        assert cfg.resolved_omega() == pytest.approx(expected, abs=1e-15)
         assert cfg.resolved_omega() == pytest.approx(
-            -0.11819480603849726, abs=1e-12)
+            -window_speed(1.0, 100, 16, 2, pi / 3), abs=1e-15)
+        assert cfg.resolved_omega() == pytest.approx(
+            -0.12086280733346987, abs=1e-12)
 
     def test_resolved_omega_passthrough_and_q0(self):
         assert quiet_config(omega=0.25).resolved_omega() == 0.25
-        # q = 0 compensates the synchronized state's rotation 2*p*kappa*sin(sigma)
-        assert quiet_config(q=0, sigma=0.3).resolved_omega() == -2 * 1.0 * 0.31 * sin(0.3)
+        # q = 0 compensates the synchronized state's rotation (p/n)*(2m + 1)*sin(sigma)
+        assert quiet_config(q=0, sigma=0.3).resolved_omega() == -(1.0 / 100) * sin(0.3) * 63
         assert quiet_config(q=0, sigma=0.0).resolved_omega() == 0.0
+
+    @pytest.mark.parametrize("n", [100, 999, 1000])
+    @pytest.mark.parametrize("kappa", [0.1, 0.25, 0.3, 0.31])
+    def test_window_speed_is_near_the_continuum_speed(self, n, kappa):
+        # the window's 2m + 1 nodes against the continuum's 2*n*kappa, and its
+        # Riemann sum against the integral; equality at q = 0 when n*kappa is whole
+        for p, sigma in ((0.8, 0.7), (1.0, -1.2)):
+            for q in range(9):
+                speed = -quiet_config(graph=det_graph(n=n, p=p, kappa=kappa), q=q,
+                                      sigma=sigma).resolved_omega()
+                continuum = (2 * p * kappa * sin(sigma) if q == 0
+                             else p * sin(2 * pi * q * kappa) * sin(sigma) / (pi * q))
+                bound = p * abs(sin(sigma)) * (1 / n + (2 * pi * q) ** 2 / (12 * n * n))
+                assert abs(speed - continuum) <= bound + 1e-12, (p, sigma, q)
 
 
 class TestInitialConditions:
@@ -471,40 +493,63 @@ class TestRunExperiment:
         assert np.array_equal(built.phases, auto.phases)
 
     def test_coupling_size_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            run_experiment(quiet_config(),
-                           coupling=build_coupling(det_graph(n=60)))
+        # a prebuilt coupling must be the graph the config records
+        dense = GraphSpec(n=100, p=0.5, kappa=0.31, kind="random_dense", seed=4)
+        sparse = GraphSpec(n=100, p=0.5, kappa=0.31, kind="random_sparse", gamma=0.3,
+                           seed=4)
+        for config_graph, coupling_graph, field in [
+            (det_graph(), det_graph(n=60), "n"),
+            (det_graph(), replace(dense, p=1.0), "kind"),
+            (det_graph(kappa=0.3), det_graph(kappa=0.1), "halfwidth"),
+            (dense, replace(dense, seed=5), "seed"),
+            (sparse, replace(sparse, gamma=0.4), "scale"),
+        ]:
+            with pytest.raises(ValueError, match=f"coupling {field} .* graph {field} "):
+                run_experiment(quiet_config(graph=config_graph),
+                               coupling=build_coupling(coupling_graph))
 
     @pytest.mark.parametrize("omega", [None, 0.0, 0.7])
     def test_synchronized_state_turns_at_its_rotation_speed(self, omega):
-        # q = 0 with a phase lag: the uniform state turns at omega plus the
-        # q -> 0 limit 2*p*kappa*sin(sigma), up to the band's finite-n offset
-        # (its window holds 2m + 1 nodes, not 2*n*kappa)
+        # q = 0 with a phase lag: the uniform state turns at omega plus
+        # (p/n)*(2m + 1)*sin(sigma), its window's 2m + 1 nodes
         n, p, kappa, sigma = 1000, 1.0, 0.3, 0.5
         cfg = quiet_config(graph=det_graph(n=n, p=p, kappa=kappa), q=0, sigma=sigma,
                            omega=omega, t_end=4.0)
         traj = run_experiment(cfg)
         rate = (np.mean(traj.phases[-1]) - np.mean(traj.phases[0])) / traj.times[-1]
-        m = floor(n * kappa)
-        offset = p * abs(sin(sigma)) * abs(2 * m + 1 - 2 * n * kappa) / n
-        assert abs(rate - traj.rotation_speed) <= offset + 1e-12
+        assert abs(rate - traj.rotation_speed) <= 1e-12
+        expected = 0.0 if omega is None else omega + p * 601 / n * sin(sigma)
+        assert traj.rotation_speed == pytest.approx(expected, abs=1e-15)
         assert abs(rate - traj.omega) > 0.28  # the coupling does turn it
+
+    @pytest.mark.parametrize("n", [999, 1000])
+    @pytest.mark.parametrize("sigma", [0.5, -1.2])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_omega_null_freezes_the_band(self, q, sigma, n):
+        # omega = None cancels the realized window's speed, so the noise-free
+        # twisted state stands still to round-off
+        cfg = quiet_config(graph=det_graph(n=n, kappa=0.31), q=q, sigma=sigma,
+                           t_end=10.0, sample_dt=10.0)
+        traj = run_experiment(cfg)
+        rate = (np.mean(traj.phases[-1]) - np.mean(traj.phases[0])) / traj.times[-1]
+        assert abs(rate) <= 1e-12
+        assert traj.rotation_speed == 0.0
 
     def test_rotation_speed_matches_observed_drift(self):
         # explicit omega = 0 leaves the coupling-induced rotation visible;
-        # the corotating frame should freeze it up to an O(1/n) drift
+        # the corotating frame freezes it to round-off
         cfg = quiet_config(
             graph=det_graph(n=1000), omega=0.0, sigma=pi / 3, t_end=5.0,
             sample_dt=1.0,
         )
         traj = run_experiment(cfg)
         assert traj.rotation_speed == pytest.approx(
-            sin(2 * pi * 0.31) * sin(pi / 3) / pi, abs=1e-15)
+            window_speed(1.0, 1000, 310, 1, pi / 3), abs=1e-15)
         raw_move = np.max(np.abs(traj.phases[-1] - traj.phases[0]))
         corot = traj.phases - traj.rotation_speed * traj.times[:, None]
         corot_move = np.max(np.abs(corot[-1] - corot[0]))
         assert raw_move > 1.0
-        assert corot_move < 0.02
+        assert corot_move < 1e-10
 
     def test_trajectory_shape_validation(self):
         cfg = quiet_config()

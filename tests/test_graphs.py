@@ -487,6 +487,20 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="halfwidth|out of range"):
             read_adjacency_binary(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", float("nan")), ("weight", -3.0), ("scale", float("inf")), ("scale", 0.0)])
+    @pytest.mark.parametrize("spec", [GraphSpec(n=10, p=0.7, kappa=0.31),
+                                      dense_spec(n=40, seed=2)])
+    def test_bad_weight_or_scale_rejected(self, spec, field, value, tmp_path):
+        path = tmp_path / "adj.bin"
+        write_adjacency_binary(path, build_coupling(spec))
+        data = path.read_bytes()
+        header = list(graphs._HEADER.unpack_from(data))
+        header[7 if field == "weight" else 8] = value
+        path.write_bytes(graphs._HEADER.pack(*header) + data[graphs._HEADER.size:])
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            read_adjacency_binary(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "adj.bin"
         coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
@@ -523,6 +537,11 @@ def test_coupling_matrix_validation():
         CouplingMatrix(n=10, scale=0.1, halfwidth=3, holes=edges)
     with pytest.raises(ValueError, match="halfwidth"):
         CouplingMatrix(n=10, scale=0.1, halfwidth=5)
+    for bad in (float("nan"), 0.0, 1.5, True):
+        with pytest.raises(ValueError, match="weight"):
+            CouplingMatrix(n=10, scale=0.1, halfwidth=3, weight=bad)
+        with pytest.raises(ValueError, match="scale"):
+            CouplingMatrix(n=10, scale=bad, halfwidth=3)
     with pytest.raises(ValueError, match="10 x 10 CSR"):
         CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges.toarray(),
                        kind="random_dense")

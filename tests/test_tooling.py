@@ -6,9 +6,9 @@ name shows up here as a failing self-test or benchmark round.  A source
 check keeps every CSV and JSON writer in the boundary module, another
 keeps the stepping loop of ``integrate_system`` the one integration path,
 a third keeps one pass over the stored samples the only place that aligns
-them, a fourth keeps the dynamics from rebuilding a graph's holes, and a
-fifth keeps ``run_experiment`` the one path from a configuration to a
-trajectory.
+them, a fourth keeps the dynamics from rebuilding a graph's holes, a fifth
+keeps ``run_experiment`` the one path from a configuration to a
+trajectory, and a sixth keeps the run layer free of the continuum theory.
 """
 
 import ast
@@ -144,3 +144,16 @@ def test_dynamics_never_takes_a_band_complement():
             names |= {alias.name for alias in node.names}
     assert {name for name in names if "complement" in name or "band_holes" in name
             or name == "adjacency"} == set()
+
+
+def test_dynamics_imports_nothing_from_bifurcation():
+    # a run takes its rotation speed from the realized window, not from the
+    # continuum closed forms
+    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "bifurcation" in name] == []
