@@ -318,7 +318,10 @@ def cmd_sweep(args) -> RunManifest:
     for i, value in enumerate(values):
         data = json.loads(json.dumps(base))
         _apply_override(data, f"{args.param}={json.dumps(value)}")
-        _parse_config(SimulationConfig.from_dict, data, f"config at {args.param}={value}")
+        config = _parse_config(SimulationConfig.from_dict, data,
+                               f"config at {args.param}={value}")
+        # refuse a grid no run could hold before any run writes a file
+        _sample_array(config.graph.n, config.t_end, config.sample_dt)
         payloads.append({
             "config": data, "value": value,
             "csv_path": os.path.join(args.out, f"trajectory_{i:03d}.csv"),

@@ -379,9 +379,10 @@ def run_experiment(config: SimulationConfig,
 
     A prebuilt coupling may be passed to reuse one random graph across
     several runs; its n, kind, halfwidth, seed and scale must be those of
-    config.graph, and a mismatch raises ValueError naming the field.  The
-    Trajectory keeps the solver record (nfev, steps).  Samples that cannot
-    be allocated are refused before the graph is built.
+    config.graph, and a band's weight must be config.graph.p; a mismatch
+    raises ValueError naming the field.  The Trajectory keeps the solver
+    record (nfev, steps).  Samples that cannot be allocated are refused
+    before the graph is built.
     """
     graph = config.graph
     # np.empty only reserves the array, so the trial costs no memory
@@ -392,6 +393,10 @@ def run_experiment(config: SimulationConfig,
         if getattr(coupling, name) != getattr(graph, name):
             raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
                              f"match graph {name} {getattr(graph, name)!r}")
+    # the random kinds hold weight 1.0 and carry p in their edges
+    if graph.kind == "deterministic_dense" and coupling.weight != graph.p:
+        raise ValueError(f"coupling weight {coupling.weight!r} does not match "
+                         f"graph p {graph.p!r}")
     omega = config.resolved_omega()
     y0 = twisted_initial_condition(
         graph.n, config.q, config.perturbation_amplitude, config.ic_seed,

@@ -7,15 +7,18 @@ The corresponding eigenvalues are
 
     lambda_l = p*chi1(kappa; l, q)*cos(sigma) -+ i*p*chi2(kappa; l, q)*sin(sigma)
 
-with the window overlap integrals chi1/chi2 available in closed form, plus
-an always-present simple zero eigenvalue from the phase-shift symmetry.
+with chi1/chi2 read off the window overlap integrals in closed form (chi1
+is the cos-cos integral minus its own l = 0 entry, chi2 the sin-sin
+integral), plus an always-present simple zero eigenvalue from the
+phase-shift symmetry.
 
 This module provides chi1, chi2, the kappa-derivative of chi1, the scaled
 window function phi and its extremal points zeta_j, the distinguished root
 zeta0 of phi = 1 (which locates the first instability of the q = q mode at
 kappa = zeta0/(2*pi*q)), and eigenvalue enumeration with a stability
-verdict.  The winding-free state q = 0 is the same formula: chi2 vanishes
-and the spectrum is real.
+verdict.  Every root is found by scipy's brentq on a sign-changing bracket.
+The winding-free state q = 0 is the same formula: chi2 vanishes and the
+spectrum is real.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from math import cos, pi, sin
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ._boundary import check_int, check_real, write_csv
 
@@ -50,8 +54,6 @@ MARGINAL_TOLERANCE = 1e-10
 #: -p*cos(sigma)*sin(2*pi*q*kappa)/(pi*q) (the oscillatory terms decay like
 #: 1/l), so 64 modes are ample for q <= 8; overridable per call.
 DEFAULT_ELL_MAX = 64
-
-_BISECT_TOL = 1e-12
 
 
 class BracketError(RuntimeError):
@@ -80,8 +82,9 @@ def _window_integrals(kappa, ell, q):
 
     Returns (cc, ss): the integrals over y in [-kappa, kappa] of
     cos(2*pi*q*y)*cos(2*pi*l*y) and sin(2*pi*q*y)*sin(2*pi*l*y).  chi1 is
-    cc minus its l = 0 value 2*_half_window(kappa, q), chi2 is ss, and the
-    normal-form coefficients a1, a2 are -ss and -cc.
+    cc minus its own l = 0 entry, chi2 is ss, and the normal-form
+    coefficients a1, a2 are -ss and -cc.  This is the only caller of
+    _half_window.
     """
     minus = _half_window(kappa, np.subtract(ell, q))
     plus = _half_window(kappa, np.add(ell, q))
@@ -109,15 +112,16 @@ def chi1(kappa, ell, q: int):
     """
     _validate_mode(kappa, ell, q)
     return _scalar_or_array(
-        _window_integrals(kappa, ell, q)[0] - 2.0 * _half_window(kappa, q))
+        _window_integrals(kappa, ell, q)[0] - _window_integrals(kappa, 0, q)[0])
 
 
 def _chi1_root_callback(ell: int, q: int) -> Callable[[float], float]:
     """chi1(.; ell, q) on one float kappa, for root-finding.
 
     Bit-identical to chi1, without its argument checks and array handling:
-    the tail sin(2*pi*q*kappa)/(pi*q) equals chi1's 2*_half_window(kappa, q)
-    exactly, because doubling is exact.  The caller checks ell, q and the
+    the tail sin(2*pi*q*kappa)/(pi*q) equals the l = 0 entry of cc exactly,
+    because that entry is the half-window term at -q plus the one at q, the
+    sine is odd, and doubling is exact.  The caller checks ell, q and the
     bracket once per root-find.
     """
     def half_window(kappa: float, d: int):
@@ -157,41 +161,21 @@ def phi(zeta):
     return _scalar_or_array(np.sinc(z / np.pi) * (2.0 - np.cos(z)))
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bracketed bisection to absolute tolerance 1e-12, plus one secant polish.
+def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The root of f in [lo, hi] by Brent's method (scipy's brentq).
+
+    The tolerance is brentq's tightest: 2e-16 absolute plus 4 machine
+    epsilons relative.
 
     Raises
     ------
     BracketError
         If f(lo) and f(hi) do not have opposite signs.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
-        )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    # One secant step sharpens the last bisection digit; keep it bracketed.
-    denom = fhi - flo
-    if denom != 0.0:
-        cand = lo - flo * (hi - lo) / denom
-        if lo <= cand <= hi:
-            return cand
-    return 0.5 * (lo + hi)
+    try:
+        return brentq(f, lo, hi, xtol=2e-16, rtol=4 * np.finfo(float).eps)
+    except ValueError as exc:
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: {exc}") from None
 
 
 def _extremum_equation(z: float) -> float:
@@ -219,7 +203,7 @@ def zeta_extremum(j: int) -> float:
         # The equation has a degenerate root at z = 0 (both sides -> 1);
         # start just inside, where the left side is strictly smaller.
         lo = 1e-3
-    return _bisect(_extremum_equation, lo, j * pi)
+    return _root(_extremum_equation, lo, j * pi)
 
 
 def zeta0() -> float:
@@ -230,7 +214,7 @@ def zeta0() -> float:
     """
     z1 = zeta_extremum(1)
     z2 = zeta_extremum(2)
-    return _bisect(lambda z: phi(z) - 1.0, z1, z2)
+    return _root(lambda z: phi(z) - 1.0, z1, z2)
 
 
 @dataclass(frozen=True)
@@ -304,9 +288,9 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     """
     check_int("ell_max", ell_max, 1)
     kappa, q = params.kappa, params.q
-    cc, ss = _window_integrals(kappa, np.arange(1, ell_max + 1), q)
-    re = params.p * (cc - 2.0 * _half_window(kappa, q)) * cos(params.sigma)
-    im = params.p * ss * sin(params.sigma)
+    cc, ss = _window_integrals(kappa, np.arange(ell_max + 1), q)
+    re = params.p * (cc[1:] - cc[0]) * cos(params.sigma)
+    im = params.p * ss[1:] * sin(params.sigma)
     # the parts are set separately: re + 1j*im would turn a -0.0 into 0.0
     pairs = np.empty((ell_max, 2), dtype=complex)
     pairs.real = re[:, None]

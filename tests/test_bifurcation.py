@@ -62,10 +62,23 @@ def test_kappa_critical_is_first_of_all_roots(ell, q):
 
 @pytest.mark.parametrize("ell, q", [(1, 1), (1, 2), (2, 2), (3, 1), (5, 8)])
 def test_root_callback_is_bit_identical_to_chi1(ell, q):
-    # the bisection callback skips chi1's checks but not its float operations
+    # the root-finding callback skips chi1's checks but not its float operations
     f = _chi1_root_callback(ell, q)
     for kappa in np.linspace(1e-4, 0.5, 257):
         assert f(float(kappa)) == chi1(float(kappa), ell, q)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+@pytest.mark.parametrize("ell", range(1, 6))
+def test_every_root_is_a_zero_to_round_off(ell, q):
+    # brentq stops within a few ulp of kappa, where chi1 is a few 1e-17
+    f = _chi1_root_callback(ell, q)
+    try:
+        roots = kappa_critical_all(ell, q)
+    except NoRootError:  # ell = 3 and 5 at q = 1
+        roots = []
+    for root in roots:
+        assert abs(f(root)) <= 4e-16
 
 
 def test_no_root_raises():

@@ -288,6 +288,17 @@ class TestSweep:
                      "--out", str(tmp_path / "o")]) == 0
         assert asked == [workers]
 
+    @pytest.mark.parametrize("param, values", [
+        ("sample_dt", "1,1e-310"), ("t_end", "5,1e15")])
+    def test_a_later_unallocatable_grid_refuses_the_whole_sweep(
+            self, tmp_path, sim_config, param, values):
+        # every grid is tried before the first run writes its trajectory
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(sim_config), "--param", param,
+                     "--values", values, "--jobs", "1", "--out", str(out)]) == 2
+        assert list(out.glob("trajectory_*.csv")) == []
+        assert not (out / "sweep.csv").exists()
+
     def test_unknown_parameter(self, tmp_path, sim_config):
         assert main(["sweep", "--config", str(sim_config),
                      "--param", "graph.bogus", "--values", "1",

@@ -507,6 +507,10 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=f"coupling {field} .* graph {field} "):
                 run_experiment(quiet_config(graph=config_graph),
                                coupling=build_coupling(coupling_graph))
+        # a band built at another weight turns the state at the wrong speed
+        with pytest.raises(ValueError, match="coupling weight 0.5 .* graph p 1.0"):
+            run_experiment(quiet_config(graph=det_graph(p=1.0), sigma=0.5),
+                           coupling=build_coupling(det_graph(p=0.5)))
 
     @pytest.mark.parametrize("omega", [None, 0.0, 0.7])
     def test_synchronized_state_turns_at_its_rotation_speed(self, omega):

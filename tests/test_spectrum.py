@@ -214,7 +214,44 @@ def test_chi_validation():
 
 def test_bisect_bracket_error():
     with pytest.raises(BracketError):
-        spectrum._bisect(lambda x: 1.0 + x * x, 0.0, 1.0)
+        spectrum._root(lambda x: 1.0 + x * x, 0.0, 1.0)
+
+
+def _chi1_two_half_windows(kappa, ell, q):
+    # chi1 with the l = 0 entry of the window integral written out as twice
+    # the half-window term at q
+    return (spectrum._window_integrals(kappa, ell, q)[0]
+            - 2.0 * spectrum._half_window(kappa, q))
+
+
+@pytest.mark.parametrize("q", range(9))
+def test_chi1_is_the_window_integral_minus_twice_the_half_window(q):
+    # the l = 0 entry is the half-window term at -q plus the one at q; the sine
+    # is odd and doubling is exact, so the two forms agree bit for bit
+    kappa = np.linspace(1e-4, 0.5, 257)[:, None]
+    ell = np.arange(1, 65)
+    assert np.array_equal(chi1(kappa, ell, q), _chi1_two_half_windows(kappa, ell, q))
+    for k in kappa[::32, 0]:
+        assert chi1(float(k), 7, q) == _chi1_two_half_windows(float(k), 7, q)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, -1.2])
+@pytest.mark.parametrize("q", range(9))
+def test_eigenvalues_read_the_same_chi1(q, sigma):
+    p, ell = 0.7, np.arange(1, 65)
+    for kappa in np.linspace(1e-4, 0.5, 257):
+        report = eigenvalues(ModeParams(q=q, kappa=float(kappa), sigma=sigma, p=p))
+        re = p * _chi1_two_half_windows(float(kappa), ell, q) * np.cos(sigma)
+        im = p * spectrum._window_integrals(float(kappa), ell, q)[1] * np.sin(sigma)
+        assert np.array_equal(report.eigenvalues[:, 0].real, re)
+        assert np.array_equal(report.eigenvalues[:, 1].imag, im)
+
+
+def test_zeta_points_solve_their_equations_to_round_off():
+    # the equations' terms are O(1), so a few ulp is all brentq leaves
+    for j in (1, 2, 3):
+        assert abs(spectrum._extremum_equation(zeta_extremum(j))) <= 2e-15
+    assert abs(phi(zeta0()) - 1.0) <= 2e-15
 
 
 def test_spectrum_csv_round_trip(tmp_path):

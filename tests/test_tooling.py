@@ -8,7 +8,8 @@ keeps the stepping loop of ``integrate_system`` the one integration path,
 a third keeps one pass over the stored samples the only place that aligns
 them, a fourth keeps the dynamics from rebuilding a graph's holes, a fifth
 keeps ``run_experiment`` the one path from a configuration to a
-trajectory, and a sixth keeps the run layer free of the continuum theory.
+trajectory, a sixth keeps the run layer free of the continuum theory, and
+two more keep the closed forms on one window integral and one root finder.
 """
 
 import ast
@@ -157,3 +158,29 @@ def test_dynamics_imports_nothing_from_bifurcation():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if "bifurcation" in name] == []
+
+
+def test_only_window_integrals_names_the_half_window():
+    # chi1 is the window integral minus its own l = 0 entry, so no closed
+    # form adds the half-window term at q on its own
+    uses = []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {node for top in tree.body if isinstance(top, ast.FunctionDef)
+                   and top.name == "_window_integrals" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", getattr(node, "attr", None))])
+            if "_half_window" in names and node not in allowed:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
+
+
+def test_no_hand_rolled_root_iteration():
+    # every root comes from spectrum._root, which is scipy's brentq
+    loops = [f"{name}:{node.lineno}" for name in ("spectrum.py", "bifurcation.py")
+             for node in ast.walk(ast.parse((ROOT / "src" / "ringtwist" / name)
+                                            .read_text()))
+             if isinstance(node, ast.While)]
+    assert loops == []
