@@ -53,7 +53,8 @@ def check_real(name: str, value, lo: float = -inf, hi: float = inf,
         if not bad.any():
             return
         value = value[bad].flat[0].item()
-    elif (isinstance(value, Real) and not isinstance(value, bool)
+    elif ((type(value) is float
+           or (isinstance(value, Real) and not isinstance(value, bool)))
           and abs(value) <= float_info.max and inside(value)):
         return  # nan fails both tests, and so does an int beyond the float range
     interval = "" if (lo, hi) == (-inf, inf) else f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"

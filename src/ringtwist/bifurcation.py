@@ -12,14 +12,18 @@ combination of window overlap coefficients (beta0 at zero phase-lag); at
 nonzero phase-lag the mode additionally precesses at nu1.  This module
 computes every constant of that reduction in closed form, reads the side,
 stability and amplitude of the branch from the radial equation (see
-predict_bifurcation), and solves the reduced radial flow exactly.
+predict_bifurcation), and solves the reduced radial flow exactly.  The
+threshold and the coefficients there depend on q alone; they are computed
+once per q per process, and p and sigma only scale or combine them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import cos, inf, nan, pi, sin, sqrt
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -195,12 +199,16 @@ def _check_args(q: int, p: float, sigma) -> None:
     check_real("sigma", sigma, -pi / 2, pi / 2, "()")
 
 
-def _threshold(q: int) -> tuple[dict, np.ndarray, np.ndarray]:
+@cache
+def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
     """The values at the threshold of winding number q that need no p or sigma.
 
     Returns the NormalFormConstants fields among them, and
     chi1(kappa_crit; j, q) and chi2(kappa_crit; j, q) for j = 1..3, all from
-    one evaluation of the window integrals at j = 0..3.
+    one evaluation of the window integrals at j = 0..3.  They are computed
+    once per q per process (callers pass int(q) after _check_args, so at
+    most 8 are held) and returned read-only: a mapping proxy and two
+    non-writeable arrays shared by every caller.
     """
     kc = kappa_critical(1, q)
     cc, ss = _window_integrals(kc, np.arange(4), q)
@@ -222,10 +230,12 @@ def _threshold(q: int) -> tuple[dict, np.ndarray, np.ndarray]:
         rho2=0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2],
         beta0=beta1 + delta1 * rho1 / float(chi1_j[1]),
     )
-    return values, chi1_j, ss[1:]
+    chi2_j = ss[1:]
+    chi1_j.flags.writeable = chi2_j.flags.writeable = False
+    return MappingProxyType(values), chi1_j, chi2_j
 
 
-def _lagged(t: dict, chi1_j: np.ndarray, chi2_j: np.ndarray, p: float, sigma):
+def _lagged(t: Mapping, chi1_j: np.ndarray, chi2_j: np.ndarray, p: float, sigma):
     """beta_sigma at phase-lag(s) sigma.
 
     Its mode-2 term divides by mu2^2 + gyro^2 with
@@ -267,7 +277,7 @@ def normal_form_constants(q: int, p: float = 1.0,
         mode-2 elimination divides by it).
     """
     _check_args(q, p, sigma)
-    t, chi1_j, chi2_j = _threshold(q)
+    t, chi1_j, chi2_j = _threshold(int(q))
     beta_sigma = float(_lagged(t, chi1_j, chi2_j, p, sigma))
     nu_j = p * chi2_j * sin(sigma)
     return NormalFormConstants(
@@ -288,7 +298,7 @@ def beta_sigma_curve(q: int, p: float,
     """
     sigma = np.asarray(sigma_grid, dtype=float)
     _check_args(q, p, sigma)
-    t, chi1_j, chi2_j = _threshold(q)
+    t, chi1_j, chi2_j = _threshold(int(q))
     return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma).tolist()))
 
 
@@ -450,7 +460,7 @@ def constants_rows(q_list: Sequence[int], p: float = 1.0,
     rows = []
     for q in q_list:
         _check_args(q, p, sigma)
-        t, chi1_j, chi2_j = _threshold(q)
+        t, chi1_j, chi2_j = _threshold(int(q))
         values = dict(
             t, q=int(q), mu2_over_p=float(chi1_j[1]),
             nu1_over_p_sin_sigma=float(chi2_j[0]),

@@ -45,7 +45,9 @@ def wrap_angle(x):
 def resultant(angles):
     """Mean resultant vector (1/n) sum_k exp(i angle_k) along the last axis.
 
-    A complex number for 1-D input, one per row for 2-D input.
+    A complex number for 1-D input, one per row for 2-D input, formed as
+    mean(cos) + i*mean(sin).
     """
-    z = np.mean(np.exp(1j * np.asarray(angles, dtype=float)), axis=-1)
+    a = np.asarray(angles, dtype=float)
+    z = np.mean(np.cos(a), axis=-1) + 1j * np.mean(np.sin(a), axis=-1)
     return complex(z) if z.ndim == 0 else z

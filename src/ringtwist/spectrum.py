@@ -72,9 +72,9 @@ def _scalar_or_array(values):
 
 def _half_window(kappa, d):
     # sin(2*pi*d*kappa)/(2*pi*d); its d -> 0 limit is kappa
-    d = np.asarray(d)
-    safe = np.where(d == 0, 1, d)
-    return np.where(d == 0, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
+    zero = d == 0
+    safe = np.where(zero, 1, d)
+    return np.where(zero, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
 
 
 def _window_integrals(kappa, ell, q):
@@ -294,8 +294,9 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     # the parts are set separately: re + 1j*im would turn a -0.0 into 0.0
     pairs = np.empty((ell_max, 2), dtype=complex)
     pairs.real = re[:, None]
-    pairs.imag = np.stack([-im, im], axis=1)
-    crit = int(np.argmax(re))  # the first maximum wins
+    pairs.imag[:, 0] = -im
+    pairs.imag[:, 1] = im
+    crit = int(re.argmax())  # the first maximum wins
     max_real = float(re[crit])
     if abs(max_real) <= MARGINAL_TOLERANCE:
         verdict = "marginal"

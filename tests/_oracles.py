@@ -16,13 +16,17 @@ package's exact band fraction, which checks only the package's choice of
 the offsets that can contribute.  The per-row modulation summaries are a
 second: they align each stored row on its own with the package's `_align`
 and project it one scalar at a time, so they check that the package's one
-pass over the samples gives the same numbers bit for bit.
+pass over the samples gives the same numbers bit for bit.  The input rule
+for a finite real is kept as first written, through the numbers.Real ABC
+alone, so a faster rule can be checked to accept and refuse the same values.
 """
 
 from __future__ import annotations
 
 import struct
-from math import cos, pi, sin, sqrt
+from math import cos, inf, pi, sin, sqrt
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 from scipy import sparse
@@ -331,3 +335,22 @@ def sweep_row_per_row(trajectory, value, threshold: float) -> dict:
         "escaped": int(escaped),
         "escape_time": float(trajectory.times[escape_idx[0]]) if escaped else None,
     }
+
+
+def check_real_abc(name: str, value, lo: float = -inf, hi: float = inf,
+                   ends: str = "[]") -> None:
+    """The finite-real interval rule with every scalar through the Real ABC."""
+    def inside(v):
+        return ((lo < v) if ends[0] == "(" else (lo <= v)) & (
+            (v < hi) if ends[1] == ")" else (v <= hi))
+
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        bad = ~(np.isfinite(value) & inside(value))
+        if not bad.any():
+            return
+        value = value[bad].flat[0].item()
+    elif (isinstance(value, Real) and not isinstance(value, bool)
+          and abs(value) <= float_info.max and inside(value)):
+        return
+    interval = "" if (lo, hi) == (-inf, inf) else f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    raise ValueError(f"{name} must be a finite real number{interval}, got {value!r}")

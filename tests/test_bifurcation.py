@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from _oracles import a_coeffs_quad
+from ringtwist import bifurcation
 from ringtwist.bifurcation import (
     NoRootError,
     a_coeffs,
@@ -428,3 +429,50 @@ def test_constants_are_frozen():
     with pytest.raises(AttributeError):
         c.beta0 = 0.0
     assert replace(c) == c
+
+
+@pytest.fixture
+def empty_threshold_cache():
+    bifurcation._threshold.cache_clear()
+    yield
+    bifurcation._threshold.cache_clear()
+
+
+def test_each_threshold_is_found_once_per_process(monkeypatch, empty_threshold_cache):
+    calls = []
+    find = bifurcation.kappa_critical
+
+    def counted(ell, q):
+        calls.append(q)
+        return find(ell, q)
+
+    monkeypatch.setattr(bifurcation, "kappa_critical", counted)
+    for q in range(1, 9):
+        for sigma in (0.0, 0.5, -0.5, 1.2, -1.2):
+            for p in (0.7, 1.0):
+                normal_form_constants(q, p, sigma)
+        constants_rows([q], 0.7, 0.5)
+        beta_sigma_curve(q, 0.7, [0.0, 0.5])
+    normal_form_constants(np.int64(3))
+    normal_form_constants(np.array(3))
+    assert sorted(calls) == list(range(1, 9))
+    assert bifurcation._threshold.cache_info().currsize == 8
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_cached_threshold_is_the_uncached_one_and_read_only(q, empty_threshold_cache):
+    t, chi1_j, chi2_j = bifurcation._threshold(q)
+    fresh, fresh_chi1, fresh_chi2 = bifurcation._threshold.__wrapped__(q)
+    assert dict(t) == fresh
+    assert all(type(t[k]) is type(fresh[k]) for k in fresh)
+    assert chi1_j.tobytes() == fresh_chi1.tobytes()
+    assert chi2_j.tobytes() == fresh_chi2.tobytes()
+    before = normal_form_constants(q, 0.7, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        chi1_j[1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        chi2_j[0] = 1.0
+    with pytest.raises(TypeError):
+        t["beta1"] = 1.0
+    assert normal_form_constants(q, 0.7, 0.5) == before
+    assert bifurcation._threshold(q)[0]["beta1"] == fresh["beta1"]

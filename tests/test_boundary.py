@@ -2,13 +2,15 @@
 
 import csv
 import json
-from math import ceil, floor, inf, nan, pi
+from fractions import Fraction
+from math import ceil, floor, inf, isfinite, nan, pi
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from _oracles import check_real_abc
 from ringtwist._boundary import check_int, check_real, write_csv, write_json
 from ringtwist.dynamics import SimulationConfig
 from ringtwist.graphs import GraphSpec
@@ -104,6 +106,52 @@ def test_check_real_names_the_first_bad_array_element():
 def test_check_real_refuses_what_no_float_holds(value):
     with pytest.raises(ValueError, match="x must be a finite real number"):
         check_real("x", value)
+
+
+def _refusal(check, value, lo, hi, ends):
+    # a float32 scalar meets the float range by a cast of float_info.max that
+    # overflows to inf; both rules warn on it, and the warning is not compared
+    try:
+        with np.errstate(over="ignore"):
+            check("x", value, lo, hi, ends)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+BRACKETS = [(lo, hi, ends) for lo, hi in [(0.0, 0.5), (-pi / 2, pi / 2), (0.0, 1.0),
+                                          (0.0, inf), (-inf, inf)]
+            for ends in ("[]", "(]", "[)", "()")]
+
+
+def _edge_values(lo, hi):
+    # each finite end, and one step inside and outside it, in every scalar
+    # and array form a caller may pass
+    steps = [x for end in (lo, hi) if isfinite(end)
+             for x in (np.nextafter(end, -inf), end, np.nextafter(end, inf))]
+    return [form(float(x)) for x in steps + [0.25]
+            for form in (float, np.float64, np.float32, Fraction, np.array,
+                         lambda v: np.array([0.25, v]))]
+
+
+@pytest.mark.parametrize("lo, hi, ends", BRACKETS)
+def test_check_real_keeps_the_abc_rule_at_every_edge(lo, hi, ends):
+    values = _edge_values(lo, hi) + [
+        True, False, np.bool_(False), nan, inf, -inf, 10**400, -10**400, 0, 1,
+        np.int64(1), Fraction(1, 3), 1 + 0j, "0.25", None, [0.25],
+        np.array(nan), np.array([0.25, inf]), np.array([1, 2]), np.array([True])]
+    for value in values:
+        assert (_refusal(check_real, value, lo, hi, ends)
+                == _refusal(check_real_abc, value, lo, hi, ends)), value
+
+
+@pytest.mark.parametrize("lo, hi, ends", BRACKETS)
+@given(value=st.one_of(st.floats(), st.integers(), st.fractions(),
+                       st.floats(width=32).map(np.float32),
+                       st.floats().map(np.float64)))
+def test_check_real_keeps_the_abc_rule(lo, hi, ends, value):
+    assert (_refusal(check_real, value, lo, hi, ends)
+            == _refusal(check_real_abc, value, lo, hi, ends))
 
 
 @pytest.mark.parametrize("value", [True, 1.0, "1", [1], None, np.array([1.0])])

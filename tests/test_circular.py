@@ -126,3 +126,13 @@ def test_resultant_per_row_matches_one_dimensional():
     assert z.shape == (3,)
     assert [complex(v) for v in z] == [resultant(row) for row in rows]
     assert isinstance(resultant(rows[0]), complex)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 64, 1000, 10_000])
+def test_resultant_is_the_mean_of_the_unit_phasors(n):
+    # mean(cos) + i*mean(sin) is mean(exp(i*a)) up to round-off
+    rows = np.random.default_rng(n).uniform(-np.pi, np.pi, (4, n))
+    phasors = np.mean(np.exp(1j * rows), axis=-1)
+    assert np.max(np.abs(resultant(rows) - phasors)) <= 1e-15
+    for row, z in zip(rows, phasors):
+        assert abs(resultant(row) - z) <= 1e-15

@@ -1,6 +1,7 @@
 """Closed-form spectra against quadrature oracles and frozen roots."""
 
 import csv
+from math import cos, pi, sin
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from _oracles import (
     eigenvalue_quad,
 )
 from ringtwist import spectrum
+from ringtwist.bifurcation import a_coeffs
 from ringtwist.spectrum import (
     BracketError,
     ModeParams,
@@ -245,6 +247,60 @@ def test_eigenvalues_read_the_same_chi1(q, sigma):
         im = p * spectrum._window_integrals(float(kappa), ell, q)[1] * np.sin(sigma)
         assert np.array_equal(report.eigenvalues[:, 0].real, re)
         assert np.array_equal(report.eigenvalues[:, 1].imag, im)
+
+
+def _half_window_as_first_written(kappa, d):
+    # an asarray and a fresh d == 0 mask for each np.where
+    d = np.asarray(d)
+    safe = np.where(d == 0, 1, d)
+    return np.where(d == 0, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
+
+
+def _window_integrals_as_first_written(kappa, ell, q):
+    minus = _half_window_as_first_written(kappa, np.subtract(ell, q))
+    plus = _half_window_as_first_written(kappa, np.add(ell, q))
+    return minus + plus, minus - plus
+
+
+def _pairs_as_first_written(params, ell_max):
+    # the eigenvalue pairs with the imaginary columns stacked by np.stack
+    cc, ss = _window_integrals_as_first_written(params.kappa, np.arange(ell_max + 1),
+                                                params.q)
+    re = params.p * (cc[1:] - cc[0]) * cos(params.sigma)
+    im = params.p * ss[1:] * sin(params.sigma)
+    pairs = np.empty((ell_max, 2), dtype=complex)
+    pairs.real = re[:, None]
+    pairs.imag = np.stack([-im, im], axis=1)
+    return pairs, int(np.argmax(re))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", range(9))
+def test_spectrum_queries_equal_the_first_written_form_bit_for_bit(q):
+    kappa, ell = np.linspace(1e-4, 0.5, 257), np.arange(1, 65)
+    cc, ss = _window_integrals_as_first_written(kappa[:, None], ell, q)
+    cc0 = _window_integrals_as_first_written(kappa[:, None], 0, q)[0]
+    assert _same_bits(chi1(kappa[:, None], ell, q), cc - cc0)
+    assert _same_bits(chi2(kappa[:, None], ell, q), ss)
+    # scalar ell against array kappa is the shape of the threshold scan
+    cc1, _ = _window_integrals_as_first_written(kappa, 1, q)
+    assert _same_bits(chi1(kappa, 1, q), cc1 - cc0[:, 0])
+    for k in kappa.tolist():
+        for sigma in (0.0, 0.5, -1.2):
+            params = ModeParams(q=q, kappa=k, sigma=sigma, p=0.7)
+            report = eigenvalues(params)
+            pairs, crit = _pairs_as_first_written(params, 64)
+            assert _same_bits(report.eigenvalues, pairs)
+            assert report.critical_mode == crit + 1
+            assert report.max_real_part == pairs[crit, 0].real
+        if q >= 1:
+            cc, ss = _window_integrals_as_first_written(k, np.arange(65), q)
+            a1, a2 = a_coeffs(q, np.arange(65), k)
+            assert _same_bits(a1, -ss) and _same_bits(a2, -cc)
 
 
 def test_zeta_points_solve_their_equations_to_round_off():

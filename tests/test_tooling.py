@@ -8,8 +8,9 @@ keeps the stepping loop of ``integrate_system`` the one integration path,
 a third keeps one pass over the stored samples the only place that aligns
 them, a fourth keeps the dynamics from rebuilding a graph's holes, a fifth
 keeps ``run_experiment`` the one path from a configuration to a
-trajectory, a sixth keeps the run layer free of the continuum theory, and
-two more keep the closed forms on one window integral and one root finder.
+trajectory, a sixth keeps the run layer free of the continuum theory,
+two more keep the closed forms on one window integral and one root finder,
+and a last one keeps the threshold cache the package's only memo.
 """
 
 import ast
@@ -184,3 +185,26 @@ def test_no_hand_rolled_root_iteration():
                                             .read_text()))
              if isinstance(node, ast.While)]
     assert loops == []
+
+
+def test_only_the_threshold_values_are_cached():
+    # q alone keys the threshold values, and they come back read-only; a
+    # memo on a float-keyed query or on a mutable result must not appear
+    memo = {"cache", "lru_cache"}
+    decorated, stray = [], []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    inner = {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(dec)}
+                    if inner & memo:
+                        decorated.append(f"{path.stem}.{node.name}")
+                        allowed |= set(ast.walk(dec))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if getattr(node, "id", getattr(node, "attr", None)) in memo
+                  and node not in allowed]
+    assert decorated == ["bifurcation._threshold"]
+    assert stray == []
