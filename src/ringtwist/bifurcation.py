@@ -29,7 +29,6 @@ import numpy as np
 
 from ._boundary import check_int, check_real, write_csv
 from .spectrum import (
-    _chi1_root_callback,
     _root,
     _scalar_or_array,
     _window_integrals,
@@ -68,8 +67,8 @@ class NoRootError(ValueError):
 
 
 def _chi1_roots(ell: int, q: int, count: int | None = None) -> list[float]:
-    # scan once with the checked array chi1, then solve the first `count`
-    # brackets (all of them for None) on the unchecked scalar callback
+    # scan once with the array chi1, then solve the first `count` brackets
+    # (all of them for None) on the scalar chi1
     grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
     vals = chi1(grid, ell, q)
     zero = vals == 0.0
@@ -80,9 +79,9 @@ def _chi1_roots(ell: int, q: int, count: int | None = None) -> list[float]:
             f"chi1(., ell={ell}, q={q}) has constant sign on "
             f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
         )
-    f = _chi1_root_callback(int(ell), int(q))
     return [
-        float(grid[i]) if zero[i] else _root(f, float(grid[i]), float(grid[i + 1]))
+        float(grid[i]) if zero[i]
+        else _root(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
         for i in hits[:count]
     ]
 
@@ -143,10 +142,10 @@ class NormalFormConstants:
         Threshold half-width (smallest zero of chi1(.; 1, q)).
     chi1_dk : float
         d(chi1)/d(kappa) at the threshold (written chibar' below).
-    a1, a2 : tuple of float
-        Overlap coefficients for modes j = 0..3.
     beta1, beta2, delta1, delta2, rho0, rho1, rho2 : float
-        Cubic/quadratic interaction coefficients assembled from a1/a2.
+        Cubic/quadratic interaction coefficients assembled from the overlap
+        coefficients a1, a2 of modes j = 0..3, which are
+        a_coeffs(q, np.arange(4), kappa_crit).
         rho0 = chi1(kappa_crit; 1, q)/2 = 0 up to root-finder tolerance.
     mu_j, nu_j : tuple of float
         Linear damping p*chi1(kappa_crit; j, q)*cos(sigma) and precession
@@ -176,8 +175,6 @@ class NormalFormConstants:
     sigma: float
     kappa_crit: float
     chi1_dk: float
-    a1: tuple[float, float, float, float]
-    a2: tuple[float, float, float, float]
     beta1: float
     beta2: float
     delta1: float
@@ -223,7 +220,7 @@ def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
     delta1 = a1[1] - 0.5 * a1[2]
     rho1 = 0.5 * a1[1] - 0.25 * a1[2]
     values = dict(
-        kappa_crit=kc, chi1_dk=chi1_dkappa(kc, 1, q), a1=tuple(a1), a2=tuple(a2),
+        kappa_crit=kc, chi1_dk=chi1_dkappa(kc, 1, q),
         beta1=beta1, beta2=0.25 * a1[1] - 0.125 * a1[2],
         delta1=delta1, delta2=0.5 * a2[0] - 0.5 * a2[2],
         rho0=0.5 * (a2[0] - a2[1]), rho1=rho1,

@@ -146,7 +146,7 @@ def _parse_config(parse, data: dict, what: str):
 
 def _simulation_config(args) -> SimulationConfig:
     return _parse_config(SimulationConfig.from_dict,
-                         _load_config(args.config, args.set or []), "simulation config")
+                         _load_config(args.config, args.set), "simulation config")
 
 
 def cmd_constants(args) -> RunManifest:
@@ -204,7 +204,7 @@ def cmd_betasigma(args) -> RunManifest:
 
 
 def cmd_graph(args) -> RunManifest:
-    data = _load_config(args.config, args.set or [])
+    data = _load_config(args.config, args.set)
     spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)
     outputs = []
@@ -310,7 +310,7 @@ def cmd_sweep(args) -> RunManifest:
     if args.jobs is not None:
         check_int("--jobs", args.jobs, 1)
     check_real("--escape-threshold", args.escape_threshold, 0.0)
-    base = _load_config(args.config, args.set or [])
+    base = _load_config(args.config, args.set)
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ConfigError("--values produced an empty list")
@@ -357,61 +357,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_const = sub.add_parser("constants", help="normal-form constants tables")
-    p_const.add_argument("--q-list", default="1,2,3,4")
-    p_const.add_argument("--p", type=float, default=1.0)
-    p_const.add_argument("--sigma", type=float, default=0.0)
-    p_const.add_argument("--out", default="out_constants")
-    p_const.set_defaults(func=cmd_constants)
+    def command(name, func, summary, *arguments, config=None):
+        # config names the JSON file a config command reads, with --set
+        # overrides; --out follows the command's own arguments in its help
+        cmd = sub.add_parser(name, help=summary)
+        cmd.set_defaults(func=func)
+        if config is not None:
+            cmd.add_argument("--config", required=True, help=f"{config} JSON file")
+            cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
+        cmd.add_argument("--out", default=f"out_{name}")
 
-    p_spec = sub.add_parser("spectrum", help="twisted-state eigenvalue report")
-    p_spec.add_argument("--q", type=int, required=True)
-    p_spec.add_argument("--kappa", type=float, required=True)
-    p_spec.add_argument("--sigma", type=float, default=0.0)
-    p_spec.add_argument("--p", type=float, default=1.0)
-    p_spec.add_argument("--ell-max", type=int, default=64)
-    p_spec.add_argument("--out", default="out_spectrum")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_beta = sub.add_parser("betasigma", help="frustration dependence of the cubic coefficient")
-    p_beta.add_argument("--q", type=int, required=True)
-    p_beta.add_argument("--p", type=float, default=1.0)
-    p_beta.add_argument("--sigma-grid", default="0:1.5:31",
-                        help="lo:hi:count linspace")
-    p_beta.add_argument("--out", default="out_betasigma")
-    p_beta.set_defaults(func=cmd_betasigma)
-
-    p_graph = sub.add_parser("graph", help="build a coupling matrix from a graph spec")
-    p_graph.add_argument("--config", required=True, help="GraphSpec JSON file")
-    p_graph.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_graph.add_argument("--pixels", action="store_true", help="write pixels.csv")
-    p_graph.add_argument("--binary", action="store_true", help="write adjacency.bin")
-    p_graph.add_argument("--out", default="out_graph")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_sim = sub.add_parser("simulate", help="integrate one configured run")
-    p_sim.add_argument("--config", required=True, help="SimulationConfig JSON file")
-    p_sim.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_sim.add_argument("--out", default="out_simulate")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_est = sub.add_parser("estimate", help="run and summarize the slow modulation")
-    p_est.add_argument("--config", required=True, help="SimulationConfig JSON file")
-    p_est.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_est.add_argument("--t-min", type=float, default=None)
-    p_est.add_argument("--t-max", type=float, default=None)
-    p_est.add_argument("--out", default="out_estimate")
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_sweep = sub.add_parser("sweep", help="run a config over a parameter list")
-    p_sweep.add_argument("--config", required=True, help="SimulationConfig JSON file")
-    p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_sweep.add_argument("--param", required=True, help="dotted key, e.g. graph.kappa")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--jobs", type=int, default=None)
-    p_sweep.add_argument("--escape-threshold", type=float, default=0.5)
-    p_sweep.add_argument("--out", default="out_sweep")
-    p_sweep.set_defaults(func=cmd_sweep)
+    command("constants", cmd_constants, "normal-form constants tables",
+            ("--q-list", dict(default="1,2,3,4")),
+            ("--p", dict(type=float, default=1.0)),
+            ("--sigma", dict(type=float, default=0.0)))
+    command("spectrum", cmd_spectrum, "twisted-state eigenvalue report",
+            ("--q", dict(type=int, required=True)),
+            ("--kappa", dict(type=float, required=True)),
+            ("--sigma", dict(type=float, default=0.0)),
+            ("--p", dict(type=float, default=1.0)),
+            ("--ell-max", dict(type=int, default=64)))
+    command("betasigma", cmd_betasigma, "frustration dependence of the cubic coefficient",
+            ("--q", dict(type=int, required=True)),
+            ("--p", dict(type=float, default=1.0)),
+            ("--sigma-grid", dict(default="0:1.5:31", help="lo:hi:count linspace")))
+    command("graph", cmd_graph, "build a coupling matrix from a graph spec",
+            ("--pixels", dict(action="store_true", help="write pixels.csv")),
+            ("--binary", dict(action="store_true", help="write adjacency.bin")),
+            config="GraphSpec")
+    command("simulate", cmd_simulate, "integrate one configured run",
+            config="SimulationConfig")
+    command("estimate", cmd_estimate, "run and summarize the slow modulation",
+            ("--t-min", dict(type=float, default=None)),
+            ("--t-max", dict(type=float, default=None)),
+            config="SimulationConfig")
+    command("sweep", cmd_sweep, "run a config over a parameter list",
+            ("--param", dict(required=True, help="dotted key, e.g. graph.kappa")),
+            ("--values", dict(required=True, help="comma-separated values")),
+            ("--jobs", dict(type=int, default=None)),
+            ("--escape-threshold", dict(type=float, default=0.5)),
+            config="SimulationConfig")
 
     return parser
 

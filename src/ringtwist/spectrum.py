@@ -16,9 +16,9 @@ This module provides chi1, chi2, the kappa-derivative of chi1, the scaled
 window function phi and its extremal points zeta_j, the distinguished root
 zeta0 of phi = 1 (which locates the first instability of the q = q mode at
 kappa = zeta0/(2*pi*q)), and eigenvalue enumeration with a stability
-verdict.  Every root is found by scipy's brentq on a sign-changing bracket.
-The winding-free state q = 0 is the same formula: chi2 vanishes and the
-spectrum is real.
+verdict.  Every root is found by scipy's brentq on a sign-changing bracket,
+and the zeros of chi1 (see bifurcation) on chi1 itself.  The winding-free
+state q = 0 is the same formula: chi2 vanishes and the spectrum is real.
 """
 
 from __future__ import annotations
@@ -113,25 +113,6 @@ def chi1(kappa, ell, q: int):
     _validate_mode(kappa, ell, q)
     return _scalar_or_array(
         _window_integrals(kappa, ell, q)[0] - _window_integrals(kappa, 0, q)[0])
-
-
-def _chi1_root_callback(ell: int, q: int) -> Callable[[float], float]:
-    """chi1(.; ell, q) on one float kappa, for root-finding.
-
-    Bit-identical to chi1, without its argument checks and array handling:
-    the tail sin(2*pi*q*kappa)/(pi*q) equals the l = 0 entry of cc exactly,
-    because that entry is the half-window term at -q plus the one at q, the
-    sine is odd, and doubling is exact.  The caller checks ell, q and the
-    bracket once per root-find.
-    """
-    def half_window(kappa: float, d: int):
-        return kappa if d == 0 else np.sin(2 * pi * d * kappa) / (2 * pi * d)
-
-    def f(kappa: float) -> float:
-        return float(half_window(kappa, ell - q) + half_window(kappa, ell + q)
-                     - np.sin(2 * pi * q * kappa) / (pi * q))
-
-    return f
 
 
 def chi2(kappa, ell, q: int):

@@ -24,7 +24,7 @@ from ringtwist.bifurcation import (
     write_constants_csv,
     write_zeta_csv,
 )
-from ringtwist.spectrum import _chi1_root_callback, chi1, chi1_dkappa, chi2, zeta0
+from ringtwist.spectrum import chi1, chi1_dkappa, chi2, zeta0
 
 
 @pytest.mark.parametrize("q, expected", [
@@ -61,25 +61,91 @@ def test_kappa_critical_is_first_of_all_roots(ell, q):
     assert kappa_critical(ell, q) == kappa_critical_all(ell, q)[0]
 
 
-@pytest.mark.parametrize("ell, q", [(1, 1), (1, 2), (2, 2), (3, 1), (5, 8)])
-def test_root_callback_is_bit_identical_to_chi1(ell, q):
-    # the root-finding callback skips chi1's checks but not its float operations
-    f = _chi1_root_callback(ell, q)
-    for kappa in np.linspace(1e-4, 0.5, 257):
-        assert f(float(kappa)) == chi1(float(kappa), ell, q)
-
-
 @pytest.mark.parametrize("q", range(1, 9))
 @pytest.mark.parametrize("ell", range(1, 6))
 def test_every_root_is_a_zero_to_round_off(ell, q):
     # brentq stops within a few ulp of kappa, where chi1 is a few 1e-17
-    f = _chi1_root_callback(ell, q)
     try:
         roots = kappa_critical_all(ell, q)
     except NoRootError:  # ell = 3 and 5 at q = 1
         roots = []
     for root in roots:
-        assert abs(f(root)) <= 4e-16
+        assert abs(chi1(root, ell, q)) <= 4e-16
+
+
+# every zero of chi1(.; ell, q) in (0, 1/2) as kappa_critical_all returns it,
+# in float hex; None where chi1 keeps one sign
+ROOTS = {
+    (1, 1): "0x1.5ca1eaf07e5ebp-2",
+    (1, 2): "0x1.5555555555552p-3",
+    (1, 3): "0x1.c58a1b7d3fbdbp-4 0x1.4935edf31e1d1p-2",
+    (1, 4): "0x1.53c0b9ba19f22p-4 0x1.e930f38e848ebp-3 0x1.7b76c29c73260p-2",
+    (1, 5): "0x1.0fa7ab355211ep-4 0x1.85cd0ac9e6bdep-3 0x1.2e30dc22f0a79p-2 "
+            "0x1.976311ccb7572p-2",
+    (1, 6): "0x1.c4a022b68d20ep-5 0x1.44299ac74ce5ep-3 0x1.f68062c7f8d04p-3 "
+            "0x1.52a0a3b8adeedp-2 0x1.a96ad12bbed1cp-2",
+    (1, 7): "0x1.83e57590960f7p-5 0x1.1583d3882a5b1p-3 0x1.ae259c7976df3p-3 "
+            "0x1.21d6da9c3c63ep-2 0x1.6c12e81db6c6bp-2 0x1.b614e51874e81p-2",
+    (1, 8): "0x1.535ed8d43385ep-5 0x1.e545b3bd089b7p-4 0x1.78106582ff224p-3 "
+            "0x1.fac52318e77cbp-3 0x1.3e43615f682e7p-2 0x1.7eed2f9dd0c39p-2 "
+            "0x1.bf7c372b930b4p-2",
+    (2, 1): "0x1.fffffffe8cae8p-2",
+    (2, 2): "0x1.5ca1eaf07e5ecp-3",
+    (2, 3): "0x1.c96ba01caae74p-4 0x1.8da517f8d5463p-2",
+    (2, 4): "0x1.5555555555556p-4 0x1.0000000000000p-2 0x1.aaaaaaaaaaaaap-2 "
+            "0x1.ffffffed68b3ep-2",
+    (2, 5): "0x1.10738e3142a94p-4 0x1.8f5d66cb15b6bp-3 0x1.38514c9a7524bp-2 "
+            "0x1.bbe31c73af55dp-2 0x1.ffffffff97b38p-2",
+    (2, 6): "0x1.c58a1b7d3fbd9p-5 0x1.4935edf31e1d1p-3 0x1.0000000000000p-2 "
+            "0x1.5b65090670f18p-2 0x1.c74ebc9058082p-2",
+    (2, 7): "0x1.84780c3c8ce50p-5 0x1.1888e5b8b2a7dp-3 0x1.b38a4104c7217p-3 "
+            "0x1.263adf7d9c6f5p-2 0x1.73bb8d23a6ac2p-2 0x1.cf70fe786e632p-2",
+    (2, 8): "0x1.53c0b9ba19f31p-5 0x1.e930f38e848eap-4 0x1.7b76c29c73260p-3 "
+            "0x1.0000000000000p-2 0x1.42449eb1c66d1p-2 0x1.85b3c31c5edc5p-2 "
+            "0x1.d587e8c8bcc24p-2 0x1.fffffff120f90p-2",
+    (3, 1): None,
+    (3, 2): "0x1.6e72ceaf79fc8p-3",
+    (3, 3): "0x1.d0d7e3eb53290p-4",
+    (3, 4): "0x1.582ace8af537cp-4",
+    (3, 5): "0x1.11d739fd30faap-4 0x1.ae8131e5456f1p-3",
+    (3, 6): "0x1.c71c71c71c719p-5 0x1.5555555555555p-3 0x1.1c71c71c71c71p-2 "
+            "0x1.55556b54f4094p-2 0x1.8e38e38e38e39p-2",
+    (3, 7): "0x1.8571fe842f6f3p-5 0x1.1ef198289d602p-3 0x1.c31b5a306d9dap-3 "
+            "0x1.abdaf15bc6576p-2",
+    (3, 8): "0x1.5466b6a188fd5p-5 0x1.f0f7c664b75fcp-4 0x1.838d84e68e13bp-3 "
+            "0x1.0a356d14582e1p-2 0x1.b9b895d6d3eadp-2",
+    (4, 1): "0x1.ffffffffe12ebp-2",
+    (4, 2): "0x1.fffffe4ffccf7p-3 0x1.ffffffff77828p-2",
+    (4, 3): "0x1.de118a63d68fep-4 0x1.887b9d670a5c1p-2 0x1.fffffffd54472p-2",
+    (4, 4): "0x1.5ca1eaf07e5ecp-4",
+    (4, 5): "0x1.13ee2268842e8p-4 0x1.bb047765def47p-2 0x1.fffffffd81d60p-2",
+    (4, 6): "0x1.c96ba01caae78p-5 0x1.8da517f8d5464p-3 0x1.000001c525366p-2 "
+            "0x1.392d7403955cfp-2 0x1.c6d28bfc6aa31p-2",
+    (4, 7): "0x1.86dc5ddfec4b9p-5 0x1.2dc683405aaebp-3 0x1.691cbe5fd2a8bp-2 "
+            "0x1.cf24744402768p-2",
+    (4, 8): "0x1.5555555555557p-5 0x1.0000000000000p-3 0x1.aaaaaaaaaaaadp-3 "
+            "0x1.ffffc5b23a530p-3 0x1.2aaaaaaaaaaadp-2 0x1.8000000000000p-2 "
+            "0x1.d555555555552p-2 0x1.ffffffffdb7ecp-2",
+    (5, 1): None,
+    (5, 2): "0x1.1c395bcb306d9p-2",
+    (5, 3): "0x1.f83ac9c1a31e2p-4 0x1.3b7539d1e1abfp-2",
+    (5, 4): "0x1.637d6c57a415bp-4",
+    (5, 5): "0x1.16e7ef26cb7f0p-4",
+    (5, 6): "0x1.cc98c240267bap-5",
+    (5, 7): "0x1.88c53efd6b73ap-5 0x1.1c63ac4c2be43p-2",
+    (5, 8): "0x1.56936eb070381p-5 0x1.1339406a17c47p-3 0x1.443f31e671680p-2",
+}
+
+
+def test_roots_are_pinned_bit_for_bit():
+    # the roots are the same floats, whichever form of chi1 brentq is handed
+    found = {}
+    for ell, q in ROOTS:
+        try:
+            found[ell, q] = [root.hex() for root in kappa_critical_all(ell, q)]
+        except NoRootError:
+            found[ell, q] = None
+    assert found == {key: hexes and hexes.split() for key, hexes in ROOTS.items()}
 
 
 def test_no_root_raises():
@@ -134,6 +200,21 @@ def test_beta0_assembly(q):
     c = normal_form_constants(q)
     expected = c.beta1 + c.delta1 * c.rho1 / chi1(c.kappa_crit, 2, q)
     assert c.beta0 == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_interaction_coefficients_are_read_from_a_coeffs(q):
+    # a_coeffs at the threshold is the one source of the overlaps a1, a2 of
+    # modes 0..3; every coefficient is its combination of them, bit for bit
+    c = normal_form_constants(q)
+    a1, a2 = (a.tolist() for a in a_coeffs(q, np.arange(4), c.kappa_crit))
+    assert c.beta1 == 0.375 * a2[0] - 0.5 * a2[1] + 0.125 * a2[2]
+    assert c.beta2 == 0.25 * a1[1] - 0.125 * a1[2]
+    assert c.delta1 == a1[1] - 0.5 * a1[2]
+    assert c.delta2 == 0.5 * a2[0] - 0.5 * a2[2]
+    assert c.rho0 == 0.5 * (a2[0] - a2[1])
+    assert c.rho1 == 0.5 * a1[1] - 0.25 * a1[2]
+    assert c.rho2 == 0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

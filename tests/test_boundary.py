@@ -2,6 +2,7 @@
 
 import csv
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from math import ceil, floor, inf, isfinite, nan, pi
 
@@ -109,10 +110,11 @@ def test_check_real_refuses_what_no_float_holds(value):
 
 
 def _refusal(check, value, lo, hi, ends):
-    # a float32 scalar meets the float range by a cast of float_info.max that
-    # overflows to inf; both rules warn on it, and the warning is not compared
+    # the oracle meets a float32 scalar with a cast of float_info.max that
+    # overflows to inf and warns; only its warning is silenced, so one from
+    # check_real fails the test
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore") if check is check_real_abc else nullcontext():
             check("x", value, lo, hi, ends)
     except ValueError as exc:
         return str(exc)
@@ -132,6 +134,18 @@ def _edge_values(lo, hi):
     return [form(float(x)) for x in steps + [0.25]
             for form in (float, np.float64, np.float32, Fraction, np.array,
                          lambda v: np.array([0.25, v]))]
+
+
+@pytest.mark.parametrize("make", [np.float16, np.float32])
+def test_narrow_float_scalars_are_checked_without_a_warning(make):
+    # the suite turns warnings into errors; float_info.max cast to these
+    # types overflows to inf, so a check that makes that cast fails here
+    assert ModeParams(q=1, kappa=make(0.2)).kappa == make(0.2)
+    for lo, hi, ends in BRACKETS:
+        check_real("x", make(0.25), lo, hi, ends)
+    for value, lo, hi in [(make(0.75), 0.0, 0.5), (make(nan), -inf, inf)]:
+        with pytest.raises(ValueError, match="x must be a finite real number"):
+            check_real("x", value, lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi, ends", BRACKETS)

@@ -316,6 +316,31 @@ def test_version_flag():
     assert excinfo.value.code == 0
 
 
+# each of the seven commands with the arguments it requires
+REQUIRED = {
+    "constants": [], "spectrum": ["--q", "1", "--kappa", "0.2"],
+    "betasigma": ["--q", "1"], "graph": ["--config", "g.json"],
+    "simulate": ["--config", "r.json"], "estimate": ["--config", "r.json"],
+    "sweep": ["--config", "r.json", "--param", "q", "--values", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_out_defaults_to_the_command_name(command):
+    assert cli.build_parser().parse_args([command, *REQUIRED[command]]).out \
+        == f"out_{command}"
+
+
+@pytest.mark.parametrize("command", ["graph", "simulate", "estimate", "sweep"])
+def test_set_defaults_to_no_overrides(command):
+    parser = cli.build_parser()
+    given = parser.parse_args([command, *REQUIRED[command],
+                               "--set", "q=2", "--set", "a=1"])
+    assert given.set == ["q=2", "a=1"]
+    # the appends went to a copy: the default list stays empty
+    assert parser.parse_args([command, *REQUIRED[command]]).set == []
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--q-list", "9"],
     ["constants", "--p", "2"],

@@ -9,8 +9,11 @@ a third keeps one pass over the stored samples the only place that aligns
 them, a fourth keeps the dynamics from rebuilding a graph's holes, a fifth
 keeps ``run_experiment`` the one path from a configuration to a
 trajectory, a sixth keeps the run layer free of the continuum theory,
-two more keep the closed forms on one window integral and one root finder,
-and a last one keeps the threshold cache the package's only memo.
+two more keep the closed forms on one window integral (no second function
+names the half window) and one root finder, another keeps the threshold
+cache the package's only memo, and a last one keeps the helper in
+``build_parser`` the only place that declares a subcommand and its shared
+options.
 """
 
 import ast
@@ -176,6 +179,13 @@ def test_only_window_integrals_names_the_half_window():
             if "_half_window" in names and node not in allowed:
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == []
+    # nor does a second copy of it under another name: chi1 has one formula
+    defined = [f"{path.stem}.{node.name}"
+               for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "half_window" in node.name]
+    assert defined == ["spectrum._half_window"]
 
 
 def test_no_hand_rolled_root_iteration():
@@ -208,3 +218,23 @@ def test_only_the_threshold_values_are_cached():
                   and node not in allowed]
     assert decorated == ["bifurcation._threshold"]
     assert stray == []
+
+
+def test_only_the_command_helper_declares_a_subcommand():
+    # one helper in build_parser declares every subcommand and adds its
+    # shared --config, --set and --out, so each of them is written once
+    outside, inside = [], []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = set()
+        if path.name == "cli.py":
+            build = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                         and node.name == "build_parser")
+            helper = {node for top in build.body if isinstance(top, ast.FunctionDef)
+                      and top.name == "command" for node in ast.walk(top)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "add_parser"]
+        inside += [node for node in calls if node in helper]
+        outside += [f"{path.name}:{node.lineno}" for node in calls if node not in helper]
+    assert len(inside) == 1
+    assert outside == []
