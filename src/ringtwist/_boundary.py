@@ -43,7 +43,7 @@ def check_real(name: str, value, lo: float = -inf, hi: float = inf,
     ends is "[]", "(]", "[)" or "()"; a round bracket excludes that bound.
     bool, str, list and None are refused.  An ndarray is checked element by
     element, and the first value outside the interval is named.  A float16 or
-    float32 scalar is bounded by inf, the value float_info.max rounds to in
+    float32 scalar must lie below inf, the value float_info.max rounds to in
     its type, so that no cast of float_info.max overflows.
     """
     def inside(v):
@@ -57,8 +57,8 @@ def check_real(name: str, value, lo: float = -inf, hi: float = inf,
         value = value[bad].flat[0].item()
     elif ((type(value) is float
            or (isinstance(value, Real) and not isinstance(value, bool)))
-          and abs(value) <= (inf if isinstance(value, (np.float16, np.float32))
-                             else float_info.max) and inside(value)):
+          and (abs(value) < inf if isinstance(value, (np.float16, np.float32))
+               else abs(value) <= float_info.max) and inside(value)):
         return  # nan fails both tests, and so does an int beyond the float range
     interval = "" if (lo, hi) == (-inf, inf) else f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
     raise ValueError(f"{name} must be a finite real number{interval}, got {value!r}")

@@ -202,20 +202,20 @@ def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
 
     Returns the NormalFormConstants fields among them, and
     chi1(kappa_crit; j, q) and chi2(kappa_crit; j, q) for j = 1..3, all from
-    one evaluation of the window integrals at j = 0..3.  They are computed
+    a_coeffs(q, j, kappa_crit) at j = 0..3.  They are computed
     once per q per process (callers pass int(q) after _check_args, so at
     most 8 are held) and returned read-only: a mapping proxy and two
     non-writeable arrays shared by every caller.
     """
     kc = kappa_critical(1, q)
-    cc, ss = _window_integrals(kc, np.arange(4), q)
-    chi1_j = cc[1:] - cc[0]
+    a1, a2 = a_coeffs(q, np.arange(4), kc)
+    chi1_j, chi2_j = a2[0] - a2[1:], -a1[1:]
     if chi1_j[1] == 0.0:
         raise ValueError(
             f"chi1(kappa_crit; 2, q={q}) = 0: the mode-2 elimination is "
             "singular at this threshold"
         )
-    a1, a2 = (-ss).tolist(), (-cc).tolist()
+    a1, a2 = a1.tolist(), a2.tolist()
     beta1 = 0.375 * a2[0] - 0.5 * a2[1] + 0.125 * a2[2]
     delta1 = a1[1] - 0.5 * a1[2]
     rho1 = 0.5 * a1[1] - 0.25 * a1[2]
@@ -227,7 +227,6 @@ def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
         rho2=0.25 * a2[0] - 0.5 * a2[1] + 0.25 * a2[2],
         beta0=beta1 + delta1 * rho1 / float(chi1_j[1]),
     )
-    chi2_j = ss[1:]
     chi1_j.flags.writeable = chi2_j.flags.writeable = False
     return MappingProxyType(values), chi1_j, chi2_j
 

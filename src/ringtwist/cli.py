@@ -2,13 +2,15 @@
 
 Every successful invocation writes exactly one ``manifest.json`` into the
 output directory recording the command, the effective configuration,
-output paths, code version, and wall time.  Each ``cmd_*`` function
-returns its manifest; :func:`main` creates the output directory, times
-the command, writes the manifest and maps errors to exit codes: 0
-success, 2 for configuration problems (bad files, bad values, bad paths,
-sizes that cannot be allocated: any ValueError, OSError or MemoryError),
-3 for numeric failures (integration breakdown, ill-posed fits, missing
-roots).
+output paths, code version, and wall time.  Each ``cmd_*`` function takes
+the parsed arguments and ``out``, which joins a file name onto ``--out``
+and lists it as an output, and returns its configuration echo, seed and
+results.  :func:`main` creates the output directory, times the command,
+writes the manifest under the subcommand's name and maps errors to exit
+codes: 0 success, 2 for configuration problems (bad files, bad values,
+bad paths, sizes that cannot be allocated: any ValueError, OSError or
+MemoryError), 3 for numeric failures (integration breakdown, ill-posed
+fits, missing roots).
 
 Run configurations are JSON files; any entry can be overridden on the
 command line with ``--set dotted.key=value`` (values parsed as JSON,
@@ -149,44 +151,32 @@ def _simulation_config(args) -> SimulationConfig:
                          _load_config(args.config, args.set), "simulation config")
 
 
-def cmd_constants(args) -> RunManifest:
+def cmd_constants(args, out):
     q_list = _parse_int_list(args.q_list)
     rows = constants_rows(q_list, args.p, args.sigma)
-    constants_path = os.path.join(args.out, "constants.csv")
-    zeta_path = os.path.join(args.out, "zeta.csv")
-    write_constants_csv(constants_path, rows)
-    write_zeta_csv(zeta_path)
+    write_constants_csv(out("constants.csv"), rows)
+    write_zeta_csv(out("zeta.csv"))
     for row in rows:
         print(
             f"q={row['q']} kappa_crit={row['kappa_crit']:.6f} "
             f"beta0={row['beta0']:.6f} beta_sigma={row['beta_sigma']:.6f}"
         )
-    return RunManifest(
-        command="constants",
-        config={"q_list": q_list, "p": args.p, "sigma": args.sigma},
-        outputs=[constants_path, zeta_path],
-    )
+    return {"q_list": q_list, "p": args.p, "sigma": args.sigma}, None, {}
 
 
-def cmd_spectrum(args) -> RunManifest:
+def cmd_spectrum(args, out):
     params = ModeParams(q=args.q, kappa=args.kappa, sigma=args.sigma, p=args.p)
     report = eigenvalues(params, ell_max=args.ell_max)
-    spectrum_path = os.path.join(args.out, "spectrum.csv")
-    write_spectrum_csv(spectrum_path, report)
+    write_spectrum_csv(out("spectrum.csv"), report)
     print(f"verdict={report.verdict} max_real_part={report.max_real_part!r} "
           f"critical_mode={report.critical_mode}")
-    return RunManifest(
-        command="spectrum",
-        config={"q": args.q, "kappa": args.kappa, "sigma": args.sigma,
-                "p": args.p, "ell_max": args.ell_max},
-        outputs=[spectrum_path],
-        results={"verdict": report.verdict,
-                 "max_real_part": report.max_real_part,
-                 "critical_mode": report.critical_mode},
-    )
+    return ({"q": args.q, "kappa": args.kappa, "sigma": args.sigma, "p": args.p,
+             "ell_max": args.ell_max}, None,
+            {"verdict": report.verdict, "max_real_part": report.max_real_part,
+             "critical_mode": report.critical_mode})
 
 
-def cmd_betasigma(args) -> RunManifest:
+def cmd_betasigma(args, out):
     try:
         lo, hi, count = args.sigma_grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
@@ -194,65 +184,55 @@ def cmd_betasigma(args) -> RunManifest:
     except ValueError as exc:
         raise ConfigError(f"--sigma-grid must be lo:hi:count with an integer count "
                           f">= 1, got {args.sigma_grid!r}") from exc
-    path = os.path.join(args.out, f"beta_sigma_q{args.q}.csv")
-    write_beta_sigma_csv(path, args.q, args.p, grid)
-    return RunManifest(
-        command="betasigma",
-        config={"q": args.q, "p": args.p, "sigma_grid": args.sigma_grid},
-        outputs=[path],
-    )
+    write_beta_sigma_csv(out(f"beta_sigma_q{args.q}.csv"), args.q, args.p, grid)
+    return {"q": args.q, "p": args.p, "sigma_grid": args.sigma_grid}, None, {}
 
 
-def cmd_graph(args) -> RunManifest:
+def cmd_graph(args, out):
     data = _load_config(args.config, args.set)
     spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)
-    outputs = []
     if args.pixels:
-        pixel_path = os.path.join(args.out, "pixels.csv")
-        write_pixel_csv(pixel_path, coupling)
-        outputs.append(pixel_path)
+        write_pixel_csv(out("pixels.csv"), coupling)
     if args.binary:
-        bin_path = os.path.join(args.out, "adjacency.bin")
-        write_adjacency_binary(bin_path, coupling)
-        outputs.append(bin_path)
+        write_adjacency_binary(out("adjacency.bin"), coupling)
     density = empirical_band_density(coupling)
     step_err = step_graphon_error(spec)
     print(f"halfwidth={coupling.halfwidth} nnz={coupling.nnz} "
           f"density={density:.6f} (target {spec.edge_probability:.6f})")
-    return RunManifest(
-        command="graph", config=data, outputs=outputs, seed=spec.seed,
-        results={"halfwidth": coupling.halfwidth, "nnz": coupling.nnz,
-                 "edge_probability": spec.edge_probability,
-                 "empirical_band_density": density,
-                 "step_graphon_error": step_err,
-                 "stored": coupling.stored, "stored_nnz": coupling.stored_nnz},
-    )
+    return data, spec.seed, {
+        "halfwidth": coupling.halfwidth, "nnz": coupling.nnz,
+        "edge_probability": spec.edge_probability,
+        "empirical_band_density": density, "step_graphon_error": step_err,
+        "stored": coupling.stored, "stored_nnz": coupling.stored_nnz}
 
 
-def cmd_simulate(args) -> RunManifest:
-    config = _simulation_config(args)
-    trajectory = run_experiment(config)
-    csv_path = os.path.join(args.out, "trajectory.csv")
-    json_path = os.path.join(args.out, "run.json")
-    write_trajectory_csv(csv_path, trajectory)
-    results = {"omega": trajectory.omega, "t_final": float(trajectory.times[-1]),
-               "nfev": trajectory.nfev, "steps": trajectory.steps}
+def _final_fit(trajectory, q: int, results: dict):
+    """fit_twisted on the last sample, its residual_max (or why no fit) in results."""
     try:
-        fit = fit_twisted(trajectory.phases[-1], config.q)
-        results["final_residual_max"] = fit.residual_max
-        results["final_residual_l2"] = fit.residual_l2
+        fit = fit_twisted(trajectory.phases[-1], q)
     except NoFitError as exc:
         results["final_fit_error"] = str(exc)
-    write_run_json(json_path, trajectory, extra={"results": results})
+        return None
+    results["final_residual_max"] = fit.residual_max
+    return fit
+
+
+def cmd_simulate(args, out):
+    config = _simulation_config(args)
+    trajectory = run_experiment(config)
+    write_trajectory_csv(out("trajectory.csv"), trajectory)
+    results = {"omega": trajectory.omega, "t_final": float(trajectory.times[-1]),
+               "nfev": trajectory.nfev, "steps": trajectory.steps}
+    fit = _final_fit(trajectory, config.q, results)
+    if fit is not None:
+        results["final_residual_l2"] = fit.residual_l2
+    write_run_json(out("run.json"), trajectory, extra={"results": results})
     print(", ".join(f"{k}={v}" for k, v in results.items()))
-    return RunManifest(
-        command="simulate", config=config.to_dict(),
-        outputs=[csv_path, json_path], seed=config.graph.seed, results=results,
-    )
+    return config.to_dict(), config.graph.seed, results
 
 
-def cmd_estimate(args) -> RunManifest:
+def cmd_estimate(args, out):
     config = _simulation_config(args)
     # the window must overlap [0, t_end] and hold two samples of a run that fits
     # in memory
@@ -264,34 +244,23 @@ def cmd_estimate(args) -> RunManifest:
     _window(grid, args.t_min, args.t_max)
     trajectory = run_experiment(config)
     estimate = estimate_modulation(trajectory, t_min=args.t_min, t_max=args.t_max)
-    mod_path = os.path.join(args.out, "modulation.csv")
-    write_modulation_csv(mod_path, estimate)
-    outputs = [mod_path]
+    write_modulation_csv(out("modulation.csv"), estimate)
     results = {
         "r_final": estimate.r_final, "r_min": estimate.r_min,
         "r_max": estimate.r_max, "psi_rate": estimate.psi_rate,
         "omega_tilde": estimate.omega_tilde,
         "nfev": trajectory.nfev, "steps": trajectory.steps,
     }
-    try:
-        fit = fit_twisted(trajectory.phases[-1], config.q)
-        fit_path = os.path.join(args.out, "fit.json")
-        write_fit_json(fit_path, fit)
-        outputs.append(fit_path)
-        results["final_residual_max"] = fit.residual_max
-    except NoFitError as exc:
-        results["final_fit_error"] = str(exc)
+    fit = _final_fit(trajectory, config.q, results)
+    if fit is not None:
+        write_fit_json(out("fit.json"), fit)
     print(f"r_final={estimate.r_final!r} psi_rate={estimate.psi_rate!r} "
           f"omega_tilde={estimate.omega_tilde!r}")
-    return RunManifest(
-        command="estimate", config=config.to_dict(), outputs=outputs,
-        seed=config.graph.seed, results=results,
-    )
+    return config.to_dict(), config.graph.seed, results
 
 
 def _sweep_worker(payload: dict) -> dict:
-    config = SimulationConfig.from_dict(payload["config"])
-    trajectory = run_experiment(config)
+    trajectory = run_experiment(payload["config"])
     write_trajectory_csv(payload["csv_path"], trajectory)
     _, dev, c, s = _deviation_record(trajectory)
     escape_idx = np.nonzero(dev > payload["threshold"])[0]
@@ -306,7 +275,7 @@ def _sweep_worker(payload: dict) -> dict:
     }
 
 
-def cmd_sweep(args) -> RunManifest:
+def cmd_sweep(args, out):
     if args.jobs is not None:
         check_int("--jobs", args.jobs, 1)
     check_real("--escape-threshold", args.escape_threshold, 0.0)
@@ -314,19 +283,18 @@ def cmd_sweep(args) -> RunManifest:
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ConfigError("--values produced an empty list")
+    summary_path = out("sweep.csv")
     payloads = []
     for i, value in enumerate(values):
-        data = json.loads(json.dumps(base))
-        _apply_override(data, f"{args.param}={json.dumps(value)}")
-        config = _parse_config(SimulationConfig.from_dict, data,
+        override = f"{args.param}={json.dumps(value)}"
+        config = _parse_config(SimulationConfig.from_dict,
+                               _load_config(args.config, args.set + [override]),
                                f"config at {args.param}={value}")
         # refuse a grid no run could hold before any run writes a file
         _sample_array(config.graph.n, config.t_end, config.sample_dt)
-        payloads.append({
-            "config": data, "value": value,
-            "csv_path": os.path.join(args.out, f"trajectory_{i:03d}.csv"),
-            "threshold": args.escape_threshold,
-        })
+        payloads.append({"config": config, "value": value,
+                         "csv_path": out(f"trajectory_{i:03d}.csv"),
+                         "threshold": args.escape_threshold})
     # the executor starts every worker it is asked for, so no more than runs
     jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
     if jobs <= 1:
@@ -334,19 +302,13 @@ def cmd_sweep(args) -> RunManifest:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
-    summary_path = os.path.join(args.out, "sweep.csv")
     write_csv(summary_path, list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(f"{args.param}={row['value']}: max_dev={row['max_deviation']:.4f} "
               f"escaped={bool(row['escaped'])}")
-    return RunManifest(
-        command="sweep",
-        config={"base": base, "param": args.param, "values": values,
-                "escape_threshold": args.escape_threshold},
-        outputs=[summary_path] + [p["csv_path"] for p in payloads],
-        results={"n_runs": len(rows),
-                 "n_escaped": sum(1 for r in rows if r["escaped"])},
-    )
+    return ({"base": base, "param": args.param, "values": values,
+             "escape_threshold": args.escape_threshold}, None,
+            {"n_runs": len(rows), "n_escaped": sum(1 for r in rows if r["escaped"])})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,11 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    outputs = []
+
+    def out(name: str) -> str:
+        outputs.append(os.path.join(args.out, name))
+        return outputs[-1]
+
     try:
         os.makedirs(args.out, exist_ok=True)
-        manifest = args.func(args)
-        manifest.wall_time_s = time.perf_counter() - start
-        manifest.write(args.out)
+        config, seed, results = args.func(args, out)
+        RunManifest(command=args.command, config=config, outputs=outputs, seed=seed,
+                    wall_time_s=time.perf_counter() - start,
+                    results=results).write(args.out)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -350,7 +350,7 @@ def check_real_abc(name: str, value, lo: float = -inf, hi: float = inf,
             return
         value = value[bad].flat[0].item()
     elif (isinstance(value, Real) and not isinstance(value, bool)
-          and abs(value) <= float_info.max and inside(value)):
+          and abs(value) <= float_info.max and abs(value) != inf and inside(value)):
         return
     interval = "" if (lo, hi) == (-inf, inf) else f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
     raise ValueError(f"{name} must be a finite real number{interval}, got {value!r}")

@@ -273,7 +273,7 @@ class TestDeviationRecord:
                              modulation_per_row(traj, t_min=10.0, t_max=30.0))
         assert same_bits(deviation_series(traj), deviation_series_per_row(traj))
         for threshold in (0.3, 0.34, 10.0):  # escapes at once, midway, never
-            row = cli._sweep_worker({"config": band_config.to_dict(), "value": 0.168,
+            row = cli._sweep_worker({"config": band_config, "value": 0.168,
                                      "csv_path": str(tmp_path / "t.csv"),
                                      "threshold": threshold})
             assert repr(row) == repr(sweep_row_per_row(traj, 0.168, threshold))
@@ -287,7 +287,7 @@ class TestDeviationRecord:
         estimate_modulation(traj, t_min=40.0, t_max=60.0)
         assert align_calls == [(128,)] * 41
         align_calls.clear()
-        cli._sweep_worker({"config": band_config.to_dict(), "value": 0.168,
+        cli._sweep_worker({"config": band_config, "value": 0.168,
                            "csv_path": str(tmp_path / "t.csv"), "threshold": 0.5})
         assert align_calls == [(400,)] * 81
 

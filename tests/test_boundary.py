@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import check_real_abc
 from ringtwist._boundary import check_int, check_real, write_csv, write_json
+from ringtwist.bifurcation import reduced_amplitude_flow
 from ringtwist.dynamics import SimulationConfig
 from ringtwist.graphs import GraphSpec
 from ringtwist.spectrum import ModeParams
@@ -146,6 +147,20 @@ def test_narrow_float_scalars_are_checked_without_a_warning(make):
     for value, lo, hi in [(make(0.75), 0.0, 0.5), (make(nan), -inf, inf)]:
         with pytest.raises(ValueError, match="x must be a finite real number"):
             check_real("x", value, lo, hi)
+
+
+@pytest.mark.parametrize("make", [float, np.float16, np.float32, np.float64,
+                                  np.longdouble])
+def test_infinite_scalars_of_every_float_width_are_refused(make):
+    # an infinite float16 or float32 is no more finite than a Python inf
+    for sign in (1, -1):
+        value = make(sign * inf)
+        for lo, hi, ends in BRACKETS:
+            with pytest.raises(ValueError,
+                               match=r"x must be a finite real number.*got .*inf"):
+                check_real("x", value, lo, hi, ends)
+    with pytest.raises(ValueError, match=r"t_span\[1\] must be a finite real number"):
+        reduced_amplitude_flow(1.0, 1.0, 1.0, 0.1, (0.0, make(inf)), num=3)
 
 
 @pytest.mark.parametrize("lo, hi, ends", BRACKETS)

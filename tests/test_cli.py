@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ringtwist import cli, dynamics
+from ringtwist.analysis import NoFitError
 from ringtwist.bifurcation import NoRootError
 from ringtwist.cli import main
 from ringtwist.graphs import read_adjacency_binary
@@ -509,3 +510,56 @@ def test_every_csv_is_lf_terminated_with_round_trip_floats(tmp_path, sim_config,
         assert floats, path.name
         for field in floats:  # the shortest text that reads back as its value
             assert repr(float(field)) == field, (path.name, field)
+
+
+GRAPH, SIM = "<graph config>", "<run config>"
+# each command's arguments, and the files it writes in the order it names them
+WRITTEN = {
+    "constants": (["constants", "--q-list", "1,2"], ["constants.csv", "zeta.csv"]),
+    "spectrum": (["spectrum", "--q", "1", "--kappa", "0.2"], ["spectrum.csv"]),
+    "betasigma": (["betasigma", "--q", "3", "--sigma-grid", "0:1:3"],
+                  ["beta_sigma_q3.csv"]),
+    "graph": (["graph", "--config", GRAPH], []),
+    "graph-pixels": (["graph", "--config", GRAPH, "--pixels"], ["pixels.csv"]),
+    "graph-binary": (["graph", "--config", GRAPH, "--binary"], ["adjacency.bin"]),
+    "graph-binary-pixels": (["graph", "--config", GRAPH, "--binary", "--pixels"],
+                            ["pixels.csv", "adjacency.bin"]),
+    "simulate": (["simulate", "--config", SIM], ["trajectory.csv", "run.json"]),
+    "estimate-window": (["estimate", "--config", SIM, "--t-min", "2", "--t-max", "4"],
+                        ["modulation.csv", "fit.json"]),
+    "sweep": (["sweep", "--config", SIM, "--param", "graph.kappa",
+               "--values", "0.2,0.31", "--jobs", "1"],
+              ["sweep.csv", "trajectory_000.csv", "trajectory_001.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", WRITTEN)
+def test_manifest_names_the_command_and_every_file_written(case, tmp_path,
+                                                           sim_config, graph_config):
+    argv, written = WRITTEN[case]
+    out = tmp_path / "out"
+    paths = {GRAPH: str(graph_config), SIM: str(sim_config)}
+    assert main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"] == [str(out / name) for name in written]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
+
+
+def test_a_failed_final_fit_is_recorded_in_place_of_its_residuals(
+        tmp_path, sim_config, monkeypatch):
+    def no_fit(phases, q):
+        raise NoFitError("no twisted state fits")
+
+    monkeypatch.setattr(cli, "fit_twisted", no_fit)
+    for command, keys in [("simulate", ["omega", "t_final", "nfev", "steps"]),
+                          ("estimate", ["r_final", "r_min", "r_max", "psi_rate",
+                                        "omega_tilde", "nfev", "steps"])]:
+        out = tmp_path / command
+        assert main([command, "--config", str(sim_config), "--out", str(out)]) == 0
+        results = read_manifest(out)["results"]
+        assert list(results) == keys + ["final_fit_error"]
+        assert results["final_fit_error"] == "no twisted state fits"
+        assert not (out / "fit.json").exists()
+    run = json.loads((tmp_path / "simulate" / "run.json").read_text())
+    assert run["results"]["final_fit_error"] == "no twisted state fits"

@@ -11,9 +11,10 @@ keeps ``run_experiment`` the one path from a configuration to a
 trajectory, a sixth keeps the run layer free of the continuum theory,
 two more keep the closed forms on one window integral (no second function
 names the half window) and one root finder, another keeps the threshold
-cache the package's only memo, and a last one keeps the helper in
+cache the package's only memo, one more keeps the helper in
 ``build_parser`` the only place that declares a subcommand and its shared
-options.
+options, and a last one keeps ``cli.main`` the only place that builds a
+``RunManifest`` or reads ``args.out``.
 """
 
 import ast
@@ -237,4 +238,26 @@ def test_only_the_command_helper_declares_a_subcommand():
         inside += [node for node in calls if node in helper]
         outside += [f"{path.name}:{node.lineno}" for node in calls if node not in helper]
     assert len(inside) == 1
+    assert outside == []
+
+
+def test_only_main_builds_a_manifest_or_reads_the_out_directory():
+    # main names the command, lists each file a command asks it to join onto
+    # --out, and writes the one manifest; no command does any of that itself
+    outside, inside = [], []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        main = set()
+        if path.name == "cli.py":
+            main = set(ast.walk(next(node for node in tree.body
+                                     if isinstance(node, ast.FunctionDef)
+                                     and node.name == "main")))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "RunManifest") \
+                    or (isinstance(node, ast.Attribute) and node.attr == "out"
+                        and getattr(node.value, "id", None) == "args"):
+                (inside if node in main else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert len(inside) >= 2  # one manifest, and the directory it goes to
     assert outside == []
