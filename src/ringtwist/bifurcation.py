@@ -119,7 +119,7 @@ def a_coeffs(q: int, j, kappa_crit: float):
     j : int or integer ndarray
         Mode index >= 0.
     kappa_crit : float
-        Evaluation half-width (normally the threshold value).
+        Evaluation half-width in (0, 1/2] (normally the threshold value).
 
     Returns
     -------
@@ -127,6 +127,7 @@ def a_coeffs(q: int, j, kappa_crit: float):
     """
     check_int("q", q, 1)
     check_int("j", j, 0)
+    check_real("kappa_crit", kappa_crit, 0.0, 0.5, "(]")
     cc, ss = _window_integrals(kappa_crit, j, q)
     return _scalar_or_array(-ss), _scalar_or_array(-cc)
 

@@ -4,20 +4,14 @@ The oscillator system is
 
     du_k/dt = omega + scale * sum_j w_kj * sin(u_j - u_k + sigma)
 
-with scale = 1/(n*alpha_n) carried by the coupling matrix.  The coupling
-sums take one of three routes, following what the coupling stores: O(n)
-circular prefix sums (deterministic band), the same sums minus the stored
-missing in-band edges (random graphs realizing more than half of their
-in-band pairs), or a sparse matvec over the stored edges (other random
-graphs).  On both band routes one complex prefix sum over cos u + i sin u
-gives the sums of sin u and cos u together, in a workspace the right-hand
-side allocates once and reuses, with the numbers of two real prefix sums.
-Time stepping is the explicit high-order Runge-Kutta
-DOP853 from scipy, driven one step at a time: each accepted step's dense
-output fills the grid points it covers straight into one preallocated
-(samples, n) array, so a run holds its trajectory once.  A non-finite
-sample or a failed step stops the run at once, and the run records the
-solver's right-hand-side evaluations and accepted steps.
+with scale = 1/(n*alpha_n) and w_kj = weight * A_kj carried by the
+coupling matrix, which forms the sums over A itself (see ringtwist.graphs).
+Time stepping is the explicit high-order Runge-Kutta DOP853 from scipy,
+driven one step at a time: each accepted step's dense output fills the
+grid points it covers straight into one preallocated (samples, n) array,
+so a run holds its trajectory once.  A non-finite sample or a failed step
+stops the run at once, and the run records the solver's right-hand-side
+evaluations and accepted steps.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from scipy.integrate import DOP853
 
 from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
-from .graphs import CouplingMatrix, GraphSpec, build_coupling
+from .graphs import CouplingMatrix, GraphSpec, _check_coupling, build_coupling
 
 __all__ = [
     "IntegrationError",
@@ -83,10 +77,7 @@ class SimulationConfig:
         check_real("sigma", self.sigma)
         if self.omega is not None:
             check_real("omega", self.omega)
-        check_real("t_end", self.t_end, 0.0, inf, "()")
-        check_real("rel_tol", self.rel_tol, 0.0, inf, "()")
-        check_real("abs_tol", self.abs_tol, 0.0, inf, "[)")
-        check_real("sample_dt", self.sample_dt, 0.0, inf, "()")
+        _check_integration(self.t_end, self.rel_tol, self.abs_tol, self.sample_dt)
         check_real("perturbation_amplitude", self.perturbation_amplitude, 0.0, inf, "[)")
         check_seed("ic_seed", self.ic_seed)
         check_real("ic_mode1_amplitude", self.ic_mode1_amplitude)
@@ -154,6 +145,18 @@ class Trajectory:
         return np.arange(min(floor(n / 20), n - 1), n, max(1, floor(n / 10)))
 
 
+def _check_integration(t_end, rel_tol, abs_tol, sample_dt) -> None:
+    """Raise ValueError unless DOP853 can integrate to t_end as asked.
+
+    rel_tol must be at least 100 machine epsilons (2.22e-14), the floor
+    DOP853 would otherwise raise it to with only a warning.
+    """
+    check_real("t_end", t_end, 0.0, inf, "()")
+    check_real("rel_tol", rel_tol, 100 * np.finfo(float).eps, inf, "[)")
+    check_real("abs_tol", abs_tol, 0.0, inf, "[)")
+    check_real("sample_dt", sample_dt, 0.0, inf, "()")
+
+
 def _coupling_speed(graph: GraphSpec, q: int, sigma: float) -> float:
     """The speed at which the coupling turns the q-twisted state, for any q >= 0.
 
@@ -175,81 +178,22 @@ def twisted_profile(n: int, q: int) -> np.ndarray:
     return 2.0 * np.pi * q * np.arange(1, n + 1) / n
 
 
-def twisted_initial_condition(n: int, q: int, perturbation_amplitude: float = 0.0,
-                              seed: int | None = None, mode1_amplitude: float = 0.0,
-                              mode1_phase: float = 0.0) -> np.ndarray:
-    """Twisted profile plus a first-harmonic bump, then seeded uniform noise.
+def twisted_initial_condition(config: SimulationConfig) -> np.ndarray:
+    """The config's q-twisted profile plus a first-harmonic bump, then seeded noise.
 
-    The bump is mode1_amplitude * sin(2*pi*k/n + mode1_phase), the shape
-    of the slow modulation that grows or decays near the fold of the
+    The bump is ic_mode1_amplitude * sin(2*pi*k/n + ic_mode1_phase), the
+    shape of the slow modulation that grows or decays near the fold of the
     twisted family, so runs can start at a chosen modulation amplitude
     instead of waiting for noise to organize.  The noise is uniform on
-    [-a, a] with a = perturbation_amplitude.
+    [-a, a] with a = perturbation_amplitude, drawn from ic_seed.
     """
-    u0 = twisted_profile(n, q) + mode1_amplitude * np.sin(
-        twisted_profile(n, 1) + mode1_phase
+    n, a = config.graph.n, config.perturbation_amplitude
+    u0 = twisted_profile(n, config.q) + config.ic_mode1_amplitude * np.sin(
+        twisted_profile(n, 1) + config.ic_mode1_phase
     )
-    if perturbation_amplitude > 0.0:
-        if seed is None:
-            raise ValueError("noisy initial conditions require a seed")
-        rng = np.random.default_rng(seed)
-        u0 = u0 + rng.uniform(-perturbation_amplitude, perturbation_amplitude, n)
+    if a > 0.0:
+        u0 = u0 + np.random.default_rng(config.ic_seed).uniform(-a, a, n)
     return u0
-
-
-def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
-    """A map (s, c) -> circular window sums of s and c over offsets -m..m.
-
-    One complex prefix sum gives both: c + i*s fills the middle of a reused
-    workspace of length n + 2m + 1, the m ghost cells on each side repeat
-    the opposite end of the ring, and an in-place cumsum runs over all but
-    the leading zero.  Complex addition adds real and imaginary parts
-    apart, in order, so each sum is bit for bit a real prefix-sum
-    difference.  At m = 0 the sum is the identity and the map copies.  The
-    returned arrays are the map's own buffers, overwritten by its next call.
-    """
-    ws, wc = np.empty(n), np.empty(n)
-    z = np.zeros(n + 2 * m + 1, dtype=complex)
-    middle, run = z[m + 1:n + m + 1], z[1:]
-
-    def sums(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if m == 0:
-            np.copyto(ws, s)
-            np.copyto(wc, c)
-            return ws, wc
-        middle.real, middle.imag = c, s
-        z[1:m + 1] = z[n + 1:n + m + 1]
-        z[n + m + 1:] = z[m + 1:2 * m + 1]
-        np.cumsum(run, out=run)
-        np.subtract(z.imag[2 * m + 1:], z.imag[:n], out=ws)
-        np.subtract(z.real[2 * m + 1:], z.real[:n], out=wc)
-        return ws, wc
-
-    return sums
-
-
-def _coupling_sums(coupling: CouplingMatrix):
-    """The prefactor and a map (sin u, cos u) -> (W @ sin u, W @ cos u).
-
-    The route follows what the coupling stores.  Banded graphs use O(n)
-    window sums.  A random graph storing its holes H = band - A (more than
-    half of its in-band pairs realized) uses window sums minus H @ x, with
-    the H it holds; one storing its edges A uses the direct CSR matvec.
-    The window-sum routes return buffers that their next call overwrites.
-    """
-    if coupling.stored == "edges":
-        edges = coupling.edges
-        return coupling.scale, lambda s, c: (edges @ s, edges @ c)
-    window = _window_sums(coupling.n, coupling.halfwidth)
-    if coupling.stored == "band":
-        return coupling.scale * coupling.weight, window
-    holes = coupling.holes
-
-    def minus_holes(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ws, wc = window(s, c)
-        return np.subtract(ws, holes @ s, out=ws), np.subtract(wc, holes @ c, out=wc)
-
-    return coupling.scale, minus_holes
 
 
 def make_rhs(coupling: CouplingMatrix, omega: float,
@@ -258,16 +202,14 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
 
     sin(u_j - u_k + sigma) =
     cos(u_k - sigma) * sin(u_j) - sin(u_k - sigma) * cos(u_j) reduces the
-    coupling sum to two linear operations (see _coupling_sums), and the
-    angle-addition formulas give cos(u_k - sigma) and sin(u_k - sigma)
-    from sin u and cos u, so a call evaluates two transcendentals per node.
-    On the band routes one fused complex prefix sum gives both window sums
-    (see _window_sums), in a workspace the closure allocates once; that
-    workspace makes a closure unsafe to share between threads, so build one
-    per thread.  Each call returns a fresh array, since the solver keeps
-    the last one.  A state whose shape is not (n,) raises ValueError.
+    coupling sum to two linear operations (CouplingMatrix.coupling_sums),
+    and the angle-addition formulas give cos(u_k - sigma) and
+    sin(u_k - sigma) from sin u and cos u, so a call evaluates two
+    transcendentals per node.  The sums may reuse a workspace, so build one
+    closure per thread.  Each call returns a fresh array, since the solver
+    keeps the last one.  A state whose shape is not (n,) raises ValueError.
     """
-    prefactor, coupling_sums = _coupling_sums(coupling)
+    prefactor, coupling_sums = coupling.scale * coupling.weight, coupling.coupling_sums()
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
     n = coupling.n
 
@@ -334,11 +276,14 @@ def integrate_system(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     Raises
     ------
+    ValueError
+        For a t_end, rel_tol, abs_tol or sample_dt a SimulationConfig refuses.
     IntegrationError
         At the first failed step, naming the time the solver reached, or
         at the first step whose samples are not all finite, naming the
         first such sample time.
     """
+    _check_integration(t_end, rel_tol, abs_tol, sample_dt)
     y0 = np.asarray(y0, dtype=float)
     t_eval, states = _sample_array(len(y0), t_end, sample_dt)
     # the interpolant fills at most 1/16 of the grid per call, so its temporary
@@ -378,30 +323,23 @@ def run_experiment(config: SimulationConfig,
     """Build the graph, set up the initial condition, integrate, package.
 
     A prebuilt coupling may be passed to reuse one random graph across
-    several runs; its n, kind, halfwidth, seed and scale must be those of
-    config.graph, and a band's weight must be config.graph.p; a mismatch
-    raises ValueError naming the field.  The Trajectory keeps the solver
-    record (nfev, steps).  Samples that cannot be allocated are refused
-    before the graph is built.
+    several runs; it must carry every field config.graph fixes on a
+    coupling (n, kind, halfwidth, seed, scale and weight), and a mismatch
+    raises ValueError naming the field.  A coupling does not record its
+    edge probability, so a random graph drawn at another p passes that
+    check: the run then uses the prebuilt graph but resolves omega for, and
+    records, config.graph.p.  The Trajectory keeps the solver record
+    (nfev, steps).  Samples that cannot be allocated are refused before
+    the graph is built.
     """
     graph = config.graph
     # np.empty only reserves the array, so the trial costs no memory
     _sample_array(graph.n, config.t_end, config.sample_dt)
     if coupling is None:
         coupling = build_coupling(graph)
-    for name in ("n", "kind", "halfwidth", "seed", "scale"):
-        if getattr(coupling, name) != getattr(graph, name):
-            raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
-                             f"match graph {name} {getattr(graph, name)!r}")
-    # the random kinds hold weight 1.0 and carry p in their edges
-    if graph.kind == "deterministic_dense" and coupling.weight != graph.p:
-        raise ValueError(f"coupling weight {coupling.weight!r} does not match "
-                         f"graph p {graph.p!r}")
+    _check_coupling(coupling, graph)
     omega = config.resolved_omega()
-    y0 = twisted_initial_condition(
-        graph.n, config.q, config.perturbation_amplitude, config.ic_seed,
-        config.ic_mode1_amplitude, config.ic_mode1_phase,
-    )
+    y0 = twisted_initial_condition(config)
     rhs = make_rhs(coupling, omega, config.sigma)
     samples = integrate_system(
         rhs, y0, config.t_end, rel_tol=config.rel_tol, abs_tol=config.abs_tol,

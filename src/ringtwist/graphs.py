@@ -10,6 +10,9 @@ kappa (window half-width), else 0.  At resolution n it is realized as
 * ``random_sparse`` - symmetric Bernoulli(n**(-gamma) * p) edges inside the
   band, with the thinning compensated by the dynamics prefactor.
 
+W = weight * A for a 0/1 pattern A: weight, the value of every stored edge,
+is p on the band and 1.0 on the random kinds, which carry p in their edges.
+
 A random graph keeps one sparse matrix, the smaller of its edges A and its
 holes H = band - A: H when more than half of its in-band pairs are
 realized, A otherwise.  Above half edge probability the sampler draws H
@@ -27,6 +30,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, sqrt
+from typing import Callable
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -132,7 +136,8 @@ class CouplingMatrix:
     smaller one, converting with the band complement when needed.
     ``adjacency`` gives A for every random graph: the stored edges, or
     band - H built on first access and cached.  ``scale`` is the dynamics
-    prefactor 1/(n*alpha_n); it and ``weight`` lie in (0, 1].
+    prefactor 1/(n*alpha_n); it and ``weight``, the value of every stored
+    edge, lie in (0, 1].
     """
 
     n: int
@@ -147,6 +152,8 @@ class CouplingMatrix:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_int("n", self.n, 1)
+        check_seed("seed", self.seed)
         check_real("weight", self.weight, 0.0, 1.0, "(]")
         check_real("scale", self.scale, 0.0, 1.0, "(]")
         banded = self.layout == "banded_uniform"
@@ -199,6 +206,75 @@ class CouplingMatrix:
         if self.holes is None:
             return self.edges
         return _band_complement(self.holes, self.halfwidth)
+
+    def coupling_sums(self) -> Callable[[np.ndarray, np.ndarray], tuple]:
+        """A map (s, c) -> (A @ s, A @ c) for the 0/1 pattern A of W = weight * A.
+
+        The route follows what the matrix stores: O(n) window sums for the
+        band, window sums minus H @ x for holes H, the CSR matvec for edges;
+        A is never built.  The window-sum routes return buffers that their
+        next call overwrites, so build one map per thread.
+        """
+        if self.stored == "edges":
+            edges = self.edges
+            return lambda s, c: (edges @ s, edges @ c)
+        window = _window_sums(self.n, self.halfwidth)
+        if self.stored == "band":
+            return window
+        holes = self.holes
+
+        def minus_holes(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            ws, wc = window(s, c)
+            return np.subtract(ws, holes @ s, out=ws), np.subtract(wc, holes @ c, out=wc)
+
+        return minus_holes
+
+
+def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """A map (s, c) -> circular window sums of s and c over offsets -m..m.
+
+    One complex prefix sum gives both: c + i*s fills the middle of a reused
+    workspace of length n + 2m + 1, the m ghost cells on each side repeat
+    the opposite end of the ring, and an in-place cumsum runs over all but
+    the leading zero.  Complex addition adds real and imaginary parts
+    apart, in order, so each sum is bit for bit a real prefix-sum
+    difference.  At m = 0 the sum is the identity and the map copies.  The
+    returned arrays are the map's own buffers, overwritten by its next call.
+    """
+    ws, wc = np.empty(n), np.empty(n)
+    z = np.zeros(n + 2 * m + 1, dtype=complex)
+    middle, run = z[m + 1:n + m + 1], z[1:]
+
+    def sums(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if m == 0:
+            np.copyto(ws, s)
+            np.copyto(wc, c)
+            return ws, wc
+        middle.real, middle.imag = c, s
+        z[1:m + 1] = z[n + 1:n + m + 1]
+        z[n + m + 1:] = z[m + 1:2 * m + 1]
+        np.cumsum(run, out=run)
+        np.subtract(z.imag[2 * m + 1:], z.imag[:n], out=ws)
+        np.subtract(z.real[2 * m + 1:], z.real[:n], out=wc)
+        return ws, wc
+
+    return sums
+
+
+def _spec_fields(spec: GraphSpec) -> dict:
+    """The coupling fields a spec fixes; weight is p on the band, 1.0 on random kinds."""
+    return dict(n=spec.n, kind=spec.kind, halfwidth=spec.halfwidth, seed=spec.seed,
+                scale=spec.scale,
+                weight=spec.p if spec.kind == "deterministic_dense" else 1.0)
+
+
+def _check_coupling(coupling: CouplingMatrix, spec: GraphSpec) -> None:
+    """Raise ValueError naming the first field spec fixes that coupling differs in."""
+    for name, value in _spec_fields(spec).items():
+        if getattr(coupling, name) != value:
+            source = "p" if name == "weight" and spec.kind == "deterministic_dense" else name
+            raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
+                             f"match graph {source} {value!r}")
 
 
 def _tri_cdf(t: float, z0: float, n: int) -> float:
@@ -270,8 +346,7 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     """
     n, m = spec.n, spec.halfwidth
     if spec.kind == "deterministic_dense":
-        return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m,
-                              weight=spec.p, kind=spec.kind, seed=spec.seed)
+        return CouplingMatrix(**_spec_fields(spec))
     holes = spec.edge_probability > 0.5
     row_idx, col_idx = _sample_band_pairs(
         np.random.default_rng(spec.seed), n, m, spec.edge_probability, holes
@@ -279,9 +354,7 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     stored = _sparse.csr_array(
         (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
     )
-    return CouplingMatrix(n=n, scale=spec.scale, halfwidth=m,
-                          **{"holes" if holes else "edges": stored},
-                          kind=spec.kind, seed=spec.seed)
+    return CouplingMatrix(**_spec_fields(spec), **{"holes" if holes else "edges": stored})
 
 
 def _band_complement(matrix, m: int):
@@ -352,20 +425,19 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
 
 
 def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
-    """Write the nonzero pixel map as (k, j, w) rows, 1-based indices.
+    """Write the nonzero pixel map as (k, j, w) rows, 1-based indices, w the weight.
 
     A band row k lists the columns (k + d) mod n for d = -m..m.  Pixels are
     listed in chunks of about _CHUNK_VALUES.
     """
-    chunks = max(1, -(-coupling.nnz // _CHUNK_VALUES))
+    chunks, w = max(1, -(-coupling.nnz // _CHUNK_VALUES)), coupling.weight
     if coupling.layout == "banded_uniform":
-        n, w = coupling.n, coupling.weight
-        d = np.arange(-coupling.halfwidth, coupling.halfwidth + 1)
+        n, d = coupling.n, np.arange(-coupling.halfwidth, coupling.halfwidth + 1)
         pixels = ((np.repeat(k, d.size), (k[:, None] + d).ravel() % n)
                   for k in np.array_split(np.arange(n), chunks))
     else:
         coo = coupling.adjacency.tocoo()
-        pixels, w = zip(np.array_split(coo.row, chunks), np.array_split(coo.col, chunks)), 1.0
+        pixels = zip(np.array_split(coo.row, chunks), np.array_split(coo.col, chunks))
     write_csv(path, ["k", "j", "w"], ((k, j, w) for ks, js in pixels
                                       for k, j in zip((ks + 1).tolist(), (js + 1).tolist())))
 

@@ -179,10 +179,10 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
     over the band offsets -m..m (banded layout) or the CSR row (sparse
     layout), one term at a time.
     """
-    n = coupling.n
+    n, w = coupling.n, coupling.weight
     du = np.empty(n)
     if coupling.layout == "banded_uniform":
-        m, w = coupling.halfwidth, coupling.weight
+        m = coupling.halfwidth
         for k in range(n):
             acc = 0.0
             for d in range(-m, m + 1):
@@ -195,7 +195,7 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
         for k in range(n):
             acc = 0.0
             for j in indices[indptr[k]:indptr[k + 1]]:
-                acc += np.sin(u[j] - u[k] + sigma)
+                acc += w * np.sin(u[j] - u[k] + sigma)
             du[k] = omega + coupling.scale * acc
     return du
 
@@ -217,11 +217,12 @@ def window_sums(values: np.ndarray, m: int) -> np.ndarray:
 def rhs_two_sums(coupling, omega: float, sigma: float):
     """The right-hand side as one plain expression, each coupling sum on its own.
 
-    W @ sin u and W @ cos u are two window_sums calls (minus the stored holes
-    H @ x on a holes-stored graph) or two matvecs over the stored edges.
+    A @ sin u and A @ cos u are two window_sums calls (minus the stored holes
+    H @ x on a holes-stored graph) or two matvecs over the stored edges, and
+    W = weight * A on every route.
     """
     m, stored = coupling.halfwidth, coupling.stored
-    prefactor = coupling.scale * coupling.weight if stored == "band" else coupling.scale
+    prefactor = coupling.scale * coupling.weight
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
 
     def coupling_sum(x: np.ndarray) -> np.ndarray:

@@ -85,6 +85,12 @@ class TestFitTwisted:
         assert fit.residual_max == pytest.approx(0.05, abs=1e-3)
         assert fit.residual_l2 == pytest.approx(0.05 / sqrt(2), abs=1e-3)
 
+    def test_non_finite_snapshot_gives_a_nan_fit(self):
+        # a NaN resultant is not a degenerate one: the fit reports NaN
+        # instead of raising NoFitError
+        fit = fit_twisted(np.full(5, np.nan), 1)
+        assert all(np.isnan([fit.theta, fit.residual_max, fit.residual_l2]))
+
     def test_degenerate_alignment_raises(self):
         # a 2-twist is not a rotated 1-twist: the residual field winds once
         # around the circle and its resultant vanishes

@@ -173,6 +173,17 @@ def test_a_coeffs_validation():
         a_coeffs(1, -1, 0.2)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 5.0, 0.0, -0.1, True])
+def test_a_coeffs_checks_kappa_as_chi1_does(kappa):
+    # the window overlaps are defined on (0, 1/2], as chi1 is; a NaN once came
+    # back as (nan, nan)
+    rule = r"must be a finite real number in \(0, 0.5\]"
+    with pytest.raises(ValueError, match="kappa " + rule):
+        chi1(kappa, 1, 1)
+    with pytest.raises(ValueError, match="kappa_crit " + rule):
+        a_coeffs(1, 0, kappa)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("kappa", [0.11, 0.26, 0.43])
 def test_rho0_identity_general_kappa(q, kappa):

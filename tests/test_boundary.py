@@ -40,7 +40,8 @@ FLOAT_FIELDS = [
     (config, "sigma", -inf, inf, "[]", False),
     (config, "omega", -inf, inf, "[]", True),
     (config, "t_end", 0.0, inf, "()", False),
-    (config, "rel_tol", 0.0, inf, "()", False),
+    # DOP853 raises a smaller rel_tol to 100 machine epsilons
+    (config, "rel_tol", 100 * np.finfo(float).eps, inf, "[)", False),
     (config, "abs_tol", 0.0, inf, "[)", False),
     (config, "sample_dt", 0.0, inf, "()", False),
     (config, "perturbation_amplitude", 0.0, inf, "[)", False),

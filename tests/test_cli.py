@@ -373,13 +373,17 @@ def test_set_defaults_to_no_overrides(command):
     ["simulate", "--set", "rel_tol=true"],
     ["simulate", "--set", "abs_tol=false"],
     ["simulate", "--set", 't_end="5"'],
+    # DOP853 ran such a run at 2.22e-14 with only a warning, and the
+    # manifest recorded 1e-20
+    ["simulate", "--set", "rel_tol=1e-20"],
 ], ids=["q-list", "p", "ell-max", "sigma-grid", "sigma-grid-fractional-count",
         "sigma-grid-zero-count", "ic-seed-float", "ic-seed-text", "ic-seed-bool",
         "ic-seed-negative", "graph-n-bool", "window-reversed", "window-nan",
         "window-infinite", "window-after-run", "window-before-run", "jobs-negative",
         "jobs-zero", "escape-threshold-nan", "escape-threshold-negative",
         "sigma-bool", "sigma-text", "omega-list", "ic-mode1-amplitude-text",
-        "graph-p-bool", "rel-tol-bool", "abs-tol-bool", "t-end-text"])
+        "graph-p-bool", "rel-tol-bool", "abs-tol-bool", "t-end-text",
+        "rel-tol-below-the-solver-floor"])
 def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_config):
     out = tmp_path / "o"
     if argv[0] in ("simulate", "estimate", "sweep"):

@@ -26,7 +26,6 @@ from ringtwist.dynamics import (
     SimulationConfig,
     Trajectory,
     _sample_array,
-    _window_sums,
     integrate_system,
     make_rhs,
     run_experiment,
@@ -37,6 +36,7 @@ from ringtwist.dynamics import (
 )
 from ringtwist.graphs import (
     GraphSpec,
+    _window_sums,
     build_coupling,
     empirical_band_density,
     read_adjacency_binary,
@@ -57,6 +57,12 @@ def quiet_config(**kwargs):
     defaults = dict(graph=det_graph(), q=1, perturbation_amplitude=0.0)
     defaults.update(kwargs)
     return SimulationConfig(**defaults)
+
+
+def noisy_start(n, q, seed, **kwargs):
+    # the initial condition of a run on n nodes with noise amplitude 1e-2
+    return twisted_initial_condition(quiet_config(
+        graph=det_graph(n=n), q=q, perturbation_amplitude=1e-2, ic_seed=seed, **kwargs))
 
 
 class TestSimulationConfig:
@@ -147,9 +153,7 @@ class TestInitialConditions:
         assert np.allclose(np.diff(u), 6 * pi / 12)
 
     def test_noise_bounded_and_reproducible(self):
-        a = twisted_initial_condition(64, 1, 1e-2, seed=5)
-        b = twisted_initial_condition(64, 1, 1e-2, seed=5)
-        c = twisted_initial_condition(64, 1, 1e-2, seed=6)
+        a, b, c = noisy_start(64, 1, 5), noisy_start(64, 1, 5), noisy_start(64, 1, 6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.max(np.abs(a - twisted_profile(64, 1))) <= 1e-2
@@ -159,15 +163,22 @@ class TestInitialConditions:
 
     def test_noise_requires_seed(self):
         with pytest.raises(ValueError):
-            twisted_initial_condition(64, 1, 1e-2)
+            noisy_start(64, 1, None)
         with pytest.raises(ValueError):
-            twisted_initial_condition(64, 1, 1e-2, mode1_amplitude=0.3)
+            noisy_start(64, 1, None, ic_mode1_amplitude=0.3)
+
+    def test_bump_then_noise_from_the_config(self):
+        # the profile, plus the first-harmonic bump, plus noise drawn from ic_seed
+        u0 = noisy_start(90, 3, 8, ic_mode1_amplitude=0.2, ic_mode1_phase=-1.1)
+        bump = 0.2 * np.sin(twisted_profile(90, 1) - 1.1)
+        noise = np.random.default_rng(8).uniform(-1e-2, 1e-2, 90)
+        assert u0.tobytes() == (twisted_profile(90, 3) + bump + noise).tobytes()
 
     def test_modulated_profile_recovered_by_projection(self):
-        u0 = twisted_initial_condition(200, 2, mode1_amplitude=0.25,
-                                       mode1_phase=0.7)
         config = SimulationConfig(graph=GraphSpec(n=200, p=1.0, kappa=0.31), q=2,
-                                  perturbation_amplitude=0.0)
+                                  perturbation_amplitude=0.0, ic_mode1_amplitude=0.25,
+                                  ic_mode1_phase=0.7)
+        u0 = twisted_initial_condition(config)
         est = estimate_modulation(Trajectory(times=[0.0, 1.0], phases=[u0, u0],
                                              config=config, omega=0.0))
         assert est.r[0] == pytest.approx(0.25, abs=1e-12)
@@ -195,6 +206,21 @@ class TestRightHandSides:
         fast = make_rhs(coupling, 0.3, sigma)(0.0, u)
         slow = rhs_naive(0.0, u, coupling, 0.3, sigma)
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=50, p=1.0, kappa=0.31),
+        GraphSpec(n=50, p=0.3, kappa=0.31, kind="random_dense", seed=2),
+        GraphSpec(n=50, p=0.9, kappa=0.31, kind="random_dense", seed=2),
+    ])
+    def test_weight_scales_every_route(self, spec):
+        # W = weight * A whatever the coupling stores; halving the weight
+        # halves the coupling term exactly
+        coupling = build_coupling(spec)
+        half = replace(coupling, weight=coupling.weight / 2)
+        u = np.random.default_rng(12).uniform(-pi, pi, spec.n)
+        full_rhs, half_rhs = (make_rhs(c, 0.0, 0.4)(0.0, u) for c in (coupling, half))
+        assert half_rhs.tobytes() == (full_rhs / 2).tobytes()
+        assert np.max(np.abs(half_rhs - rhs_naive(0.0, u, half, 0.0, 0.4))) < 1e-12
 
     @given(n=st.integers(1, 80), kappa=st.floats(0.001, 0.499),
            p=st.one_of(st.floats(0.05, 0.45), st.floats(0.55, 1.0)),
@@ -297,7 +323,7 @@ class TestRightHandSides:
         # the window-sum routes hold the fused complex workspace, the edges route none
         assert any(b.dtype == complex and b.size == spec.n + 2 * coupling.halfwidth + 1
                    for b in workspace) == (coupling.stored != "edges")
-        u = twisted_initial_condition(spec.n, 1, 1e-2, seed=3)
+        u = noisy_start(spec.n, 1, 3)
         kept = u.copy()
         first, second = rhs(0.0, u), rhs(0.0, u)
         assert u.tobytes() == kept.tobytes()
@@ -328,7 +354,7 @@ class TestRightHandSides:
         # which take the peak to eight
         n = 20_000
         rhs = make_rhs(build_coupling(GraphSpec(n=n, p=1.0, kappa=0.3)), 0.1, 0.4)
-        u = twisted_initial_condition(n, 2, 1e-2, seed=1)
+        u = noisy_start(n, 2, 1)
         rhs(0.0, u)
         tracemalloc.start()
         try:
@@ -385,7 +411,7 @@ class TestIntegration:
         if spec.kind == "random_dense":
             assert empirical_band_density(coupling) > 0.5
         rhs = make_rhs(coupling, 0.2, 0.3)
-        y0 = twisted_initial_condition(spec.n, 1, 1e-2, 5)
+        y0 = noisy_start(spec.n, 1, 5)
         result = integrate_system(rhs, y0, t_end, rel_tol=1e-8, abs_tol=1e-8,
                                   sample_dt=sample_dt)
         times, states = result
@@ -402,11 +428,34 @@ class TestIntegration:
         spec = det_graph(n=400)
         coupling = build_coupling(spec)
         assert coupling.halfwidth > 0
-        y0 = twisted_initial_condition(spec.n, 1, 1e-2, 5)
+        y0 = noisy_start(spec.n, 1, 5)
         times, states = integrate_system(make_rhs(coupling, 0.2, 0.3), y0, 20.0)
         _, ref_states, _ = integrate_solve_ivp(rhs_two_sums(coupling, 0.2, 0.3), y0,
                                                times, rel_tol=1e-8, abs_tol=1e-8)
         assert states.tobytes() == ref_states.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_dt": 0.0}, {"sample_dt": -1.0}, {"t_end": -1.0}, {"t_end": float("nan")},
+        {"rel_tol": 1e-20}, {"rel_tol": np.nextafter(100 * np.finfo(float).eps, 0.0)},
+        {"abs_tol": -1.0},
+    ], ids=["sample-dt-zero", "sample-dt-negative", "t-end-negative", "t-end-nan",
+            "rel-tol-1e-20", "rel-tol-below-100-eps", "abs-tol-negative"])
+    def test_inputs_follow_the_config_rule(self, kwargs):
+        # one rule for integrate_system and SimulationConfig; a rel_tol below
+        # 100 machine epsilons would be raised by DOP853 with only a warning
+        name = next(iter(kwargs))
+        args = {"t_end": 2.0, "rel_tol": 1e-8, "abs_tol": 1e-8, "sample_dt": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            integrate_system(lambda t, u: -u, np.ones(2), args.pop("t_end"), **args)
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            quiet_config(**kwargs)
+
+    def test_smallest_rel_tol_runs_as_given(self):
+        # at 100 machine epsilons DOP853 keeps the tolerance and does not warn
+        tol = 100 * np.finfo(float).eps
+        assert quiet_config(rel_tol=tol).rel_tol == tol
+        times, _ = integrate_system(lambda t, u: -u, np.ones(2), 1.0, rel_tol=tol)
+        assert times[-1] == 1.0
 
     def test_failure_names_the_time_the_solver_reached(self):
         # the solver creeps up to t=1 before its step size underflows; the
@@ -434,7 +483,7 @@ class TestIntegration:
         # solve_ivp peaks at 2.13x the trajectory: its sample blocks plus their stack
         n = 20_000
         rhs = make_rhs(build_coupling(det_graph(n=n)), 0.0, 0.0)
-        y0 = twisted_initial_condition(n, 1, 1e-2, 7)
+        y0 = noisy_start(n, 1, 7)
         tracemalloc.start()
         try:
             _, states = integrate_system(rhs, y0, t_end, sample_dt=t_end / 200)
@@ -452,7 +501,7 @@ class TestIntegration:
             calls.append(t)
             return rhs(t, u)
 
-        y0 = twisted_initial_condition(100, 1, 1e-2, 5)
+        y0 = noisy_start(100, 1, 5)
         result = integrate_system(counting, y0, 10.0, sample_dt=0.5)
         assert result.nfev == len(calls) > 0
         assert result.steps == dop853_accepted_steps(rhs, y0, 10.0, rel_tol=1e-8,
@@ -511,6 +560,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="coupling weight 0.5 .* graph p 1.0"):
             run_experiment(quiet_config(graph=det_graph(p=1.0), sigma=0.5),
                            coupling=build_coupling(det_graph(p=0.5)))
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_random_coupling_of_another_weight_is_refused(self, p):
+        # a random graph carries p in its edges, so every stored edge is 1.0
+        spec = GraphSpec(n=60, p=p, kappa=0.31, kind="random_dense", seed=4)
+        coupling = replace(build_coupling(spec), weight=0.5)
+        with pytest.raises(ValueError,
+                           match="^coupling weight 0.5 does not match graph weight 1.0$"):
+            run_experiment(quiet_config(graph=spec), coupling=coupling)
 
     @pytest.mark.parametrize("omega", [None, 0.0, 0.7])
     def test_synchronized_state_turns_at_its_rotation_speed(self, omega):

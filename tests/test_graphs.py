@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from math import floor, sqrt
 
 import numpy as np
@@ -553,3 +554,29 @@ def test_coupling_matrix_validation():
     assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).nnz == 1
     assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).layout == "banded_uniform"
     assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).stored == "band"
+
+
+@pytest.mark.parametrize("field, value", [("n", 1.5), ("n", 0), ("n", True),
+                                          ("seed", -1), ("seed", "x"), ("seed", 2**64),
+                                          ("seed", 1.0)])
+def test_coupling_matrix_refuses_what_graph_spec_refuses(field, value):
+    # a coupling can be made without a GraphSpec (read_adjacency_binary makes
+    # one), so it checks n and seed by the same rules
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        GraphSpec(**{"n": 10, "p": 1.0, "kappa": 0.3, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CouplingMatrix(**{"n": 10, "scale": 0.1, "halfwidth": 3, field: value})
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_pixels_carry_the_weight_of_every_stored_edge(p, tmp_path):
+    # W = weight * A on every route: a random graph's pixels carry its weight
+    # as the band's do, 1.0 for a built one
+    built = build_coupling(dense_spec(n=60, p=p))
+    for coupling, w in [(built, "1.0"), (replace(built, weight=0.5), "0.5")]:
+        path = tmp_path / "pixels.csv"
+        write_pixel_csv(path, coupling)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == coupling.nnz
+        assert {row["w"] for row in rows} == {w}

@@ -2,19 +2,23 @@
 
 The harness calls many public names and its tracer rebinds every function
 listed in each layer module's ``__all__``, so a renamed or removed public
-name shows up here as a failing self-test or benchmark round.  A source
-check keeps every CSV and JSON writer in the boundary module, another
-keeps the stepping loop of ``integrate_system`` the one integration path,
-a third keeps one pass over the stored samples the only place that aligns
-them, a fourth keeps the dynamics from rebuilding a graph's holes, a fifth
-keeps ``run_experiment`` the one path from a configuration to a
-trajectory, a sixth keeps the run layer free of the continuum theory,
-two more keep the closed forms on one window integral (no second function
-names the half window) and one root finder, another keeps the threshold
-cache the package's only memo, one more keeps the helper in
-``build_parser`` the only place that declares a subcommand and its shared
-options, and a last one keeps ``cli.main`` the only place that builds a
-``RunManifest`` or reads ``args.out``.
+name shows up here as a failing self-test or benchmark round.  The source
+checks keep:
+
+* every CSV and JSON writer in the boundary module;
+* the stepping loop of ``integrate_system`` the one integration path;
+* one pass over the stored samples the only place that aligns them;
+* the dynamics, and the coupling sums ``graphs`` forms for them, from
+  rebuilding a graph's holes;
+* what a coupling stores read in ``graphs`` alone;
+* ``run_experiment`` the one path from a configuration to a trajectory;
+* the run layer free of the continuum theory;
+* the closed forms on one window integral (no second function names the
+  half window) and one root finder;
+* the threshold cache the package's only memo;
+* the helper in ``build_parser`` the only place that declares a
+  subcommand and its shared options;
+* ``cli.main`` the only place that builds a ``RunManifest`` or reads ``args.out``.
 """
 
 import ast
@@ -136,20 +140,45 @@ def test_only_run_experiment_builds_and_integrates_a_right_hand_side():
 
 def test_dynamics_never_takes_a_band_complement():
     # a graph stores its holes H = band - A when they are the smaller side, and
-    # the right-hand side reads them as stored: taking a band complement, or
-    # reading ``adjacency`` (A, derived from H), would cost a pass over the
-    # whole graph for each run
-    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    # the right-hand side's coupling sums read them as stored: taking a band
+    # complement, or reading ``adjacency`` (A, derived from H), would cost a
+    # pass over the whole graph for each run.  The sums are formed by
+    # CouplingMatrix.coupling_sums and the window sums it calls, and the
+    # dynamics only call that method
+    graphs = ast.parse((ROOT / "src" / "ringtwist" / "graphs.py").read_text())
+    matrix = next(node for node in graphs.body if isinstance(node, ast.ClassDef)
+                  and node.name == "CouplingMatrix")
+    route = [node for node in matrix.body + graphs.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("coupling_sums", "_window_sums")]
+    assert len(route) == 2
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
+    for tree in route + [ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py")
+                                   .read_text())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
     assert {name for name in names if "complement" in name or "band_holes" in name
             or name == "adjacency"} == set()
+
+
+def test_only_graphs_reads_what_a_coupling_stores():
+    # graphs picks the route of W @ x from what a coupling stores; a module
+    # that read the stored CSR, or branched on which side is stored, would
+    # hold a second copy of that decision
+    reads = []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        refused = {"edges", "holes"} | ({"stored"} if path.name == "dynamics.py" else set())
+        reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in refused]
+    assert reads == []
 
 
 def test_dynamics_imports_nothing_from_bifurcation():
