@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._boundary import check_int, write_csv, write_json
+from ._boundary import check_int, check_real, write_csv, write_json
 from .circular import resultant, wrap_angle
 from .dynamics import SimulationConfig, Trajectory, run_experiment, twisted_profile
 
@@ -167,10 +167,14 @@ def _window(times: np.ndarray, t_min: float | None,
             t_max: float | None) -> slice:
     """Slice of the times in [t_min, t_max] (None: first/last time), 1e-12 slack.
 
-    Raises NoFitError if fewer than two samples fall in the window.
+    The package's one window rule: ValueError naming t_min or t_max for a
+    window not finite, inverted or wholly outside [times[0], times[-1]], and
+    NoFitError if fewer than two samples fall in the window.
     """
     lo = times[0] if t_min is None else t_min
     hi = times[-1] if t_max is None else t_max
+    check_real("t_min", lo, hi=times[-1])
+    check_real("t_max", hi, max(lo, times[0]))
     idx = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
     if len(idx) < 2:
         raise NoFitError(f"need at least 2 samples in [{lo:g}, {hi:g}], found {len(idx)}")
@@ -190,6 +194,8 @@ def estimate_modulation(trajectory: Trajectory, *, t_min: float | None = None,
 
     Raises
     ------
+    ValueError
+        For a window that _window refuses, as ``ringtwist estimate`` does.
     NoFitError
         If fewer than two samples fall in the window, or psi advances by
         more than 0.9*pi between consecutive samples while the amplitude

@@ -45,7 +45,6 @@ __all__ = [
     "BifurcationPrediction",
     "kappa_critical",
     "kappa_critical_all",
-    "chi1_dkappa",
     "a_coeffs",
     "normal_form_constants",
     "beta_sigma_curve",

@@ -25,14 +25,15 @@ def wrap_angle(x):
         in (-pi, pi] come back exactly and the others are shifted, each
         element by itself.  An array lying wholly in (-pi, pi] is only
         copied; any other goes through np.mod as a whole, and a select
-        keeps its in-range elements if it has any.
+        keeps its in-range elements if it has any.  +-inf gives nan quietly.
     """
     a = np.asarray(x, dtype=float)
     inside = (a > -np.pi) & (a <= np.pi)
     if inside.all():
         w = a.copy()
     else:
-        w = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
+        with np.errstate(invalid="ignore"):
+            w = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
         # np.mod lands on [-pi, pi); move the -pi edge to +pi.
         w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
         if inside.any():
@@ -46,8 +47,9 @@ def resultant(angles):
     """Mean resultant vector (1/n) sum_k exp(i angle_k) along the last axis.
 
     A complex number for 1-D input, one per row for 2-D input, formed as
-    mean(cos) + i*mean(sin).
+    mean(cos) + i*mean(sin); an angle of +-inf makes it nan quietly.
     """
     a = np.asarray(angles, dtype=float)
-    z = np.mean(np.cos(a), axis=-1) + 1j * np.mean(np.sin(a), axis=-1)
+    with np.errstate(invalid="ignore"):
+        z = np.mean(np.cos(a), axis=-1) + 1j * np.mean(np.sin(a), axis=-1)
     return complex(z) if z.ndim == 0 else z

@@ -26,7 +26,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from math import inf
 
 import numpy as np
 
@@ -64,7 +63,13 @@ from .graphs import (
     write_adjacency_binary,
     write_pixel_csv,
 )
-from .spectrum import BracketError, ModeParams, eigenvalues, write_spectrum_csv
+from .spectrum import (
+    DEFAULT_ELL_MAX,
+    BracketError,
+    ModeParams,
+    eigenvalues,
+    write_spectrum_csv,
+)
 
 __all__ = ["main", "RunManifest"]
 
@@ -234,12 +239,7 @@ def cmd_simulate(args, out):
 
 def cmd_estimate(args, out):
     config = _simulation_config(args)
-    # the window must overlap [0, t_end] and hold two samples of a run that fits
-    # in memory
-    lo = 0.0 if args.t_min is None else args.t_min
-    check_real("--t-min", lo, -inf, config.t_end)
-    check_real("--t-max", config.t_end if args.t_max is None else args.t_max,
-               max(lo, 0.0))
+    # the library's window rule, on the grid of a run that fits in memory
     grid, _ = _sample_array(config.graph.n, config.t_end, config.sample_dt)
     _window(grid, args.t_min, args.t_max)
     trajectory = run_experiment(config)
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--kappa", dict(type=float, required=True)),
             ("--sigma", dict(type=float, default=0.0)),
             ("--p", dict(type=float, default=1.0)),
-            ("--ell-max", dict(type=int, default=64)))
+            ("--ell-max", dict(type=int, default=DEFAULT_ELL_MAX)))
     command("betasigma", cmd_betasigma, "frustration dependence of the cubic coefficient",
             ("--q", dict(type=int, required=True)),
             ("--p", dict(type=float, default=1.0)),

@@ -230,25 +230,23 @@ def _sample_array(n: int, t_end: float,
                   sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid on [0, t_end] by sample_dt, ending at t_end, and an empty (len(grid), n) array.
 
-    Raises ValueError, a configuration error, if either cannot be allocated,
-    a sample count that overflows to inf (sample_dt near 1e-310) included.
+    The count comes from scalars and the states are reserved before the grid
+    is built, so a refused size touches no memory.  Every size that cannot be
+    allocated (a count overflowing to inf too) raises ValueError, a config error.
     """
     n_steps = t_end / sample_dt + 1e-9
     try:
-        if n_steps == inf:  # floor cannot take it, and no array could hold it
-            raise MemoryError
         n_steps = floor(n_steps)
-        grid = sample_dt * np.arange(n_steps + 1)
-        if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
-            grid = np.append(grid, t_end)
-        else:
-            grid[-1] = t_end
-        return grid, np.empty((len(grid), n))
-    except MemoryError:
+        count = n_steps + 1 + (sample_dt * n_steps < t_end - 1e-9 * max(1.0, abs(t_end)))
+        states = np.empty((count, n))
+        grid = sample_dt * np.arange(count)
+    except (MemoryError, OverflowError, ValueError):
         raise ValueError(
-            f"cannot allocate {n_steps + 1} samples of n={n} phases "
+            f"cannot allocate {n_steps + 1:.6g} samples of n={n} phases "
             f"(t_end={t_end:g}, sample_dt={sample_dt:g})"
         ) from None
+    grid[-1] = t_end
+    return grid, states
 
 
 class _Samples(tuple):

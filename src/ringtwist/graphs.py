@@ -48,14 +48,13 @@ __all__ = [
     "read_adjacency_binary",
 ]
 
+# a dump stores a kind as its index here, so kinds are only ever appended
 KINDS = ("deterministic_dense", "random_dense", "random_sparse")
 
 _MAGIC = b"RTADJ\x00"
 _VERSION = 1
 # magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
 _HEADER = struct.Struct("<6sHQBBQQddQ")
-_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 # Values per row chunk when sampling a graph, taking its band complement or
 # listing pixels.
@@ -459,7 +458,7 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     has_seed = coupling.seed is not None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
-            _MAGIC, _VERSION, coupling.n, _KIND_CODES[coupling.kind], int(has_seed),
+            _MAGIC, _VERSION, coupling.n, KINDS.index(coupling.kind), int(has_seed),
             coupling.seed if has_seed else 0, coupling.halfwidth, coupling.weight,
             coupling.scale, 0 if banded else int(csr.nnz)))
         if not banded:
@@ -497,10 +496,10 @@ def read_adjacency_binary(path) -> CouplingMatrix:
         _HEADER.unpack_from(raw))
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
-    if kind_code not in _CODE_KINDS:
+    if kind_code >= len(KINDS):  # an unsigned byte
         raise ValueError(f"{path}: kind code {kind_code} out of range "
                          f"(0..{len(KINDS) - 1})")
-    kind = _CODE_KINDS[kind_code]
+    kind = KINDS[kind_code]
     banded = kind == "deterministic_dense"
     expected = _HEADER.size + (0 if banded else 8 * (n + 1 + nnz))
     if len(raw) != expected:

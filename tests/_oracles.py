@@ -10,10 +10,11 @@ one plain expression over two separate real prefix sums (the package's
 arithmetic before its sums were fused, so it must agree bit for bit), the
 band as a dense matrix, random graphs via one unchunked draw of every
 in-band pair kept as edges whatever the probability, their files byte by
-byte from the layout, and sampled runs via scipy's own solve_ivp loop.  One
-exception is the step-kernel error, summed over every cell offset with the
-package's exact band fraction, which checks only the package's choice of
-the offsets that can contribute.  The per-row modulation summaries are a
+byte from the layout, sampled runs via scipy's own solve_ivp loop, and the
+sample grid built whole before its end is fixed.  One exception is the
+step-kernel error, summed over every cell offset with the package's exact
+band fraction, which checks only the package's choice of the offsets that
+can contribute.  The per-row modulation summaries are a
 second: they align each stored row on its own with the package's `_align`
 and project it one scalar at a time, so they check that the package's one
 pass over the samples gives the same numbers bit for bit.  The input rule
@@ -133,6 +134,15 @@ def integrate_solve_ivp(rhs, y0: np.ndarray, times: np.ndarray, *, rel_tol: floa
                     atol=abs_tol, t_eval=times)
     assert sol.success, sol.message
     return sol.t, sol.y.T, sol.nfev
+
+
+def sample_grid_as_first_written(t_end: float, sample_dt: float) -> np.ndarray:
+    """The sample grid built as a whole array, then extended or ended at t_end."""
+    grid = sample_dt * np.arange(int(np.floor(t_end / sample_dt + 1e-9)) + 1)
+    if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
+        return np.append(grid, t_end)
+    grid[-1] = t_end
+    return grid
 
 
 def dop853_accepted_steps(rhs, y0: np.ndarray, t_end: float, *, rel_tol: float,

@@ -98,6 +98,18 @@ class TestFitTwisted:
             fit_twisted(twisted_profile(64, 2), 1)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("summary", [
+    lambda u: [(fit := fit_twisted(u, 1)).theta, fit.residual_max, fit.residual_l2],
+    lambda u: deviation_field(u, 1),
+    lambda u: distance_mod_rotation(u, np.zeros(len(u))),
+], ids=["fit_twisted", "deviation_field", "distance_mod_rotation"])
+def test_infinite_phase_gives_nan_without_a_warning(summary, value):
+    # as a NaN phase does; pytest turns a RuntimeWarning from cos, sin or
+    # mod into an error
+    assert np.isnan(summary(np.array([value, 0.0, 0.0, 0.0, 0.0]))).all()
+
+
 class TestDeviationField:
     def test_invariant_under_global_rotation(self):
         rng = np.random.default_rng(2)

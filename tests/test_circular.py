@@ -98,6 +98,15 @@ def test_wrap_angle_scalar_returns_scalar():
     assert isinstance(wrap_angle(np.array([1.0, 2.0])), np.ndarray)
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf])
+def test_wrap_angle_of_an_infinite_angle_is_nan_without_a_warning(x):
+    # pytest turns the RuntimeWarning np.mod raises for inf into an error
+    assert np.isnan(wrap_angle(x))
+    wrapped = wrap_angle(np.array([x, 1.0, 4.0]))
+    assert np.isnan(wrapped[0])
+    assert np.array_equal(wrapped[1:], wrap_angle(np.array([1.0, 4.0])))
+
+
 def test_resultant_and_mean_concentrated():
     rng = np.random.default_rng(4)
     angles = 0.7 + rng.normal(0.0, 0.05, 500)

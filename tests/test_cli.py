@@ -2,13 +2,15 @@
 
 import csv
 import json
+from math import inf, nan
 
 import pytest
 
 from ringtwist import cli, dynamics
-from ringtwist.analysis import NoFitError
+from ringtwist.analysis import NoFitError, estimate_modulation
 from ringtwist.bifurcation import NoRootError
 from ringtwist.cli import main
+from ringtwist.dynamics import SimulationConfig, run_experiment
 from ringtwist.graphs import read_adjacency_binary
 
 
@@ -398,6 +400,43 @@ def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_conf
         assert f"{field} must be" in err
 
 
+# (t_min, t_max) on the fixture run's samples at t = 0, 1, ..., 5, and the
+# refusal: the field a ValueError names, "no fit" for NoFitError, or None
+WINDOWS = [
+    (4.0, 2.0, "t_max"), (nan, None, "t_min"), (None, inf, "t_max"),
+    (50.0, 60.0, "t_min"), (-3.0, -1.0, "t_max"), (-inf, None, "t_min"),
+    (inf, None, "t_min"), (None, nan, "t_max"), (5.0000001, None, "t_min"),
+    (None, -1e-13, "t_max"), (2.2, 2.8, "no fit"), (4.5, None, "no fit"),
+    (5.0, None, "no fit"), (None, 0.0, "no fit"), (None, None, None),
+    (-3.0, 1.0, None), (4.0, 60.0, None), (4.0000000000001, None, None),
+]
+
+
+@pytest.mark.parametrize("t_min, t_max, refusal", WINDOWS,
+                         ids=[f"{lo}-{hi}" for lo, hi, _ in WINDOWS])
+def test_estimate_refuses_the_windows_the_library_refuses(t_min, t_max, refusal,
+                                                          tmp_path, capsys, sim_config):
+    # one window rule: ValueError from estimate_modulation is exit 2 here,
+    # NoFitError exit 3
+    trajectory = run_experiment(SimulationConfig.from_dict(
+        json.loads(sim_config.read_text())))
+    if refusal is None:
+        estimate_modulation(trajectory, t_min=t_min, t_max=t_max)
+        expected = 0
+    else:
+        error = NoFitError if refusal == "no fit" else ValueError
+        with pytest.raises(error, match="samples" if error is NoFitError
+                           else f"^{refusal} must be"):
+            estimate_modulation(trajectory, t_min=t_min, t_max=t_max)
+        expected = 3 if error is NoFitError else 2
+    argv = ["estimate", "--config", str(sim_config), "--out", str(tmp_path / "o")]
+    argv += [f"{flag}={value!r}" for flag, value in (("--t-min", t_min), ("--t-max", t_max))
+             if value is not None]
+    assert main(argv) == expected
+    if expected == 2:
+        assert capsys.readouterr().err.startswith(f"configuration error: {refusal} must be")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"],
     ["estimate"],
@@ -430,6 +469,20 @@ def test_sample_count_overflowing_to_inf_is_a_config_error(argv, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot allocate inf samples of n=60")
     assert err.count("\n") == 1  # one line, no traceback
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sample_dt, count", [("1e-20", "5e+20"), ("1e-300", "5e+300")])
+def test_sample_counts_beyond_any_array_name_the_run(sample_dt, count, tmp_path, capsys,
+                                                     sim_config):
+    # numpy once refused these with "Maximum allowed size exceeded", naming
+    # none of n, t_end and sample_dt
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(sim_config), "--set", f"sample_dt={sample_dt}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot allocate {count} samples of n=60 phases "
+        f"(t_end=5, sample_dt={sample_dt})\n")
     assert list(out.iterdir()) == []
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -17,6 +19,7 @@ from _oracles import (
     integrate_solve_ivp,
     rhs_naive,
     rhs_two_sums,
+    sample_grid_as_first_written,
     window_sums,
 )
 from ringtwist import dynamics
@@ -381,6 +384,43 @@ class TestIntegration:
         ragged, _ = _sample_array(3, 1.05, 0.1)
         assert ragged[-1] == 1.05
         assert len(ragged) == 12
+
+    @given(steps=st.integers(1, 3000), sample_dt=st.floats(1e-3, 10.0),
+           nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-10, -1e-10, 1e-8, 0.3]))
+    def test_sample_grid_is_sized_before_it_is_built(self, steps, sample_dt, nudge):
+        # the count worked out from scalars gives the grid built whole, ragged
+        # ends and ends within the 1e-9 slack included
+        t_end = sample_dt * steps * (1.0 + nudge)
+        grid, states = _sample_array(2, t_end, sample_dt)
+        assert grid.tobytes() == sample_grid_as_first_written(t_end, sample_dt).tobytes()
+        assert states.shape == (len(grid), 2)
+
+    def test_a_refused_run_touches_no_memory(self, tmp_path):
+        # 2e7 + 1 samples of n = 1e5 phases (16 TB) cannot be reserved; a grid
+        # built before that refusal would touch 320 MB.  The address space is
+        # capped so that the refusal does not hang on the overcommit policy
+        config = quiet_config(graph=det_graph(n=100_000), t_end=2e7)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config.to_dict()))
+        script = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 16 << 30 if hard == resource.RLIM_INFINITY else min(16 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from ringtwist.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, (after - before) / 1024)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        child = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "o")],
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": src})
+        code, rise_mib = child.stdout.split()
+        assert code == "2", child.stderr
+        assert "cannot allocate" in child.stderr
+        assert float(rise_mib) < 50.0
 
     def test_harmonic_oscillator_accuracy(self):
         rhs = lambda t, y: np.array([y[1], -y[0]])

@@ -477,6 +477,7 @@ class TestFileFormats:
         (-8, 40),    # last column index equal to n
         (58, 1),     # first row offset not 0
         (16, 7),     # kind code 7 names no kind
+        (16, 3),     # nor does 3, one past the last
     ])
     def test_inconsistent_contents_rejected(self, offset, value, tmp_path):
         path = tmp_path / "adj.bin"

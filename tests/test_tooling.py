@@ -18,11 +18,13 @@ checks keep:
 * the threshold cache the package's only memo;
 * the helper in ``build_parser`` the only place that declares a
   subcommand and its shared options;
-* ``cli.main`` the only place that builds a ``RunManifest`` or reads ``args.out``.
+* ``cli.main`` the only place that builds a ``RunManifest`` or reads ``args.out``;
+* ``analysis._window`` the one rule that refuses a time window.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,3 +292,25 @@ def test_only_main_builds_a_manifest_or_reads_the_out_directory():
                     f"{path.name}:{node.lineno}")
     assert len(inside) >= 2  # one manifest, and the directory it goes to
     assert outside == []
+
+
+def test_only_the_window_rule_refuses_a_window():
+    # analysis._window is the one rule for t_min and t_max: estimate_modulation
+    # and ringtwist estimate both call it, and neither checks a bound itself
+    refusers, estimate_checks = set(), []
+    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                check = (isinstance(node, ast.Call)
+                         and getattr(node.func, "id", None) == "check_real")
+                if check and func.name == "cmd_estimate":
+                    estimate_checks.append(f"{path.name}:{node.lineno}")
+                if check or isinstance(node, ast.Raise):
+                    text = " ".join(str(n.value) for n in ast.walk(node)
+                                    if isinstance(n, ast.Constant))
+                    if re.search(r"t[-_]m(in|ax)", text):
+                        refusers.add(f"{path.stem}.{func.name}")
+    assert refusers == {"analysis._window"}
+    assert estimate_checks == []
