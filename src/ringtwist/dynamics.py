@@ -26,6 +26,7 @@ from scipy.integrate import DOP853
 from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
 from .graphs import CouplingMatrix, GraphSpec, _check_coupling, build_coupling
+from .spectrum import _window_integrals
 
 __all__ = [
     "IntegrationError",
@@ -160,17 +161,13 @@ def _check_integration(t_end, rel_tol, abs_tol, sample_dt) -> None:
 def _coupling_speed(graph: GraphSpec, q: int, sigma: float) -> float:
     """The speed at which the coupling turns the q-twisted state, for any q >= 0.
 
-    On u_k = 2*pi*q*k/n every node's coupling sum is
-    (p/n) * sum_{|d| <= m} sin(2*pi*q*d/n + sigma) over the realized window,
-    m = graph.halfwidth; the sine terms cancel in pairs, leaving
-    (p/n) * sin(sigma) * sum_{|d| <= m} cos(2*pi*q*d/n), which is
-    (p/n) * (2m + 1) * sin(sigma) at q = 0.  It is exact on the band and the
-    expected speed of a random graph, whose scale times edge probability is
-    p/n too.
+    On u_k = 2*pi*q*k/n the sines over the realized window |d| <= m = graph.halfwidth
+    cancel in pairs, leaving p*sin(sigma) times the ring's window integral at
+    kappa = (m + 1/2)/n: exact on the band, and the expected speed of a random
+    graph, whose scale times edge probability is p/n too.
     """
-    d = np.arange(-graph.halfwidth, graph.halfwidth + 1)
-    window = float(np.cos(2 * np.pi * q * d / graph.n).sum())
-    return graph.p / graph.n * sin(sigma) * window
+    kappa = (graph.halfwidth + 0.5) / graph.n
+    return graph.p * sin(sigma) * float(_window_integrals(kappa, 0, q, graph.n)[0])
 
 
 def twisted_profile(n: int, q: int) -> np.ndarray:
@@ -237,7 +234,8 @@ def _sample_array(n: int, t_end: float,
     n_steps = t_end / sample_dt + 1e-9
     try:
         n_steps = floor(n_steps)
-        count = n_steps + 1 + (sample_dt * n_steps < t_end - 1e-9 * max(1.0, abs(t_end)))
+        ragged = sample_dt * n_steps < t_end - 1e-9 * max(1.0, abs(t_end))
+        count = max(2, n_steps + 1 + ragged)  # a grid holds both 0 and t_end
         states = np.empty((count, n))
         grid = sample_dt * np.arange(count)
     except (MemoryError, OverflowError, ValueError):

@@ -70,24 +70,26 @@ def _scalar_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _half_window(kappa, d):
-    # sin(2*pi*d*kappa)/(2*pi*d); its d -> 0 limit is kappa
-    zero = d == 0
+def _half_window(kappa, d, n=None):
+    # sin(2*pi*d*kappa)/(2*pi*d), kappa at d = 0; on an n-node ring, at kappa =
+    # (m + 1/2)/n, the sum over its 2m + 1 offsets (1/2n)*sum cos(2*pi*d*j/n) =
+    # sin(2*pi*d*kappa)/(2n*sin(pi*d/n)), kappa wherever d = 0 mod n
+    zero = d == 0 if n is None else np.mod(d, n) == 0
     safe = np.where(zero, 1, d)
-    return np.where(zero, kappa, np.sin(2 * pi * safe * kappa) / (2 * pi * safe))
+    denominator = 2 * pi * safe if n is None else 2 * n * np.sin(pi * safe / n)
+    return np.where(zero, kappa, np.sin(2 * pi * safe * kappa) / denominator)
 
 
-def _window_integrals(kappa, ell, q):
+def _window_integrals(kappa, ell, q, n=None):
     """The window overlaps of modes q and l, unchecked and broadcasting.
 
     Returns (cc, ss): the integrals over y in [-kappa, kappa] of
-    cos(2*pi*q*y)*cos(2*pi*l*y) and sin(2*pi*q*y)*sin(2*pi*l*y).  chi1 is
-    cc minus its own l = 0 entry, chi2 is ss, and the normal-form
-    coefficients a1, a2 are -ss and -cc.  This is the only caller of
-    _half_window.
+    cos(2*pi*q*y)*cos(2*pi*l*y) and sin(2*pi*q*y)*sin(2*pi*l*y), or given n
+    their sums over the n-node band's offsets, over n.  chi1 is cc minus its
+    l = 0 entry, chi2 is ss, a_coeffs are -ss and -cc.  Only this calls _half_window.
     """
-    minus = _half_window(kappa, np.subtract(ell, q))
-    plus = _half_window(kappa, np.add(ell, q))
+    minus = _half_window(kappa, np.subtract(ell, q), n)
+    plus = _half_window(kappa, np.add(ell, q), n)
     return minus + plus, minus - plus
 
 
@@ -268,8 +270,7 @@ def eigenvalues(params: ModeParams, ell_max: int = DEFAULT_ELL_MAX) -> SpectrumR
     for every l since |sin z| < z for z > 0.
     """
     check_int("ell_max", ell_max, 1)
-    kappa, q = params.kappa, params.q
-    cc, ss = _window_integrals(kappa, np.arange(ell_max + 1), q)
+    cc, ss = _window_integrals(params.kappa, np.arange(ell_max + 1), params.q)
     re = params.p * (cc[1:] - cc[0]) * cos(params.sigma)
     im = params.p * ss[1:] * sin(params.sigma)
     # the parts are set separately: re + 1j*im would turn a -0.0 into 0.0

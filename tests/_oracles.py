@@ -8,18 +8,22 @@ offset marginal, rotation-aligned distances via a dense angle grid, the
 oscillator right-hand side via a literal double loop over neighbors and as
 one plain expression over two separate real prefix sums (the package's
 arithmetic before its sums were fused, so it must agree bit for bit), the
-band as a dense matrix, random graphs via one unchunked draw of every
-in-band pair kept as edges whatever the probability, their files byte by
-byte from the layout, sampled runs via scipy's own solve_ivp loop, and the
-sample grid built whole before its end is fixed.  One exception is the
-step-kernel error, summed over every cell offset with the package's exact
-band fraction, which checks only the package's choice of the offsets that
-can contribute.  The per-row modulation summaries are a
-second: they align each stored row on its own with the package's `_align`
-and project it one scalar at a time, so they check that the package's one
-pass over the samples gives the same numbers bit for bit.  The input rule
-for a finite real is kept as first written, through the numbers.Real ABC
-alone, so a faster rule can be checked to accept and refuse the same values.
+continuum limit's right-hand side as an FFT multiplier written from its
+equation, the band as a dense matrix, random graphs via one unchunked draw
+of every in-band pair kept as edges whatever the probability, their files
+byte by byte from the layout, sampled runs via scipy's own solve_ivp loop,
+and the sample grid built whole before its end is fixed.  One exception is
+the step-kernel error, summed over every cell offset with the package's
+exact band fraction, which checks only the package's choice of the offsets
+that can contribute.  The per-row modulation summaries are a second: they
+align each stored row on its own with the package's `_align` and project
+it one scalar at a time, so they check that the package's one pass over
+the samples gives the same numbers bit for bit.  The band's FFT right-hand
+side is a third: it reads the package's ring symbol
+`_half_window(kappa, d, n)`, so it checks that symbol against the prefix
+sums.  The input rule for a finite real is kept as first written, through
+the numbers.Real ABC alone, so a faster rule can be checked to accept and
+refuse the same values.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from scipy.integrate import quad, solve_ivp
 from ringtwist.analysis import _align
 from ringtwist.dynamics import twisted_profile
 from ringtwist.graphs import _band_fraction
+from ringtwist.spectrum import _half_window
 
 
 def chi1_quad(kappa: float, ell: int, q: int) -> float:
@@ -248,6 +253,47 @@ def rhs_two_sums(coupling, omega: float, sigma: float):
         return omega + prefactor * (
             (c * cos_sigma + s * sin_sigma) * ws - (s * cos_sigma - c * sin_sigma) * wc
         )
+
+    return rhs
+
+
+def rhs_ring_symbol(n: int, m: int, p: float, omega: float, sigma: float):
+    """The band right-hand side as one Fourier multiplier on z = e^{iu}.
+
+    The window sum over the offsets |j| <= m is a circular convolution, and
+    the FFT of its indicator at mode d is the Dirichlet sum 2n*D(d), with
+    D(d) = spectrum._half_window((m + 1/2)/n, d, n); so du/dt = omega +
+    (p/n)*Im(e^{i*sigma}*conj(z)*ifft(fft(z)*2n*D)).  This shares the ring
+    symbol with the package on purpose: it checks that symbol against the
+    prefix-sum right-hand side.
+    """
+    symbol = 2 * n * _half_window((m + 0.5) / n, np.arange(n), n)
+    lag = np.exp(1j * sigma)
+
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * u)
+        return omega + p / n * np.imag(lag * np.conj(z) * np.fft.ifft(np.fft.fft(z) * symbol))
+
+    return rhs
+
+
+def rhs_continuum(n_grid: int, kappa: float, p: float, sigma: float):
+    """The continuum limit's right-hand side on n_grid nodes x = k/n_grid, omega = 0.
+
+    p * int_{|y - x| <= kappa} sin(u(y) - u(x) + sigma) dy is
+    p*Im(e^{i*sigma}*conj(z)*ifft(fft(z)*K)) with z = e^{iu}: the window
+    integral of e^{2*pi*i*j*y} is K(j) = sin(2*pi*j*kappa)/(pi*j), and
+    K(0) = 2*kappa, at the grid's signed frequencies j.  Written from the
+    equation alone, sharing nothing with the package.
+    """
+    j = np.fft.fftfreq(n_grid, 1.0 / n_grid)
+    safe = np.where(j == 0, 1.0, j)
+    symbol = np.where(j == 0, 2 * kappa, np.sin(2 * pi * safe * kappa) / (pi * safe))
+    lag = np.exp(1j * sigma)
+
+    def rhs(u: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * u)
+        return p * np.imag(lag * np.conj(z) * np.fft.ifft(np.fft.fft(z) * symbol))
 
     return rhs
 

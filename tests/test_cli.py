@@ -400,6 +400,29 @@ def test_library_range_errors_are_config_errors(argv, tmp_path, capsys, sim_conf
         assert f"{field} must be" in err
 
 
+@pytest.mark.parametrize("override, contents, named", [
+    ("n", None, "not of form key=value"), ("foo.bar=1", None, "'foo'"),
+    (None, "{", "is not valid JSON"), (None, "[1]", "must hold a JSON object"),
+], ids=["set-without-equals", "set-new-nested-key", "file-not-json",
+        "file-not-an-object"])
+def test_unreadable_config_input_is_a_config_error(override, contents, named, tmp_path,
+                                                   capsys, sim_config):
+    # an override that is not key=value, one that makes a key the config
+    # does not know, and a file that is not a JSON object
+    config = sim_config
+    if contents is not None:
+        config = tmp_path / "bad.json"
+        config.write_text(contents)
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+    if override is not None:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 # (t_min, t_max) on the fixture run's samples at t = 0, 1, ..., 5, and the
 # refusal: the field a ValueError names, "no fit" for NoFitError, or None
 WINDOWS = [

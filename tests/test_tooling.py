@@ -12,7 +12,9 @@ checks keep:
   rebuilding a graph's holes;
 * what a coupling stores read in ``graphs`` alone;
 * ``run_experiment`` the one path from a configuration to a trajectory;
-* the run layer free of the continuum theory;
+* the run layer importing nothing from ``bifurcation``;
+* the run's rotation speed read from ``spectrum._window_integrals`` at
+  the realized n, with no offset array in ``dynamics``;
 * the closed forms on one window integral (no second function names the
   half window) and one root finder;
 * the threshold cache the package's only memo;
@@ -184,8 +186,8 @@ def test_only_graphs_reads_what_a_coupling_stores():
 
 
 def test_dynamics_imports_nothing_from_bifurcation():
-    # a run takes its rotation speed from the realized window, not from the
-    # continuum closed forms
+    # a run takes its rotation speed from the window integral at its realized
+    # n, not from the threshold constants
     tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
     imported = []
     for node in ast.walk(tree):
@@ -194,6 +196,27 @@ def test_dynamics_imports_nothing_from_bifurcation():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if "bifurcation" in name] == []
+
+
+def test_the_rotation_speed_reads_the_window_integrals_at_the_realized_n():
+    # one window symbol for the continuum and the ring: _coupling_speed hands
+    # the graph's n to spectrum._window_integrals, and dynamics sums no
+    # cosines over an array of window offsets of its own
+    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    speed = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_coupling_speed")
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None)): node
+             for node in ast.walk(speed) if isinstance(node, ast.Call)}
+    assert "_window_integrals" in calls
+    ring_size = calls["_window_integrals"].args[3]
+    assert isinstance(ring_size, ast.Attribute) and ring_size.attr == "n"
+    assert {"cos", "sum", "arange"} & set(calls) == set()
+    offsets = [f"dynamics.py:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               in ("arange", "linspace")
+               and any(getattr(n, "attr", None) == "halfwidth" for n in ast.walk(node))]
+    assert offsets == []
 
 
 def test_only_window_integrals_names_the_half_window():
