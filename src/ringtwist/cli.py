@@ -10,7 +10,8 @@ writes the manifest under the subcommand's name and maps errors to exit
 codes: 0 success, 2 for configuration problems (bad files, bad values,
 bad paths, sizes that cannot be allocated: any ValueError, OSError or
 MemoryError), 3 for numeric failures (integration breakdown, ill-posed
-fits, missing roots).
+fits, missing roots).  A sweep writes every run's row, with its status and
+error, and exits 3 if any run failed at integration.
 
 Run configurations are JSON files; any entry can be overridden on the
 command line with ``--set dotted.key=value`` (values parsed as JSON,
@@ -259,14 +260,23 @@ def cmd_estimate(args, out):
     return config.to_dict(), config.graph.seed, results
 
 
+_SWEEP_COLUMNS = ["value", "status", "error", "max_deviation", "final_deviation",
+                  "final_r", "escaped", "escape_time"]
+
+
 def _sweep_worker(payload: dict) -> dict:
-    trajectory = run_experiment(payload["config"])
+    try:
+        trajectory = run_experiment(payload["config"])
+    except IntegrationError as exc:
+        # the run keeps its row, so one bad value costs the sweep that run alone
+        return {"value": payload["value"], "status": "failed", "error": str(exc)}
     write_trajectory_csv(payload["csv_path"], trajectory)
     _, dev, c, s = _deviation_record(trajectory)
     escape_idx = np.nonzero(dev > payload["threshold"])[0]
     escaped = len(escape_idx) > 0
     return {
         "value": payload["value"],
+        "status": "ok",
         "max_deviation": float(np.max(dev)),
         "final_deviation": float(dev[-1]),
         "final_r": float(2.0 * np.hypot(c[-1], s[-1])),
@@ -302,10 +312,17 @@ def cmd_sweep(args, out):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
-    write_csv(summary_path, list(rows[0]), [list(row.values()) for row in rows])
+    write_csv(summary_path, _SWEEP_COLUMNS,
+              [[row.get(column) for column in _SWEEP_COLUMNS] for row in rows])
     for row in rows:
-        print(f"{args.param}={row['value']}: max_dev={row['max_deviation']:.4f} "
-              f"escaped={bool(row['escaped'])}")
+        print(f"{args.param}={row['value']}: " + (
+            f"failed: {row['error']}" if row["status"] == "failed" else
+            f"max_dev={row['max_deviation']:.4f} escaped={bool(row['escaped'])}"))
+    failed = [row for row in rows if row["status"] == "failed"]
+    if failed:
+        raise IntegrationError(
+            f"{len(failed)} of {len(rows)} sweep runs failed, each one marked in "
+            f"sweep.csv; first {args.param}={failed[0]['value']}: {failed[0]['error']}")
     return ({"base": base, "param": args.param, "values": values,
              "escape_threshold": args.escape_threshold}, None,
             {"n_runs": len(rows), "n_escaped": sum(1 for r in rows if r["escaped"])})

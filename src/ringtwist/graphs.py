@@ -268,12 +268,23 @@ def _spec_fields(spec: GraphSpec) -> dict:
 
 
 def _check_coupling(coupling: CouplingMatrix, spec: GraphSpec) -> None:
-    """Raise ValueError naming the first field spec fixes that coupling differs in."""
+    """Raise ValueError naming the first field spec fixes that coupling differs in.
+
+    A coupling does not record its edge probability p_e, so its realized
+    density stands in for it: over the N = n*(m + 1) in-band draws it must
+    lie within 6*sqrt(p_e*(1 - p_e)/N) + 1/N of spec.edge_probability, six
+    binomial deviations plus one draw.
+    """
     for name, value in _spec_fields(spec).items():
         if getattr(coupling, name) != value:
             source = "p" if name == "weight" and spec.kind == "deterministic_dense" else name
             raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
                              f"match graph {source} {value!r}")
+    draws, p_e = spec.n * (spec.halfwidth + 1), spec.edge_probability
+    density = empirical_band_density(coupling)
+    if abs(density - p_e) > 6.0 * sqrt(p_e * (1.0 - p_e) / draws) + 1.0 / draws:
+        raise ValueError(f"coupling realized density {density:.6g} does not match "
+                         f"graph p {spec.p!r} (edge probability {p_e:.6g})")
 
 
 def _tri_cdf(t: float, z0: float, n: int) -> float:

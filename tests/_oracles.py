@@ -7,7 +7,9 @@ linearization operator, cell averages via quadrature of the triangular
 offset marginal, rotation-aligned distances via a dense angle grid, the
 oscillator right-hand side via a literal double loop over neighbors and as
 one plain expression over two separate real prefix sums (the package's
-arithmetic before its sums were fused, so it must agree bit for bit), the
+arithmetic before its sums were fused, so it must agree bit for bit; its
+sin and cos come from the package's `circular.sincos` for that reason, or
+from numpy's sin and cos to bound what the tangent form moves), the
 continuum limit's right-hand side as an FFT multiplier written from its
 equation, the band as a dense matrix, random graphs via one unchunked draw
 of every in-band pair kept as edges whatever the probability, their files
@@ -38,6 +40,7 @@ from scipy import sparse
 from scipy.integrate import quad, solve_ivp
 
 from ringtwist.analysis import _align
+from ringtwist.circular import sincos
 from ringtwist.dynamics import twisted_profile
 from ringtwist.graphs import _band_fraction
 from ringtwist.spectrum import _half_window
@@ -229,12 +232,24 @@ def window_sums(values: np.ndarray, m: int) -> np.ndarray:
     return cum[2 * m + 1:] - cum[: len(values)]
 
 
-def rhs_two_sums(coupling, omega: float, sigma: float):
+# the absolute error circular.sincos is held to against np_sincos
+SINCOS_BOUND = 4.5e-16
+
+
+def np_sincos(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin u and cos u from numpy's own sin and cos."""
+    return np.sin(u), np.cos(u)
+
+
+def rhs_two_sums(coupling, omega: float, sigma: float, trig=sincos):
     """The right-hand side as one plain expression, each coupling sum on its own.
 
     A @ sin u and A @ cos u are two window_sums calls (minus the stored holes
     H @ x on a holes-stored graph) or two matvecs over the stored edges, and
-    W = weight * A on every route.
+    W = weight * A on every route.  sin u and cos u come from trig, by
+    default the package's circular.sincos, so the expression can be pinned
+    bit for bit; trig=np_sincos gives the same expression on numpy's sin
+    and cos.
     """
     m, stored = coupling.halfwidth, coupling.stored
     prefactor = coupling.scale * coupling.weight
@@ -248,7 +263,7 @@ def rhs_two_sums(coupling, omega: float, sigma: float):
         return window_sums(x, m)
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        s, c = np.sin(u), np.cos(u)
+        s, c = trig(u)
         ws, wc = coupling_sum(s), coupling_sum(c)
         return omega + prefactor * (
             (c * cos_sigma + s * sin_sigma) * ws - (s * cos_sigma - c * sin_sigma) * wc
@@ -380,12 +395,13 @@ def modulation_per_row(trajectory, t_min=None, t_max=None) -> dict:
 
 
 def sweep_row_per_row(trajectory, value, threshold: float) -> dict:
-    """A sweep.csv row: the deviation series, then the final row aligned again."""
+    """A finished run's sweep.csv row: the deviation series, then the final row aligned again."""
     dev = deviation_series_per_row(trajectory)
     escape_idx = np.nonzero(dev > threshold)[0]
     escaped = len(escape_idx) > 0
     return {
         "value": value,
+        "status": "ok",
         "max_deviation": float(np.max(dev)),
         "final_deviation": float(dev[-1]),
         "final_r": _mode1_per_row(trajectory.phases[-1], trajectory.config.q)[3],

@@ -1,11 +1,14 @@
-"""Angle wrapping and mean resultants."""
+"""Angle wrapping, the one sin/cos primitive and mean resultants."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringtwist.circular import resultant, wrap_angle
+from _oracles import SINCOS_BOUND
+from ringtwist.circular import resultant, sincos, wrap_angle
 
 # odd multiples of pi land on the edge of the interval
 angles = st.one_of(st.integers(-7, 7).map(lambda k: k * np.pi),
@@ -145,3 +148,61 @@ def test_resultant_is_the_mean_of_the_unit_phasors(n):
     assert np.max(np.abs(resultant(rows) - phasors)) <= 1e-15
     for row, z in zip(rows, phasors):
         assert abs(resultant(row) - z) <= 1e-15
+
+
+def _sincos_gap(x):
+    # absolute error against np.sin / np.cos; 2.2e-16 was the worst seen
+    s, c = sincos(x)
+    return max(np.max(np.abs(s - np.sin(x))), np.max(np.abs(c - np.cos(x))))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 15, 300])
+def test_sincos_is_sin_and_cos_within_the_bound(k):
+    x = np.random.default_rng(k).uniform(-(10.0 ** k), 10.0 ** k, 200_000)
+    assert _sincos_gap(x) <= SINCOS_BOUND
+
+
+@pytest.mark.parametrize("k", [-1_000_001, -7, -4, -3, -2, -1, 1, 2, 3, 4, 7, 64, 1_000_001])
+def test_sincos_near_the_multiples_of_half_pi(k):
+    # the 101 floats within 50 ulp of k*pi/2, where t = tan(x/2) is near 0,
+    # +-1 or +-inf and one of sin and cos is near zero
+    centre = abs(k) * (np.pi / 2)
+    bits = np.array([centre]).view(np.int64) + np.arange(-50, 51)
+    x = np.copysign(bits.view(np.float64), k)
+    assert _sincos_gap(x) <= SINCOS_BOUND
+
+
+def test_sincos_keeps_the_sign_of_zero_and_is_exact_at_pi():
+    s, c = sincos(np.array([0.0, -0.0]))
+    assert _bits(s) == _bits([0.0, -0.0])
+    assert _bits(c) == _bits([1.0, 1.0])
+    x = np.array([np.pi, -np.pi])
+    s, c = sincos(x)
+    assert _bits(s) == _bits(np.sin(x)) and _bits(c) == _bits(np.cos(x))
+
+
+def test_sincos_of_an_infinite_or_nan_angle_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, c = sincos(np.array([np.inf, -np.inf, np.nan, 1.0]))
+        scalar = sincos(np.inf)
+    assert np.isnan(s[:3]).all() and np.isnan(c[:3]).all()
+    assert _bits([s[3], c[3]]) == _bits(sincos(np.array([1.0])))
+    assert np.isnan(scalar).all()
+
+
+def test_sincos_shapes_and_rows():
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-50.0, 50.0, (3, 257))
+    s, c = sincos(rows)
+    assert s.shape == c.shape == (3, 257)
+    # each element by itself: a row of a 2-D call is the 1-D call bit for bit,
+    # which keeps resultant's rows equal to its 1-D calls
+    for row, s_row, c_row in zip(rows, s, c):
+        s1, c1 = sincos(row)
+        assert _bits(s_row) == _bits(s1) and _bits(c_row) == _bits(c1)
+        assert _bits(s_row[5]) == _bits(sincos(row[5])[0])
+    s0, c0 = sincos(np.array(0.7))
+    assert np.ndim(s0) == np.ndim(c0) == 0
+    assert abs(s0 - np.sin(0.7)) <= SINCOS_BOUND and abs(c0 - np.cos(0.7)) <= SINCOS_BOUND
+    assert sincos(np.array([]))[0].shape == (0,)

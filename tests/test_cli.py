@@ -266,6 +266,30 @@ class TestSweep:
         manifest = read_manifest(out)
         assert manifest["results"] == {"n_runs": 2, "n_escaped": 0}
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_run_failing_at_integration_keeps_the_finished_runs(
+            self, tmp_path, sim_config, capsys, jobs):
+        # omega = 1e308 overflows the solver's first step; the runs around it
+        # finish, and every run keeps its row with its status and error
+        out = tmp_path / f"out{jobs}"
+        assert main(["sweep", "--config", str(sim_config), "--param", "omega",
+                     "--values", "0.1,1e308,0.5", "--jobs", jobs, "--out", str(out)]) == 3
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["value"]) for r in rows] == [0.1, 1e308, 0.5]
+        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+        assert rows[1]["error"].startswith("integrator stopped at t=0 of 5: ")
+        assert [rows[1][key] for key in ("max_deviation", "escaped", "escape_time")] \
+            == ["", "", ""]
+        assert all(r["error"] == "" and float(r["max_deviation"]) < 0.5
+                   for r in (rows[0], rows[2]))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sweep.csv", "trajectory_000.csv", "trajectory_002.csv"]
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: 1 of 3 sweep runs failed, ")
+        assert "first omega=1e+308: integrator stopped" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("jobs, values, workers", [
         ("64", "0.2,0.31", 2), ("2", "0.2,0.25,0.31", 2)])
     def test_no_more_workers_than_runs(self, tmp_path, sim_config, monkeypatch,

@@ -15,8 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (
+    SINCOS_BOUND,
     dop853_accepted_steps,
     integrate_solve_ivp,
+    np_sincos,
     rhs_naive,
     rhs_ring_symbol,
     rhs_two_sums,
@@ -40,6 +42,7 @@ from ringtwist.dynamics import (
 )
 from ringtwist.graphs import (
     GraphSpec,
+    _check_coupling,
     _window_sums,
     build_coupling,
     empirical_band_density,
@@ -315,6 +318,36 @@ class TestRightHandSides:
         for _ in range(3):  # the workspace is reused across calls
             u = rng.uniform(-20.0, 20.0, spec.n)
             assert rhs(0.0, u).tobytes() == oracle(0.0, u).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=101, p=1.0, kappa=0.005),
+        GraphSpec(n=101, p=0.7, kappa=0.011),
+        GraphSpec(n=1000, p=1.0, kappa=0.168),
+        GraphSpec(n=101, p=1.0, kappa=0.499),
+        GraphSpec(n=10_000, p=1.0, kappa=0.168),
+        GraphSpec(n=300, p=0.9, kappa=0.31, kind="random_dense", seed=4),
+        GraphSpec(n=300, p=0.3, kappa=0.31, kind="random_dense", seed=4),
+    ])
+    @pytest.mark.parametrize("sigma", [0.0, pi / 3, -1.2])
+    def test_stays_within_the_sincos_bound_of_numpys_sin_and_cos(self, spec, sigma):
+        # sincos moves each sin u and cos u by at most e = SINCOS_BOUND.  A
+        # coupling sum over at most 2m + 1 neighbours then moves by (2m + 1)e,
+        # and so does each product a*w, with |a| <= 1 moved by at most
+        # (|cos sigma| + |sin sigma|)e <= sqrt(2)e and |w| <= 2m + 1, by
+        # (1 + sqrt 2)(2m + 1)e.  Rounding both sides onto the float grid
+        # near |rhs| adds at most one ulp, eps*max|rhs|.
+        coupling = build_coupling(spec)
+        rhs = make_rhs(coupling, 0.3, sigma)
+        old = rhs_two_sums(coupling, 0.3, sigma, trig=np_sincos)
+        neighbours = 2 * coupling.halfwidth + 1
+        moved = (2 * (1 + np.sqrt(2)) * SINCOS_BOUND
+                 * coupling.scale * coupling.weight * neighbours)
+        rng = np.random.default_rng(21)
+        twisted = twisted_profile(spec.n, 2) + 0.3 * np.sin(twisted_profile(spec.n, 1))
+        for u in (twisted, *rng.uniform(-20.0, 20.0, (3, spec.n))):
+            fast, slow = rhs(0.0, u), old(0.0, u)
+            ulp = np.finfo(float).eps * np.max(np.abs(slow))
+            assert np.max(np.abs(fast - slow)) <= moved + ulp
 
     @staticmethod
     def _closure_arrays(fn):
@@ -634,6 +667,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError,
                            match="^coupling weight 0.5 does not match graph weight 1.0$"):
             run_experiment(quiet_config(graph=spec), coupling=coupling)
+
+    @pytest.mark.parametrize("kind, built_p, config_p", [
+        ("random_dense", 0.9, 0.3), ("random_dense", 0.3, 0.9),
+        ("random_dense", 0.3, 0.4), ("random_sparse", 1.0, 0.5),
+    ])
+    def test_random_coupling_drawn_at_another_p_is_refused(self, kind, built_p, config_p):
+        # a coupling does not record p, so its realized density stands in:
+        # a p = 0.9 graph under a p = 0.3 config would run on the one and
+        # resolve omega for, and record, the other
+        spec = GraphSpec(n=200, p=config_p, kappa=0.2, kind=kind, seed=1,
+                         **({"gamma": 0.3} if kind == "random_sparse" else {}))
+        coupling = build_coupling(replace(spec, p=built_p))
+        density = empirical_band_density(coupling)
+        with pytest.raises(ValueError, match=f"^coupling realized density {density:.6g} "
+                                             f"does not match graph p {config_p} "):
+            run_experiment(quiet_config(graph=spec), coupling=coupling)
+
+    def test_realized_density_within_its_binomial_spread_is_accepted(self):
+        # every seed's own draw passes: at p = 0.5, n = 200, m = 40 the
+        # tolerance is 6*0.5/sqrt(8200) + 1/8200, about 0.033
+        for seed in range(20):
+            spec = GraphSpec(n=200, p=0.5, kappa=0.2, kind="random_dense", seed=seed)
+            coupling = build_coupling(spec)
+            assert abs(empirical_band_density(coupling) - 0.5) < 0.02
+            _check_coupling(coupling, spec)
 
     @pytest.mark.parametrize("omega", [None, 0.0, 0.7])
     def test_synchronized_state_turns_at_its_rotation_speed(self, omega):

@@ -15,6 +15,8 @@ checks keep:
 * the run layer importing nothing from ``bifurcation``;
 * the run's rotation speed read from ``spectrum._window_integrals`` at
   the realized n, with no offset array in ``dynamics``;
+* the right-hand side and the mean resultant taking sin and cos from
+  ``circular.sincos`` alone;
 * the closed forms on one window integral (no second function names the
   half window) and one root finder;
 * the threshold cache the package's only memo;
@@ -217,6 +219,25 @@ def test_the_rotation_speed_reads_the_window_integrals_at_the_realized_n():
                in ("arange", "linspace")
                and any(getattr(n, "attr", None) == "halfwidth" for n in ast.walk(node))]
     assert offsets == []
+
+
+def test_the_state_sized_trig_is_the_one_sincos():
+    # make_rhs's closure and resultant take sin and cos from circular.sincos,
+    # one tangent per node; a second np.sin / np.cos path would undo it
+    def calls(path, *names):
+        func = ast.parse((ROOT / "src" / "ringtwist" / path).read_text())
+        for name in names:
+            func = next(node for node in ast.walk(func)
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        return [getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(func) if isinstance(node, ast.Call)]
+
+    # make_rhs itself takes cos(sigma) and sin(sigma) once, outside the closure
+    rhs_calls, resultant_calls = (calls("dynamics.py", "make_rhs", "rhs"),
+                                  calls("circular.py", "resultant"))
+    for found in (rhs_calls, resultant_calls):
+        assert "sincos" in found
+        assert {"sin", "cos"} & set(found) == set()
 
 
 def test_only_window_integrals_names_the_half_window():
