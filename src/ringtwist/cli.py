@@ -11,7 +11,8 @@ codes: 0 success, 2 for configuration problems (bad files, bad values,
 bad paths, sizes that cannot be allocated: any ValueError, OSError or
 MemoryError), 3 for numeric failures (integration breakdown, ill-posed
 fits, missing roots).  A sweep writes every run's row, with its status and
-error, and exits 3 if any run failed at integration.
+error; if any run failed at integration it still writes the manifest, which
+lists only the files written and counts the failed runs, and exits 3.
 
 Run configurations are JSON files; any entry can be overridden on the
 command line with ``--set dotted.key=value`` (values parsed as JSON,
@@ -79,6 +80,18 @@ _NUMERIC_ERRORS = (IntegrationError, NoFitError, NoRootError, BracketError)
 
 class ConfigError(ValueError):
     """Raised for malformed configuration input (exit code 2)."""
+
+
+class FailedRuns(IntegrationError):
+    """Some runs of a command failed at integration (exit code 3).
+
+    ``report`` is the command's (config, seed, results) for the runs that
+    finished, and ``unwritten`` the named outputs the failed runs never wrote.
+    """
+
+    def __init__(self, message: str, report: tuple, unwritten: list[str]) -> None:
+        super().__init__(message)
+        self.report, self.unwritten = report, unwritten
 
 
 @dataclass
@@ -204,10 +217,10 @@ def cmd_graph(args, out):
         write_adjacency_binary(out("adjacency.bin"), coupling)
     density = empirical_band_density(coupling)
     step_err = step_graphon_error(spec)
-    print(f"halfwidth={coupling.halfwidth} nnz={coupling.nnz} "
+    print(f"halfwidth={spec.halfwidth} nnz={coupling.nnz} "
           f"density={density:.6f} (target {spec.edge_probability:.6f})")
     return data, spec.seed, {
-        "halfwidth": coupling.halfwidth, "nnz": coupling.nnz,
+        "halfwidth": spec.halfwidth, "nnz": coupling.nnz,
         "edge_probability": spec.edge_probability,
         "empirical_band_density": density, "step_graphon_error": step_err,
         "stored": coupling.stored, "stored_nnz": coupling.stored_nnz}
@@ -318,14 +331,18 @@ def cmd_sweep(args, out):
         print(f"{args.param}={row['value']}: " + (
             f"failed: {row['error']}" if row["status"] == "failed" else
             f"max_dev={row['max_deviation']:.4f} escaped={bool(row['escaped'])}"))
-    failed = [row for row in rows if row["status"] == "failed"]
+    failed = [i for i, row in enumerate(rows) if row["status"] == "failed"]
+    report = ({"base": base, "param": args.param, "values": values,
+               "escape_threshold": args.escape_threshold}, None,
+              {"n_runs": len(rows), "n_escaped": sum(1 for r in rows if r.get("escaped")),
+               "n_failed": len(failed)})
     if failed:
-        raise IntegrationError(
+        first = rows[failed[0]]
+        raise FailedRuns(
             f"{len(failed)} of {len(rows)} sweep runs failed, each one marked in "
-            f"sweep.csv; first {args.param}={failed[0]['value']}: {failed[0]['error']}")
-    return ({"base": base, "param": args.param, "values": values,
-             "escape_threshold": args.escape_threshold}, None,
-            {"n_runs": len(rows), "n_escaped": sum(1 for r in rows if r["escaped"])})
+            f"sweep.csv; first {args.param}={first['value']}: {first['error']}",
+            report, [payloads[i]["csv_path"] for i in failed])
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,10 +410,17 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        config, seed, results = args.func(args, out)
+        try:
+            failure, report = None, args.func(args, out)
+        except FailedRuns as exc:
+            failure, report = exc, exc.report
+            outputs = [path for path in outputs if path not in exc.unwritten]
+        config, seed, results = report
         RunManifest(command=args.command, config=config, outputs=outputs, seed=seed,
                     wall_time_s=time.perf_counter() - start,
                     results=results).write(args.out)
+        if failure is not None:
+            raise failure
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -209,9 +209,10 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
     call returns a fresh array, since the solver keeps the last one.  A
     state whose shape is not (n,) raises ValueError.
     """
-    prefactor, coupling_sums = coupling.scale * coupling.weight, coupling.coupling_sums()
+    spec = coupling.spec
+    prefactor, coupling_sums = spec.scale * spec.weight, coupling.coupling_sums()
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
-    n = coupling.n
+    n = spec.n
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
         if u.shape != (n,):
@@ -325,14 +326,11 @@ def run_experiment(config: SimulationConfig,
     """Build the graph, set up the initial condition, integrate, package.
 
     A prebuilt coupling may be passed to reuse one random graph across
-    several runs; it must carry every field config.graph fixes on a
-    coupling (n, kind, halfwidth, seed, scale and weight), and a mismatch
-    raises ValueError naming the field.  A coupling does not record its
-    edge probability, so its realized density must lie within six binomial
-    deviations of config.graph's, and a random graph drawn at another p
-    raises ValueError too.  The Trajectory keeps the solver record
-    (nfev, steps).  Samples that cannot be allocated are refused before
-    the graph is built.
+    several runs; its spec must equal config.graph, field for field, or
+    ValueError names every field that differs, so omega is resolved for,
+    and the config records, the graph that runs.  The Trajectory keeps the
+    solver record (nfev, steps).  Samples that cannot be allocated are
+    refused before the graph is built.
     """
     graph = config.graph
     # np.empty only reserves the array, so the trial costs no memory

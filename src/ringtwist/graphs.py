@@ -5,7 +5,7 @@ W(x, y) = p exactly when the circular distance between x and y is at most
 kappa (window half-width), else 0.  At resolution n it is realized as
 
 * ``deterministic_dense`` - the circulant 0/1 band matrix times weight p,
-  stored as (halfwidth, weight) only;
+  which stores nothing beyond its GraphSpec;
 * ``random_dense`` - symmetric Bernoulli(p) edges inside the band;
 * ``random_sparse`` - symmetric Bernoulli(n**(-gamma) * p) edges inside the
   band, with the thinning compensated by the dynamics prefactor.
@@ -27,7 +27,7 @@ diagonal (a self-loop) is part of the band.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import floor, sqrt
 from typing import Callable
@@ -45,7 +45,6 @@ __all__ = [
     "empirical_band_density",
     "write_pixel_csv",
     "write_adjacency_binary",
-    "read_adjacency_binary",
 ]
 
 # a dump stores a kind as its index here, so kinds are only ever appended
@@ -116,6 +115,11 @@ class GraphSpec:
         return 1.0
 
     @property
+    def weight(self) -> float:
+        """Value of every stored edge: p on the band, 1.0 on the random kinds."""
+        return self.p if self.kind == "deterministic_dense" else 1.0
+
+    @property
     def scale(self) -> float:
         """Dynamics prefactor 1/(n*alpha_n): 1/n dense, n**(gamma-1) sparse."""
         if self.kind == "random_sparse":
@@ -125,42 +129,29 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Realized n x n coupling structure.
+    """Realized n x n coupling structure of one GraphSpec.
 
-    A deterministic_dense graph stores only (halfwidth, weight) - the
-    matrix is the circulant band pattern, no O(n^2) memory.  A random
+    ``spec`` is the GraphSpec the matrix realizes; ``n``, ``halfwidth`` and
+    ``weight`` read it.  A deterministic_dense graph stores nothing more -
+    the matrix is the circulant band pattern, no O(n^2) memory.  A random
     graph stores one symmetric CSR: its holes H = band - A when more than
     half of its in-band pairs are realized, its edges A otherwise.  Either
     side may be passed, as ``edges`` or ``holes``; the matrix keeps the
     smaller one, converting with the band complement when needed.
     ``adjacency`` gives A for every random graph: the stored edges, or
-    band - H built on first access and cached.  ``scale`` is the dynamics
-    prefactor 1/(n*alpha_n); it and ``weight``, the value of every stored
-    edge, lie in (0, 1].
+    band - H built on first access and cached.
     """
 
-    n: int
-    scale: float
-    halfwidth: int
-    weight: float = 1.0
+    spec: GraphSpec
     edges: object | None = None
     holes: object | None = None
-    kind: str = "deterministic_dense"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        check_int("n", self.n, 1)
-        check_seed("seed", self.seed)
-        check_real("weight", self.weight, 0.0, 1.0, "(]")
-        check_real("scale", self.scale, 0.0, 1.0, "(]")
         banded = self.layout == "banded_uniform"
         given = [csr for csr in (self.edges, self.holes) if csr is not None]
         if len(given) != (0 if banded else 1):
-            raise ValueError(f"{self.kind} {'takes no' if banded else 'requires one'} "
+            raise ValueError(f"{self.spec.kind} {'takes no' if banded else 'requires one'} "
                              f"of edges or holes")
-        check_int("halfwidth", self.halfwidth, 0, (self.n - 1) // 2)  # 2*halfwidth < n
         if banded:
             return
         if not (_sparse.issparse(given[0]) and given[0].format == "csr"
@@ -173,9 +164,24 @@ class CouplingMatrix:
             object.__setattr__(self, "holes", other if to_holes else None)
 
     @property
+    def n(self) -> int:
+        """Node count, spec.n."""
+        return self.spec.n
+
+    @property
+    def halfwidth(self) -> int:
+        """Band half-width in index units, spec.halfwidth."""
+        return self.spec.halfwidth
+
+    @property
+    def weight(self) -> float:
+        """Value of every stored edge, spec.weight."""
+        return self.spec.weight
+
+    @property
     def layout(self) -> str:
         """banded_uniform for deterministic_dense, else sparse_binary."""
-        return ("banded_uniform" if self.kind == "deterministic_dense"
+        return ("banded_uniform" if self.spec.kind == "deterministic_dense"
                 else "sparse_binary")
 
     @property
@@ -260,31 +266,13 @@ def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
     return sums
 
 
-def _spec_fields(spec: GraphSpec) -> dict:
-    """The coupling fields a spec fixes; weight is p on the band, 1.0 on random kinds."""
-    return dict(n=spec.n, kind=spec.kind, halfwidth=spec.halfwidth, seed=spec.seed,
-                scale=spec.scale,
-                weight=spec.p if spec.kind == "deterministic_dense" else 1.0)
-
-
 def _check_coupling(coupling: CouplingMatrix, spec: GraphSpec) -> None:
-    """Raise ValueError naming the first field spec fixes that coupling differs in.
-
-    A coupling does not record its edge probability p_e, so its realized
-    density stands in for it: over the N = n*(m + 1) in-band draws it must
-    lie within 6*sqrt(p_e*(1 - p_e)/N) + 1/N of spec.edge_probability, six
-    binomial deviations plus one draw.
-    """
-    for name, value in _spec_fields(spec).items():
-        if getattr(coupling, name) != value:
-            source = "p" if name == "weight" and spec.kind == "deterministic_dense" else name
-            raise ValueError(f"coupling {name} {getattr(coupling, name)!r} does not "
-                             f"match graph {source} {value!r}")
-    draws, p_e = spec.n * (spec.halfwidth + 1), spec.edge_probability
-    density = empirical_band_density(coupling)
-    if abs(density - p_e) > 6.0 * sqrt(p_e * (1.0 - p_e) / draws) + 1.0 / draws:
-        raise ValueError(f"coupling realized density {density:.6g} does not match "
-                         f"graph p {spec.p!r} (edge probability {p_e:.6g})")
+    """Raise ValueError unless coupling realizes spec, naming every field that differs."""
+    if coupling.spec != spec:
+        differ = [f"{f.name} {getattr(coupling.spec, f.name)!r} "
+                  f"(graph {getattr(spec, f.name)!r})" for f in fields(spec)
+                  if getattr(coupling.spec, f.name) != getattr(spec, f.name)]
+        raise ValueError("coupling realizes another graph: " + ", ".join(differ))
 
 
 def _tri_cdf(t: float, z0: float, n: int) -> float:
@@ -346,17 +334,17 @@ def _sample_band_pairs(rng: np.random.Generator, n: int, m: int, probability: fl
 def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     """Realize a GraphSpec as a coupling matrix.
 
-    Deterministic specs produce the circulant band layout with weight p.
-    Random specs sample each in-band unordered pair {k, (k+d) mod n},
-    d = 0..halfwidth, independently with ``spec.edge_probability`` and
-    symmetrize.  The uniforms are streamed in row chunks, so a seed gives
+    The coupling carries spec.  Deterministic specs produce the circulant
+    band layout with weight p.  Random specs sample each in-band unordered
+    pair {k, (k+d) mod n}, d = 0..halfwidth, independently with
+    ``spec.edge_probability`` and symmetrize.  The uniforms are streamed in row chunks, so a seed gives
     the same graph as one (n, halfwidth+1) draw would; indices are int32.
     Above half edge probability the sampler keeps the holes instead of the
     edges, so neither the build nor the dynamics ever holds A.
     """
     n, m = spec.n, spec.halfwidth
     if spec.kind == "deterministic_dense":
-        return CouplingMatrix(**_spec_fields(spec))
+        return CouplingMatrix(spec)
     holes = spec.edge_probability > 0.5
     row_idx, col_idx = _sample_band_pairs(
         np.random.default_rng(spec.seed), n, m, spec.edge_probability, holes
@@ -364,7 +352,7 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     stored = _sparse.csr_array(
         (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
     )
-    return CouplingMatrix(**_spec_fields(spec), **{"holes" if holes else "edges": stored})
+    return CouplingMatrix(spec, **{"holes" if holes else "edges": stored})
 
 
 def _band_complement(matrix, m: int):
@@ -422,7 +410,7 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
     (diagonal included); symmetric off-diagonal entries count once.  The
     count is read from the stored side, A or H, without building the other.
     """
-    n, m = coupling.n, coupling.halfwidth
+    n, m = coupling.spec.n, coupling.spec.halfwidth
     universe = n * (m + 1)
     if coupling.stored == "band":
         return 1.0
@@ -440,9 +428,10 @@ def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
     A band row k lists the columns (k + d) mod n for d = -m..m.  Pixels are
     listed in chunks of about _CHUNK_VALUES.
     """
-    chunks, w = max(1, -(-coupling.nnz // _CHUNK_VALUES)), coupling.weight
+    spec = coupling.spec
+    chunks, w = max(1, -(-coupling.nnz // _CHUNK_VALUES)), spec.weight
     if coupling.layout == "banded_uniform":
-        n, d = coupling.n, np.arange(-coupling.halfwidth, coupling.halfwidth + 1)
+        n, d = spec.n, np.arange(-spec.halfwidth, spec.halfwidth + 1)
         pixels = ((np.repeat(k, d.size), (k[:, None] + d).ravel() % n)
                   for k in np.array_split(np.arange(n), chunks))
     else:
@@ -453,7 +442,7 @@ def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
 
 
 def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
-    """Write a compact little-endian adjacency dump.
+    """Write a compact little-endian dump of a coupling's spec and adjacency.
 
     Layout (all little-endian; the 58-byte header is the one struct _HEADER):
       magic 6s "RTADJ\\0" | version u16 | n u64 | kind u8 | has_seed u8 |
@@ -464,73 +453,15 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     always carry both arrays of A, even when the graph has no edges or
     stores its holes (A is then derived, and cached, by ``adjacency``).
     """
+    spec = coupling.spec
     banded = coupling.layout == "banded_uniform"
     csr = None if banded else _sparse.csr_array(coupling.adjacency)
-    has_seed = coupling.seed is not None
+    has_seed = spec.seed is not None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
-            _MAGIC, _VERSION, coupling.n, KINDS.index(coupling.kind), int(has_seed),
-            coupling.seed if has_seed else 0, coupling.halfwidth, coupling.weight,
-            coupling.scale, 0 if banded else int(csr.nnz)))
+            _MAGIC, _VERSION, spec.n, KINDS.index(spec.kind), int(has_seed),
+            spec.seed if has_seed else 0, spec.halfwidth, spec.weight,
+            spec.scale, 0 if banded else int(csr.nnz)))
         if not banded:
             fh.write(np.asarray(csr.indptr, dtype="<u8").tobytes())
             fh.write(np.asarray(csr.indices, dtype="<u8").tobytes())
-
-
-def read_adjacency_binary(path) -> CouplingMatrix:
-    """Read a dump produced by write_adjacency_binary.
-
-    The layout follows the stored kind: deterministic_dense reads back as
-    banded_uniform, the random kinds as sparse_binary with int32 indices,
-    as build_coupling makes them.  The file holds A; a graph whose
-    realized in-band density is above 1/2 keeps its holes H = band - A
-    instead, as a built one does.
-
-    Raises
-    ------
-    ValueError
-        On a bad magic or version, an unknown kind code, a weight or scale
-        outside (0, 1], a file whose length differs from the one its header
-        implies (truncated or trailing bytes), or index arrays that do not
-        describe an n x n CSR.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = raw[:6]
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if len(raw) < _HEADER.size:
-        raise ValueError(
-            f"{path}: header needs {_HEADER.size} bytes, found {len(raw)}"
-        )
-    _, version, n, kind_code, has_seed, seed, halfwidth, weight, scale, nnz = (
-        _HEADER.unpack_from(raw))
-    if version != _VERSION:
-        raise ValueError(f"unsupported version {version}")
-    if kind_code >= len(KINDS):  # an unsigned byte
-        raise ValueError(f"{path}: kind code {kind_code} out of range "
-                         f"(0..{len(KINDS) - 1})")
-    kind = KINDS[kind_code]
-    banded = kind == "deterministic_dense"
-    expected = _HEADER.size + (0 if banded else 8 * (n + 1 + nnz))
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} bytes for n={n}, nnz={nnz}, "
-            f"found {len(raw)}"
-        )
-    seed = int(seed) if has_seed else None
-    if banded:
-        return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
-                              weight=weight, kind=kind, seed=seed)
-    indptr = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER.size)
-    indices = np.frombuffer(raw, dtype="<u8", count=nnz,
-                            offset=_HEADER.size + 8 * (n + 1))
-    if (indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1])
-            or (nnz and indices.max() >= n)):
-        raise ValueError(f"{path}: row offsets or column indices out of range")
-    edges = _sparse.csr_array(
-        (np.ones(nnz), indices.astype(np.int32), indptr.astype(np.int32)),
-        shape=(int(n), int(n)),
-    )
-    return CouplingMatrix(n=int(n), scale=scale, halfwidth=int(halfwidth),
-                          weight=weight, edges=edges, kind=kind, seed=seed)

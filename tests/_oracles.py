@@ -197,7 +197,7 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
     over the band offsets -m..m (banded layout) or the CSR row (sparse
     layout), one term at a time.
     """
-    n, w = coupling.n, coupling.weight
+    n, w, scale = coupling.n, coupling.weight, coupling.spec.scale
     du = np.empty(n)
     if coupling.layout == "banded_uniform":
         m = coupling.halfwidth
@@ -206,7 +206,7 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
             for d in range(-m, m + 1):
                 j = (k + d) % n
                 acc += w * np.sin(u[j] - u[k] + sigma)
-            du[k] = omega + coupling.scale * acc
+            du[k] = omega + scale * acc
     else:
         csr = coupling.adjacency
         indptr, indices = csr.indptr, csr.indices
@@ -214,7 +214,7 @@ def rhs_naive(t: float, u: np.ndarray, coupling, omega: float,
             acc = 0.0
             for j in indices[indptr[k]:indptr[k + 1]]:
                 acc += w * np.sin(u[j] - u[k] + sigma)
-            du[k] = omega + coupling.scale * acc
+            du[k] = omega + scale * acc
     return du
 
 
@@ -252,7 +252,7 @@ def rhs_two_sums(coupling, omega: float, sigma: float, trig=sincos):
     and cos.
     """
     m, stored = coupling.halfwidth, coupling.stored
-    prefactor = coupling.scale * coupling.weight
+    prefactor = coupling.spec.scale * coupling.weight
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
 
     def coupling_sum(x: np.ndarray) -> np.ndarray:
@@ -342,20 +342,31 @@ def realized_density(adjacency, m: int) -> float:
 
 
 def graph_file_bytes(adjacency, spec) -> tuple[bytes, bytes]:
-    """The v1 adjacency.bin and the pixels.csv of a random graph's A.
+    """The v1 adjacency.bin and the pixels.csv of a graph: A for a random one, None for the band.
 
     The binary file is the header (magic, version 1, n, kind code, seed
-    flag, seed, halfwidth, weight, scale, nnz) and A's row offsets and
-    column indices as u64; the CSV lists A's entries row by row, 1-based.
+    flag, seed or 0, halfwidth, weight, scale, nnz) and, for a random graph,
+    A's row offsets and column indices as u64; the band's header has weight
+    p and nnz 0 and nothing follows it.  The CSV lists A's entries row by
+    row, 1-based, with weight 1.0, or the band's columns k + d mod n for
+    d = -m..m, with weight p.
     """
-    n, csr = spec.n, sparse.csr_array(adjacency)
+    n, m = spec.n, spec.halfwidth
     kind_code = ("deterministic_dense", "random_dense", "random_sparse").index(spec.kind)
-    binary = (b"RTADJ\x00" + struct.pack("<HQBBQQddQ", 1, n, kind_code, 1, spec.seed,
-                                         spec.halfwidth, 1.0, spec.scale, csr.nnz)
-              + csr.indptr.astype("<u8").tobytes() + csr.indices.astype("<u8").tobytes())
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    pixels = "k,j,w\n" + "".join(f"{k + 1},{j + 1},1.0\n"
-                                 for k, j in zip(rows.tolist(), csr.indices.tolist()))
+    if adjacency is None:
+        w, nnz, arrays = spec.p, 0, b""
+        entries = [(k, (k + d) % n) for k in range(n) for d in range(-m, m + 1)]
+    else:
+        csr = sparse.csr_array(adjacency)
+        w, nnz = 1.0, csr.nnz
+        arrays = csr.indptr.astype("<u8").tobytes() + csr.indices.astype("<u8").tobytes()
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        entries = zip(rows.tolist(), csr.indices.tolist())
+    has_seed = spec.seed is not None
+    binary = (b"RTADJ\x00" + struct.pack("<HQBBQQddQ", 1, n, kind_code, has_seed,
+                                         spec.seed if has_seed else 0, m, w, spec.scale,
+                                         nnz) + arrays)
+    pixels = "k,j,w\n" + "".join(f"{k + 1},{j + 1},{w!r}\n" for k, j in entries)
     return binary, pixels.encode()
 
 

@@ -1,17 +1,22 @@
-"""End-to-end command-line interface tests (in-process, no subprocesses)."""
+"""End-to-end command-line interface tests, in-process apart from the exit codes."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from math import inf, nan
+from pathlib import Path
 
 import pytest
 
+from _oracles import graph_file_bytes, sample_adjacency_one_shot
 from ringtwist import cli, dynamics
 from ringtwist.analysis import NoFitError, estimate_modulation
 from ringtwist.bifurcation import NoRootError
 from ringtwist.cli import main
 from ringtwist.dynamics import SimulationConfig, run_experiment
-from ringtwist.graphs import read_adjacency_binary
+from ringtwist.graphs import GraphSpec, build_coupling
 
 
 @pytest.fixture()
@@ -118,12 +123,14 @@ class TestGraph:
         assert manifest["seed"] == 3
         assert manifest["results"]["halfwidth"] == 12
         assert 0.0 < manifest["results"]["empirical_band_density"] < 1.0
-        assert (out / "pixels.csv").exists()
-        back = read_adjacency_binary(out / "adjacency.bin")
-        assert back.n == 40
-        assert back.nnz == manifest["results"]["nnz"]
-        assert manifest["results"]["stored"] == back.stored
-        assert manifest["results"]["stored_nnz"] == back.stored_nnz
+        spec = GraphSpec(**json.loads(graph_config.read_text()))
+        binary, pixels = graph_file_bytes(sample_adjacency_one_shot(40, 12, 0.5, 3), spec)
+        assert (out / "adjacency.bin").read_bytes() == binary
+        assert (out / "pixels.csv").read_bytes() == pixels
+        coupling = build_coupling(spec)
+        assert manifest["results"]["nnz"] == coupling.nnz
+        assert manifest["results"]["stored"] == coupling.stored
+        assert manifest["results"]["stored_nnz"] == coupling.stored_nnz
 
     @pytest.mark.parametrize("p, stored", [(0.3, "edges"), (0.9, "holes"), (1.0, "holes")])
     def test_stored_side_in_results(self, tmp_path, graph_config, p, stored):
@@ -264,13 +271,14 @@ class TestSweep:
         assert (out / "trajectory_000.csv").exists()
         assert (out / "trajectory_001.csv").exists()
         manifest = read_manifest(out)
-        assert manifest["results"] == {"n_runs": 2, "n_escaped": 0}
+        assert manifest["results"] == {"n_runs": 2, "n_escaped": 0, "n_failed": 0}
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_run_failing_at_integration_keeps_the_finished_runs(
             self, tmp_path, sim_config, capsys, jobs):
         # omega = 1e308 overflows the solver's first step; the runs around it
-        # finish, and every run keeps its row with its status and error
+        # finish, every run keeps its row with its status and error, and the
+        # manifest lists the files written and counts the failed run
         out = tmp_path / f"out{jobs}"
         assert main(["sweep", "--config", str(sim_config), "--param", "omega",
                      "--values", "0.1,1e308,0.5", "--jobs", jobs, "--out", str(out)]) == 3
@@ -284,9 +292,33 @@ class TestSweep:
         assert all(r["error"] == "" and float(r["max_deviation"]) < 0.5
                    for r in (rows[0], rows[2]))
         assert sorted(p.name for p in out.iterdir()) == [
-            "sweep.csv", "trajectory_000.csv", "trajectory_002.csv"]
+            "manifest.json", "sweep.csv", "trajectory_000.csv", "trajectory_002.csv"]
+        manifest = read_manifest(out)
+        assert manifest["command"] == "sweep"
+        assert manifest["outputs"] == [str(out / name) for name in (
+            "sweep.csv", "trajectory_000.csv", "trajectory_002.csv")]
+        assert manifest["results"] == {"n_runs": 3, "n_escaped": 0, "n_failed": 1}
+        assert manifest["config"]["values"] == [0.1, 1e308, 0.5]
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: 1 of 3 sweep runs failed, ")
+        assert "first omega=1e+308: integrator stopped" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_sweep_whose_every_run_fails_keeps_its_table_and_manifest(
+            self, tmp_path, sim_config, capsys, jobs):
+        # no trajectory is written, so the manifest lists the table alone
+        out = tmp_path / f"out{jobs}"
+        assert main(["sweep", "--config", str(sim_config), "--param", "omega",
+                     "--values", "1e308,-1e308", "--jobs", jobs, "--out", str(out)]) == 3
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["failed", "failed"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+        manifest = read_manifest(out)
+        assert manifest["outputs"] == [str(out / "sweep.csv")]
+        assert manifest["results"] == {"n_runs": 2, "n_escaped": 0, "n_failed": 2}
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: 2 of 2 sweep runs failed, ")
         assert "first omega=1e+308: integrator stopped" in err
         assert err.count("\n") == 1
 
@@ -335,6 +367,27 @@ class TestSweep:
         assert main(["sweep", "--config", str(sim_config),
                      "--param", "graph.kappa", "--values", ",",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["constants", "--q-list", "1"], 0, ""),
+    (["spectrum", "--q", "1", "--kappa", "0.7"], 2, "configuration error: "),
+    (["simulate", "--config", "{sim_config}", "--set", "omega=1e308"], 3,
+     "numeric failure: integrator stopped at t=0 of 5: "),
+])
+def test_exit_codes_reach_the_process(tmp_path, sim_config, argv, code, stderr):
+    # python -W error -m ringtwist.cli: sys.exit carries main's code, and no
+    # warning escapes on the way to it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(sim_config=sim_config) for arg in argv]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ringtwist.cli", *argv,
+         "--out", str(tmp_path / argv[0])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (code > 0)
 
 
 def test_version_flag():

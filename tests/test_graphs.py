@@ -26,7 +26,6 @@ from ringtwist.graphs import (
     _band_fraction,
     build_coupling,
     empirical_band_density,
-    read_adjacency_binary,
     step_graphon_error,
     write_adjacency_binary,
     write_pixel_csv,
@@ -65,6 +64,13 @@ class TestGraphSpec:
         with pytest.raises(ValueError):
             GraphSpec(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.5), ("n", 0), ("n", True), ("seed", -1), ("seed", "x"), ("seed", 2**64),
+        ("seed", 1.0)])
+    def test_refusal_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GraphSpec(**{"n": 10, "p": 1.0, "kappa": 0.3, field: value})
+
     def test_seed_range_is_accepted_to_its_edges(self):
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             assert GraphSpec(n=10, p=0.5, kappa=0.31, kind="random_dense",
@@ -80,14 +86,17 @@ class TestGraphSpec:
         det = GraphSpec(n=100, p=0.7, kappa=0.31)
         assert det.edge_probability == 1.0
         assert det.scale == pytest.approx(0.01, abs=0)
+        assert det.weight == 0.7
 
         dense = dense_spec(n=100, p=0.5)
         assert dense.edge_probability == 0.5
         assert dense.scale == pytest.approx(0.01, abs=0)
+        assert dense.weight == 1.0
 
         sp = sparse_spec(n=2000)
         assert sp.edge_probability == pytest.approx(2000.0 ** -0.3, abs=1e-15)
         assert sp.scale == pytest.approx(2000.0 ** -0.7, abs=1e-15)
+        assert sp.weight == 1.0
 
 
 class TestCellAverage:
@@ -141,7 +150,7 @@ class TestDeterministicCoupling:
     def test_nnz_and_scale(self):
         coupling = build_coupling(GraphSpec(n=100, p=1.0, kappa=0.31))
         assert coupling.nnz == 100 * (2 * 31 + 1)
-        assert coupling.scale == pytest.approx(0.01, abs=0)
+        assert coupling.spec.scale == pytest.approx(0.01, abs=0)
 
 
 class TestRandomCoupling:
@@ -218,7 +227,7 @@ class TestRandomCoupling:
         spec = sparse_spec(n=500)
         coupling = build_coupling(spec)
         assert coupling.layout == "sparse_binary"
-        assert coupling.scale == pytest.approx(500.0 ** -0.7, abs=1e-15)
+        assert coupling.spec.scale == pytest.approx(500.0 ** -0.7, abs=1e-15)
 
     def test_deterministic_density_is_one(self):
         assert empirical_band_density(
@@ -269,13 +278,6 @@ class TestStoredSide:
         write_pixel_csv(tmp_path / "pixels.csv", coupling)
         assert (tmp_path / "adj.bin").read_bytes() == binary
         assert (tmp_path / "pixels.csv").read_bytes() == pixels
-        back = read_adjacency_binary(tmp_path / "adj.bin")
-        assert back.stored == coupling.stored
-        assert back.stored_nnz == coupling.stored_nnz
-        stored = getattr(coupling, coupling.stored)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(getattr(back, back.stored), name),
-                                  getattr(stored, name)), name
 
     @pytest.mark.parametrize("side", ["edges", "holes"])
     def test_either_side_may_be_passed(self, side):
@@ -283,8 +285,7 @@ class TestStoredSide:
         oracle = sample_adjacency_one_shot(80, spec.halfwidth, 0.8, spec.seed)
         given = oracle if side == "edges" else graphs._band_complement(
             oracle, spec.halfwidth)
-        coupling = CouplingMatrix(n=80, scale=spec.scale, halfwidth=spec.halfwidth,
-                                  kind=spec.kind, seed=spec.seed, **{side: given})
+        coupling = CouplingMatrix(spec, **{side: given})
         assert coupling.stored == "holes"
         assert coupling.edges is None
         assert np.array_equal(coupling.adjacency.toarray(), oracle.toarray())
@@ -378,206 +379,104 @@ class TestFileFormats:
         write_adjacency_binary(path, coupling)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_binary_round_trip_banded(self, tmp_path):
-        coupling = build_coupling(GraphSpec(n=100, p=0.7, kappa=0.31))
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        back = read_adjacency_binary(path)
-        assert back.layout == "banded_uniform"
-        assert back.n == 100
-        assert back.halfwidth == 31
-        assert back.weight == 0.7
-        assert back.scale == coupling.scale
-        assert back.seed is None
-        assert back.kind == "deterministic_dense"
-
-    @pytest.mark.parametrize("spec", [dense_spec(n=120, seed=9), sparse_spec(n=150)])
-    def test_binary_round_trip_random(self, spec, tmp_path):
-        coupling = build_coupling(spec)
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        back = read_adjacency_binary(path)
-        assert back.layout == "sparse_binary"
-        assert back.seed == spec.seed
-        assert back.kind == spec.kind
-        assert back.nnz == coupling.nnz
-        assert np.array_equal(back.adjacency.toarray(), coupling.adjacency.toarray())
-
-    def test_binary_round_trip_edgeless_random(self, tmp_path):
-        # an edgeless random graph used to read back as the full band
-        spec = GraphSpec(n=5, p=1e-9, kappa=0.4, kind="random_dense", seed=3)
-        coupling = build_coupling(spec)
-        assert coupling.nnz == 0
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        back = read_adjacency_binary(path)
-        assert back.layout == "sparse_binary"
-        assert back.kind == "random_dense"
-        assert back.nnz == 0
-        assert np.array_equal(back.adjacency.toarray(), np.zeros((5, 5)))
-
     @given(kind=st.sampled_from(graphs.KINDS), n=st.integers(1, 60),
            kappa=st.floats(0.001, 0.499),
            p=st.one_of(st.just(1e-9), st.floats(0.05, 1.0)),
            seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)))
-    def test_binary_round_trip_property(self, kind, n, kappa, p, seed,
-                                        tmp_path_factory):
-        # every kind, edgeless random graphs (p = 1e-9) included
+    def test_binary_and_pixels_follow_the_layout(self, kind, n, kappa, p, seed,
+                                                 tmp_path_factory):
+        # every kind, edgeless random graphs (p = 1e-9) and bands without a
+        # seed included: the writers' bytes are the layout's, field by field
         if kind != "deterministic_dense" and seed is None:
             seed = 0
         spec = GraphSpec(n=n, p=p, kappa=kappa, kind=kind, seed=seed,
                          gamma=0.3 if kind == "random_sparse" else None)
-        coupling = build_coupling(spec)
-        path = tmp_path_factory.mktemp("bin") / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        back = read_adjacency_binary(path)
-        for name in ("layout", "n", "scale", "halfwidth", "weight", "kind", "seed",
-                     "nnz"):
-            assert getattr(back, name) == getattr(coupling, name), name
-        if kind != "deterministic_dense":
-            assert np.array_equal(back.adjacency.toarray(), coupling.adjacency.toarray())
+        assert_files_follow_the_layout(spec, tmp_path_factory.mktemp("bin"))
 
-    def test_binary_round_trip_keeps_dtypes(self, tmp_path):
-        coupling = build_coupling(dense_spec(n=120, p=0.9, seed=9))
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        back = read_adjacency_binary(path).adjacency
-        built = coupling.adjacency
-        for name in ("indptr", "indices", "data"):
-            assert getattr(back, name).dtype == getattr(built, name).dtype
-            assert np.array_equal(getattr(back, name), getattr(built, name))
-
-    @pytest.mark.parametrize("spec, change", [
-        (dense_spec(n=40, seed=2), -8),
-        (dense_spec(n=40, seed=2), -1),
-        (dense_spec(n=40, seed=2), 1),
-        (dense_spec(n=40, seed=2), 8),
-        (GraphSpec(n=10, p=1.0, kappa=0.31), 8),   # banded: header only
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=100, p=0.7, kappa=0.31),                     # band, no seed
+        GraphSpec(n=7, p=1.0, kappa=0.2, seed=2**64 - 1),        # band, widest seed
+        dense_spec(n=120, seed=9),                                # stores A
+        dense_spec(n=120, p=0.9, seed=9),                         # stores H
+        sparse_spec(n=150),
+        GraphSpec(n=5, p=1e-9, kappa=0.4, kind="random_dense", seed=3),   # no edges
+        GraphSpec(n=5, p=1e-9, kappa=0.4, kind="random_sparse", gamma=0.3, seed=0),
+        GraphSpec(n=1, p=0.5, kappa=0.3, kind="random_dense", seed=1),    # one node
     ])
-    def test_wrong_length_rejected(self, spec, change, tmp_path):
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, build_coupling(spec))
-        data = path.read_bytes()
-        size = len(data)
-        path.write_bytes(data[:size + change] if change < 0
-                         else data + b"\0" * change)
-        with pytest.raises(ValueError,
-                           match=f"expected {size} bytes.*found {size + change}"):
-            read_adjacency_binary(path)
-
-    def test_truncated_header_rejected(self, tmp_path):
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, build_coupling(dense_spec(n=40, seed=2)))
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(ValueError, match="header needs 58 bytes, found 20"):
-            read_adjacency_binary(path)
-
-    @pytest.mark.parametrize("offset, value", [
-        (26, 20),    # halfwidth 20 on n = 40: the band would wrap onto itself
-        (-8, 40),    # last column index equal to n
-        (58, 1),     # first row offset not 0
-        (16, 7),     # kind code 7 names no kind
-        (16, 3),     # nor does 3, one past the last
-    ])
-    def test_inconsistent_contents_rejected(self, offset, value, tmp_path):
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, build_coupling(dense_spec(n=40, seed=2)))
-        data = bytearray(path.read_bytes())
-        at = offset % len(data)
-        data[at:at + 8] = value.to_bytes(8, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="halfwidth|out of range"):
-            read_adjacency_binary(path)
-
-    @pytest.mark.parametrize("field, value", [
-        ("weight", float("nan")), ("weight", -3.0), ("scale", float("inf")), ("scale", 0.0)])
-    @pytest.mark.parametrize("spec", [GraphSpec(n=10, p=0.7, kappa=0.31),
-                                      dense_spec(n=40, seed=2)])
-    def test_bad_weight_or_scale_rejected(self, spec, field, value, tmp_path):
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, build_coupling(spec))
-        data = path.read_bytes()
-        header = list(graphs._HEADER.unpack_from(data))
-        header[7 if field == "weight" else 8] = value
-        path.write_bytes(graphs._HEADER.pack(*header) + data[graphs._HEADER.size:])
-        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
-            read_adjacency_binary(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "adj.bin"
-        coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
-        write_adjacency_binary(path, coupling)
-        data = bytearray(path.read_bytes())
-        data[:6] = b"NOTADJ"
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="magic"):
-            read_adjacency_binary(path)
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "adj.bin"
-        coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
-        write_adjacency_binary(path, coupling)
-        data = bytearray(path.read_bytes())
-        data[6:8] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="version"):
-            read_adjacency_binary(path)
+    def test_pinned_graphs_follow_the_layout(self, spec, tmp_path):
+        assert_files_follow_the_layout(spec, tmp_path)
 
 
-def test_coupling_matrix_validation():
-    edges = build_coupling(dense_spec(n=10, p=0.3)).edges
-    with pytest.raises(ValueError, match="kind must be one of"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="banded")
-    with pytest.raises(ValueError, match="random_dense requires one of edges or holes"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, kind="random_dense")
-    with pytest.raises(ValueError, match="random_dense requires one of edges or holes"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges, holes=edges,
-                       kind="random_dense")
-    with pytest.raises(ValueError, match="takes no"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges)
-    with pytest.raises(ValueError, match="takes no"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, holes=edges)
-    with pytest.raises(ValueError, match="halfwidth"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=5)
-    for bad in (float("nan"), 0.0, 1.5, True):
-        with pytest.raises(ValueError, match="weight"):
-            CouplingMatrix(n=10, scale=0.1, halfwidth=3, weight=bad)
-        with pytest.raises(ValueError, match="scale"):
-            CouplingMatrix(n=10, scale=bad, halfwidth=3)
-    with pytest.raises(ValueError, match="10 x 10 CSR"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges.toarray(),
-                       kind="random_dense")
-    with pytest.raises(ValueError, match="10 x 10 CSR"):
-        CouplingMatrix(n=10, scale=0.1, halfwidth=3, edges=edges.tocsc(),
-                       kind="random_dense")
-    with pytest.raises(ValueError, match="11 x 11 CSR"):
-        CouplingMatrix(n=11, scale=0.1, halfwidth=3, edges=edges, kind="random_dense")
-    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).nnz == 1
-    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).layout == "banded_uniform"
-    assert CouplingMatrix(n=1, scale=1.0, halfwidth=0).stored == "band"
+def assert_files_follow_the_layout(spec, path):
+    # adjacency.bin and pixels.csv of build_coupling(spec), byte for byte
+    # against the oracle fed the one-shot sample
+    oracle = None if spec.kind == "deterministic_dense" else sample_adjacency_one_shot(
+        spec.n, spec.halfwidth, spec.edge_probability, spec.seed)
+    binary, pixels = graph_file_bytes(oracle, spec)
+    coupling = build_coupling(spec)
+    write_adjacency_binary(path / "adj.bin", coupling)
+    write_pixel_csv(path / "pixels.csv", coupling)
+    assert (path / "adj.bin").read_bytes() == binary
+    assert (path / "pixels.csv").read_bytes() == pixels
 
 
-@pytest.mark.parametrize("field, value", [("n", 1.5), ("n", 0), ("n", True),
-                                          ("seed", -1), ("seed", "x"), ("seed", 2**64),
-                                          ("seed", 1.0)])
-def test_coupling_matrix_refuses_what_graph_spec_refuses(field, value):
-    # a coupling can be made without a GraphSpec (read_adjacency_binary makes
-    # one), so it checks n and seed by the same rules
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        GraphSpec(**{"n": 10, "p": 1.0, "kappa": 0.3, field: value})
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        CouplingMatrix(**{"n": 10, "scale": 0.1, "halfwidth": 3, field: value})
+SPEC10, BAND10 = dense_spec(n=10, p=0.3), GraphSpec(n=10, p=1.0, kappa=0.31)
+
+
+@pytest.mark.parametrize("spec, stored, message", [
+    (SPEC10, {}, "^random_dense requires one of edges or holes$"),
+    (sparse_spec(n=10), {}, "^random_sparse requires one of edges or holes$"),
+    (SPEC10, {"edges": "csr", "holes": "csr"}, "^random_dense requires one of edges"),
+    (BAND10, {"edges": "csr"}, "^deterministic_dense takes no of edges or holes$"),
+    (BAND10, {"holes": "csr"}, "^deterministic_dense takes no of edges or holes$"),
+    (SPEC10, {"edges": "dense"}, "10 x 10 CSR"),
+    (SPEC10, {"edges": "csc"}, "10 x 10 CSR"),
+    (replace(SPEC10, n=11), {"edges": "csr"}, "11 x 11 CSR"),
+    (replace(SPEC10, n=11), {"holes": "csr"}, "11 x 11 CSR"),
+])
+def test_coupling_matrix_validation(spec, stored, message):
+    # the coupling checks its stored CSR; the spec has checked the rest
+    edges = build_coupling(SPEC10).edges
+    forms = {"csr": edges, "dense": edges.toarray(), "csc": edges.tocsc()}
+    with pytest.raises(ValueError, match=message):
+        CouplingMatrix(spec, **{side: forms[form] for side, form in stored.items()})
+
+
+def test_a_single_node_band():
+    single = CouplingMatrix(GraphSpec(n=1, p=1.0, kappa=0.3))
+    assert (single.nnz, single.layout, single.stored) == (1, "banded_uniform", "band")
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
 def test_pixels_carry_the_weight_of_every_stored_edge(p, tmp_path):
     # W = weight * A on every route: a random graph's pixels carry its weight
-    # as the band's do, 1.0 for a built one
-    built = build_coupling(dense_spec(n=60, p=p))
-    for coupling, w in [(built, "1.0"), (replace(built, weight=0.5), "0.5")]:
-        path = tmp_path / "pixels.csv"
-        write_pixel_csv(path, coupling)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == coupling.nnz
-        assert {row["w"] for row in rows} == {w}
+    # as the band's do, 1.0 on either stored side
+    coupling = build_coupling(dense_spec(n=60, p=p))
+    path = tmp_path / "pixels.csv"
+    write_pixel_csv(path, coupling)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == coupling.nnz
+    assert {row["w"] for row in rows} == {"1.0"}
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec(n=50, p=0.7, kappa=0.31), dense_spec(p=0.3), dense_spec(p=0.9), sparse_spec()])
+def test_a_coupling_reads_the_spec_it_was_built_from(spec):
+    # n, halfwidth and weight read the spec the coupling was built from
+    coupling = build_coupling(spec)
+    assert coupling.spec is spec
+    assert (coupling.n, coupling.halfwidth, coupling.weight) == (
+        spec.n, spec.halfwidth, spec.weight)
+
+
+@pytest.mark.parametrize("name", ["n", "halfwidth", "weight"])
+def test_spec_facts_cannot_be_set_apart_from_the_spec(name):
+    # a coupling of another size or weight is the coupling of another spec:
+    # neither assignment nor dataclasses.replace changes one fact alone
+    coupling = build_coupling(dense_spec(n=60, p=0.9))
+    with pytest.raises(AttributeError):
+        setattr(coupling, name, 0.5)
+    with pytest.raises(TypeError):
+        replace(coupling, **{name: 0.5})
+    assert getattr(coupling, name) == getattr(coupling.spec, name)

@@ -11,6 +11,8 @@ checks keep:
 * the dynamics, and the coupling sums ``graphs`` forms for them, from
   rebuilding a graph's holes;
 * what a coupling stores read in ``graphs`` alone;
+* a coupling holding its ``GraphSpec`` and one stored side, and built in
+  ``graphs`` alone;
 * ``run_experiment`` the one path from a configuration to a trajectory;
 * the run layer importing nothing from ``bifurcation``;
 * the run's rotation speed read from ``spectrum._window_integrals`` at
@@ -31,9 +33,12 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from ringtwist.graphs import CouplingMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,6 +190,19 @@ def test_only_graphs_reads_what_a_coupling_stores():
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute) and node.attr in refused]
     assert reads == []
+
+
+def test_a_coupling_is_its_spec_and_one_stored_side_built_in_graphs():
+    # the spec is the one record of which graph a coupling realizes: a field
+    # copied from it could disagree, and a coupling built outside graphs
+    # could carry a spec it does not realize
+    assert [f.name for f in fields(CouplingMatrix)] == ["spec", "edges", "holes"]
+    built = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(
+                 node.func, "id", getattr(node.func, "attr", None)) == "CouplingMatrix"]
+    assert built and all(site.startswith("graphs.py:") for site in built)
 
 
 def test_dynamics_imports_nothing_from_bifurcation():
