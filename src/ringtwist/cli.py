@@ -219,7 +219,7 @@ def cmd_graph(args, out):
     step_err = step_graphon_error(spec)
     print(f"halfwidth={spec.halfwidth} nnz={coupling.nnz} "
           f"density={density:.6f} (target {spec.edge_probability:.6f})")
-    return data, spec.seed, {
+    return asdict(spec), spec.seed, {
         "halfwidth": spec.halfwidth, "nnz": coupling.nnz,
         "edge_probability": spec.edge_probability,
         "empirical_band_density": density, "step_graphon_error": step_err,

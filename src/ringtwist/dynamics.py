@@ -109,19 +109,15 @@ class Trajectory:
     """Sampled solution of one run.
 
     phases has shape (len(times), n) and holds raw (unwrapped, lab-frame)
-    phases as produced by the integrator.  rotation_speed is omega plus
-    the speed at which the coupling turns the q-twisted state on the
-    realized window (see _coupling_speed), 0 for an omega=None run.  nfev
-    and steps are the solver record of the run (right-hand-side
-    evaluations and accepted steps), None for a trajectory not made by
-    run_experiment.
+    phases as produced by the integrator.  nfev and steps are the solver
+    record of the run (right-hand-side evaluations and accepted steps),
+    None for a trajectory not made by run_experiment.
     """
 
     times: np.ndarray
     phases: np.ndarray
     config: SimulationConfig
     omega: float
-    rotation_speed: float = 0.0
     nfev: int | None = None
     steps: int | None = None
 
@@ -137,6 +133,13 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.config.graph.n
+
+    @property
+    def rotation_speed(self) -> float:
+        """omega plus the speed at which the coupling turns the q-twisted state
+        on the realized window (see _coupling_speed), 0 for an omega=None run."""
+        cfg = self.config
+        return self.omega + _coupling_speed(cfg.graph, cfg.q, cfg.sigma)
 
     def output_nodes(self) -> np.ndarray:
         """CSV column subset: every floor(n/10)-th node from floor(n/20).
@@ -348,7 +351,6 @@ def run_experiment(config: SimulationConfig,
     )
     times, states = samples
     return Trajectory(times=times, phases=states, config=config, omega=omega,
-                      rotation_speed=omega + _coupling_speed(graph, config.q, config.sigma),
                       nfev=samples.nfev, steps=samples.steps)
 
 

@@ -13,10 +13,12 @@ kappa (window half-width), else 0.  At resolution n it is realized as
 W = weight * A for a 0/1 pattern A: weight, the value of every stored edge,
 is p on the band and 1.0 on the random kinds, which carry p in their edges.
 
-A random graph keeps one sparse matrix, the smaller of its edges A and its
-holes H = band - A: H when more than half of its in-band pairs are
-realized, A otherwise.  Above half edge probability the sampler draws H
-directly, so A is built only when a writer asks for it.
+A GraphSpec is the whole identity of a graph: (W, n, p, kappa, gamma, seed),
+with a gamma off random_sparse and a seed on deterministic_dense checked,
+then dropped.  It also names the side a random graph stores, the one
+expected to be smaller: its holes H = band - A at edge probability >= 1/2,
+its edges A below.  A CouplingMatrix draws that side from the seed, so A
+is built only when a writer asks for it.
 
 Node k (1-based, k in [1..n]) sits at position x = k/n and owns the cell
 I_k = ((k-1)/n, k/n]; band membership at finite n uses circular index
@@ -27,7 +29,7 @@ diagonal (a self-loop) is part of the band.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import floor, sqrt
 from typing import Callable
@@ -75,10 +77,13 @@ class GraphSpec:
     kind : str
         One of "deterministic_dense", "random_dense", "random_sparse".
     gamma : float or None
-        Sparsity exponent in (0, 1/2); required for random_sparse only.
+        Sparsity exponent in (0, 1/2); required for random_sparse, checked
+        and then dropped to None for the other kinds.
     seed : int or None
         RNG seed in [0, 2**64); mandatory for the random kinds (no silent
-        entropy), ignored for deterministic_dense.
+        entropy), checked and then dropped to None for deterministic_dense.
+
+    Dropping them makes two specs of one graph compare equal.
     """
 
     n: int
@@ -99,6 +104,18 @@ class GraphSpec:
         if self.kind != "deterministic_dense" and self.seed is None:
             raise ValueError(f"{self.kind} requires an explicit seed")
         check_seed("seed", self.seed)
+        if self.kind != "random_sparse":
+            object.__setattr__(self, "gamma", None)
+        if self.kind == "deterministic_dense":
+            object.__setattr__(self, "seed", None)
+
+    @property
+    def stored(self) -> str:
+        """What a coupling keeps: "band", or "holes" (H = band - A) at edge
+        probability >= 1/2 and "edges" (A) below, the side expected to be smaller."""
+        if self.kind == "deterministic_dense":
+            return "band"
+        return "holes" if self.edge_probability >= 0.5 else "edges"
 
     @property
     def halfwidth(self) -> int:
@@ -131,37 +148,25 @@ class GraphSpec:
 class CouplingMatrix:
     """Realized n x n coupling structure of one GraphSpec.
 
-    ``spec`` is the GraphSpec the matrix realizes; ``n``, ``halfwidth`` and
-    ``weight`` read it.  A deterministic_dense graph stores nothing more -
-    the matrix is the circulant band pattern, no O(n^2) memory.  A random
-    graph stores one symmetric CSR: its holes H = band - A when more than
-    half of its in-band pairs are realized, its edges A otherwise.  Either
-    side may be passed, as ``edges`` or ``holes``; the matrix keeps the
-    smaller one, converting with the band complement when needed.
-    ``adjacency`` gives A for every random graph: the stored edges, or
-    band - H built on first access and cached.
+    ``spec`` is the one argument: ``n``, ``halfwidth``, ``weight`` and
+    ``stored`` read it, and two couplings of one spec are one graph.  A
+    deterministic_dense graph stores nothing more - the matrix is the
+    circulant band pattern, no O(n^2) memory.  A random graph draws
+    ``spec.stored`` from ``spec.seed`` into ``csr``, one symmetric CSR:
+    its holes H = band - A or its edges A.  ``adjacency`` gives A for
+    every random graph: the stored edges, or band - H built on first
+    access and cached.
     """
 
     spec: GraphSpec
-    edges: object | None = None
-    holes: object | None = None
+    csr: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        banded = self.layout == "banded_uniform"
-        given = [csr for csr in (self.edges, self.holes) if csr is not None]
-        if len(given) != (0 if banded else 1):
-            raise ValueError(f"{self.spec.kind} {'takes no' if banded else 'requires one'} "
-                             f"of edges or holes")
-        if banded:
-            return
-        if not (_sparse.issparse(given[0]) and given[0].format == "csr"
-                and given[0].shape == (self.n, self.n)):
-            raise ValueError(f"the stored side must be an {self.n} x {self.n} CSR")
-        to_holes = empirical_band_density(self) > 0.5
-        if to_holes != (self.holes is not None):
-            other = _band_complement(given[0], self.halfwidth)
-            object.__setattr__(self, "edges", None if to_holes else other)
-            object.__setattr__(self, "holes", other if to_holes else None)
+        csr = None
+        if self.stored != "band":
+            rows, cols = _sample_band_pairs(self.spec)
+            csr = _sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+        object.__setattr__(self, "csr", csr)
 
     @property
     def n(self) -> int:
@@ -181,20 +186,17 @@ class CouplingMatrix:
     @property
     def layout(self) -> str:
         """banded_uniform for deterministic_dense, else sparse_binary."""
-        return ("banded_uniform" if self.spec.kind == "deterministic_dense"
-                else "sparse_binary")
+        return "banded_uniform" if self.stored == "band" else "sparse_binary"
 
     @property
     def stored(self) -> str:
-        """What the matrix keeps: "band", "edges" (A) or "holes" (H = band - A)."""
-        if self.layout == "banded_uniform":
-            return "band"
-        return "edges" if self.holes is None else "holes"
+        """What the matrix keeps, spec.stored: "band", "edges" (A) or "holes" (H)."""
+        return self.spec.stored
 
     @property
     def stored_nnz(self) -> int:
         """Entries of the stored CSR (0 for the band, which stores none)."""
-        return 0 if self.stored == "band" else int(getattr(self, self.stored).nnz)
+        return 0 if self.csr is None else int(self.csr.nnz)
 
     @property
     def nnz(self) -> int:
@@ -202,15 +204,14 @@ class CouplingMatrix:
         band = self.n * (2 * self.halfwidth + 1)
         if self.stored == "band":
             return band
-        # H = band - A holds -1 where A has an entry outside the band
-        return int(self.edges.nnz) if self.holes is None else band - int(self.holes.sum())
+        return self.stored_nnz if self.stored == "edges" else band - self.stored_nnz
 
     @cached_property
     def adjacency(self):
         """A as a CSR with data 1.0 (None for the band), derived once from H if needed."""
-        if self.holes is None:
-            return self.edges
-        return _band_complement(self.holes, self.halfwidth)
+        if self.stored == "holes":
+            return _band_complement(self.csr, self.halfwidth)
+        return self.csr
 
     def coupling_sums(self) -> Callable[[np.ndarray, np.ndarray], tuple]:
         """A map (s, c) -> (A @ s, A @ c) for the 0/1 pattern A of W = weight * A.
@@ -221,12 +222,12 @@ class CouplingMatrix:
         next call overwrites, so build one map per thread.
         """
         if self.stored == "edges":
-            edges = self.edges
+            edges = self.csr
             return lambda s, c: (edges @ s, edges @ c)
         window = _window_sums(self.n, self.halfwidth)
         if self.stored == "band":
             return window
-        holes = self.holes
+        holes = self.csr
 
         def minus_holes(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ws, wc = window(s, c)
@@ -304,17 +305,19 @@ def _band_fraction(z0: float, n: int, kappa: float) -> float:
     return total
 
 
-def _sample_band_pairs(rng: np.random.Generator, n: int, m: int, probability: float,
-                       holes: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric (row, col) int32 pairs of a random in-band graph or of its holes.
+def _sample_band_pairs(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (row, col) int32 pairs of the side spec.stored of a random graph.
 
-    Pair {k, (k+d) mod n} is an edge when the uniform at row k, column d of
-    a row-major (n, m+1) draw is below the probability, and a hole
-    otherwise; ``holes`` picks which of the two is kept, so both readings
-    of one seed describe one graph.  The draw is taken in row chunks of
-    about _CHUNK_VALUES, which reads the same stream, and only the kept
-    pairs are stored, so memory follows their count.
+    Each in-band unordered pair {k, (k+d) mod n}, d = 0..halfwidth, is an
+    edge when the uniform at row k, column d of a row-major (n, halfwidth+1)
+    draw from spec.seed is below spec.edge_probability, and a hole
+    otherwise, so both sides of one seed describe one graph.  The draw is
+    taken in row chunks of about _CHUNK_VALUES, which reads the same stream,
+    and only the stored pairs are kept, so memory follows their count; the
+    draw's chunks are freed on return, before the caller builds the CSR.
     """
+    n, m, probability = spec.n, spec.halfwidth, spec.edge_probability
+    rng, holes = np.random.default_rng(spec.seed), spec.stored == "holes"
     step = max(1, _CHUNK_VALUES // (m + 1))
     starts, offsets = [], []
     for lo in range(0, n, step):
@@ -332,39 +335,22 @@ def _sample_band_pairs(rng: np.random.Generator, n: int, m: int, probability: fl
 
 
 def build_coupling(spec: GraphSpec) -> CouplingMatrix:
-    """Realize a GraphSpec as a coupling matrix.
+    """Realize a GraphSpec as a coupling matrix: CouplingMatrix(spec).
 
-    The coupling carries spec.  Deterministic specs produce the circulant
-    band layout with weight p.  Random specs sample each in-band unordered
-    pair {k, (k+d) mod n}, d = 0..halfwidth, independently with
-    ``spec.edge_probability`` and symmetrize.  The uniforms are streamed in row chunks, so a seed gives
-    the same graph as one (n, halfwidth+1) draw would; indices are int32.
-    Above half edge probability the sampler keeps the holes instead of the
-    edges, so neither the build nor the dynamics ever holds A.
+    Deterministic specs produce the circulant band layout with weight p.
+    Random specs draw the side ``spec.stored`` names (see _sample_band_pairs),
+    so the build never holds A when it stores H.
     """
-    n, m = spec.n, spec.halfwidth
-    if spec.kind == "deterministic_dense":
-        return CouplingMatrix(spec)
-    holes = spec.edge_probability > 0.5
-    row_idx, col_idx = _sample_band_pairs(
-        np.random.default_rng(spec.seed), n, m, spec.edge_probability, holes
-    )
-    stored = _sparse.csr_array(
-        (np.ones(len(row_idx)), (row_idx, col_idx)), shape=(n, n)
-    )
-    return CouplingMatrix(spec, **{"holes" if holes else "edges": stored})
+    return CouplingMatrix(spec)
 
 
-def _band_complement(matrix, m: int):
-    """band - matrix for the band of half-width m, as a sorted CSR.
+def _band_complement(holes, m: int):
+    """A = band - H for holes H of the band of half-width m, as a sorted CSR.
 
-    This turns edges A into holes H = band - A and holes back into
-    A = band - H.  Built in row chunks of about _CHUNK_VALUES band entries,
-    with int32 indices when the matrix has them.  Each chunk subtracts the
-    matrix's rows from the band's, so the complement is exact whatever the
-    matrix stores, out-of-band entries included (they come back as -1).
+    Built in row chunks of about _CHUNK_VALUES band entries, with int32
+    indices when H has them: each chunk subtracts H's rows from the band's.
     """
-    n = matrix.shape[0]
+    n = holes.shape[0]
     width = 2 * m + 1
     step = max(1, _CHUNK_VALUES // width)
     j = np.arange(width, dtype=np.int32)
@@ -380,7 +366,7 @@ def _band_complement(matrix, m: int):
              np.arange(0, cols.size + 1, width, dtype=np.int32)),
             shape=(len(rows), n),
         )
-        chunks.append(band - matrix[lo:lo + len(rows)])
+        chunks.append(band - holes[lo:lo + len(rows)])
     return _sparse.vstack(chunks, format="csr")
 
 
@@ -414,10 +400,9 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
     universe = n * (m + 1)
     if coupling.stored == "band":
         return 1.0
-    if coupling.holes is None:
-        diag = int(coupling.edges.diagonal().sum())
-    else:
-        diag = n - int(coupling.holes.diagonal().sum())  # the diagonal is in the band
+    diag = int(coupling.csr.diagonal().sum())
+    if coupling.stored == "holes":
+        diag = n - diag  # the diagonal is in the band
     realized = diag + (coupling.nnz - diag) // 2
     return realized / universe
 
@@ -453,15 +438,13 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     always carry both arrays of A, even when the graph has no edges or
     stores its holes (A is then derived, and cached, by ``adjacency``).
     """
-    spec = coupling.spec
-    banded = coupling.layout == "banded_uniform"
-    csr = None if banded else _sparse.csr_array(coupling.adjacency)
+    spec, csr = coupling.spec, coupling.adjacency
     has_seed = spec.seed is not None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
             _MAGIC, _VERSION, spec.n, KINDS.index(spec.kind), int(has_seed),
             spec.seed if has_seed else 0, spec.halfwidth, spec.weight,
-            spec.scale, 0 if banded else int(csr.nnz)))
-        if not banded:
+            spec.scale, 0 if csr is None else int(csr.nnz)))
+        if csr is not None:
             fh.write(np.asarray(csr.indptr, dtype="<u8").tobytes())
             fh.write(np.asarray(csr.indices, dtype="<u8").tobytes())

@@ -257,9 +257,9 @@ def rhs_two_sums(coupling, omega: float, sigma: float, trig=sincos):
 
     def coupling_sum(x: np.ndarray) -> np.ndarray:
         if stored == "edges":
-            return coupling.edges @ x
+            return coupling.csr @ x
         if stored == "holes":
-            return window_sums(x, m) - coupling.holes @ x
+            return window_sums(x, m) - coupling.csr @ x
         return window_sums(x, m)
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:

@@ -88,13 +88,15 @@ def test_numpy_scalars_in_range_are_accepted(make, name, lo, hi, ends, optional,
     x = data.draw(st.floats(lo, hi, exclude_min=ends[0] == "(",
                             exclude_max=ends[1] == ")", allow_nan=False,
                             allow_infinity=False))
-    assert getattr(make(**{name: np.float64(x)}), name) == x
+    # a gamma off random_sparse is checked, then dropped
+    kept = (make, name) != (graph, "gamma")
+    assert getattr(make(**{name: np.float64(x)}), name) == (x if kept else None)
     ints = range(ceil(max(lo, -10)), floor(min(hi, 10)) + 1)
     k = data.draw(st.sampled_from([k for k in ints
                                    if (k != lo or ends[0] == "[")
                                    and (k != hi or ends[1] == "]")] or [None]))
     if k is not None:
-        assert getattr(make(**{name: np.int64(k)}), name) == k
+        assert getattr(make(**{name: np.int64(k)}), name) == (k if kept else None)
 
 
 def test_check_real_names_the_first_bad_array_element():

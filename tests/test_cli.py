@@ -150,6 +150,16 @@ class TestGraph:
         results = read_manifest(out)["results"]
         assert (results["stored"], results["stored_nnz"]) == ("band", 0)
 
+    def test_manifest_records_the_realized_spec(self, tmp_path, graph_config):
+        # a gamma off random_sparse is checked, then dropped, so the manifest
+        # does not record it as if it had been used
+        out = tmp_path / "out"
+        assert main(["graph", "--config", str(graph_config), "--set", "gamma=0.3",
+                     "--out", str(out)]) == 0
+        assert read_manifest(out)["config"] == {
+            "n": 40, "p": 0.5, "kappa": 0.31, "kind": "random_dense", "gamma": None,
+            "seed": 3}
+
     def test_set_override(self, tmp_path, graph_config):
         out = tmp_path / "out"
         assert main(["graph", "--config", str(graph_config),
@@ -357,6 +367,18 @@ class TestSweep:
                      "--values", values, "--jobs", "1", "--out", str(out)]) == 2
         assert list(out.glob("trajectory_*.csv")) == []
         assert not (out / "sweep.csv").exists()
+
+    def test_one_config_sweeps_all_three_kinds(self, tmp_path, sim_config):
+        # a config holding both seed and gamma runs every kind: a field a kind
+        # ignores is dropped, not refused
+        out = tmp_path / "o"
+        kinds = ["deterministic_dense", "random_dense", "random_sparse"]
+        assert main(["sweep", "--config", str(sim_config), "--set", "graph.seed=3",
+                     "--set", "graph.gamma=0.3", "--param", "graph.kind",
+                     "--values", ",".join(kinds), "--jobs", "1", "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["status"]) for r in rows] == [(k, "ok") for k in kinds]
 
     def test_unknown_parameter(self, tmp_path, sim_config):
         assert main(["sweep", "--config", str(sim_config),

@@ -256,14 +256,14 @@ class TestRightHandSides:
         assert (empirical_band_density(coupling) > 0.5) == holes_route
         assert coupling.stored == ("holes" if holes_route else "edges")
         # the right-hand side multiplies by the stored CSR itself, twice a call
-        stored, products = getattr(coupling, coupling.stored), []
+        stored, products = coupling.csr, []
 
         class Spy:
             def __matmul__(self, x):
                 products.append(len(x))
                 return stored @ x
 
-        object.__setattr__(coupling, coupling.stored, Spy())
+        object.__setattr__(coupling, "csr", Spy())
         make_rhs(coupling, 0.0, 0.0)(0.0, np.zeros(60))
         assert products == [60, 60]
         assert "adjacency" not in vars(coupling)  # A is never built for the dynamics
@@ -642,6 +642,21 @@ class TestRunExperiment:
         built = run_experiment(cfg, coupling=coupling)
         assert np.array_equal(built.phases, run_experiment(cfg).phases)
 
+    @pytest.mark.parametrize("graph, ignored", [
+        (GraphSpec(n=40, p=0.5, kappa=0.3, kind="random_dense", seed=1), {"gamma": 0.3}),
+        (det_graph(n=40, p=0.7), {"seed": 5}),
+    ])
+    def test_a_field_its_kind_ignores_names_no_other_graph(self, graph, ignored):
+        # a gamma off random_sparse or a seed on the band is checked, then
+        # dropped: the config runs with a coupling built from the spec
+        # without it, bit for bit as the config without it
+        cfg = quiet_config(graph=replace(graph, **ignored), t_end=1.0,
+                           perturbation_amplitude=1e-2, ic_seed=1)
+        assert cfg.graph == graph
+        given = run_experiment(cfg, coupling=build_coupling(graph))
+        plain = run_experiment(replace(cfg, graph=graph))
+        assert given.phases.tobytes() == plain.phases.tobytes()
+
     def test_coupling_size_mismatch(self):
         # a prebuilt coupling must be the graph the config records, and the
         # refusal names every field of the spec that differs
@@ -743,6 +758,19 @@ class TestRunExperiment:
         corot_move = np.max(np.abs(corot[-1] - corot[0]))
         assert raw_move > 1.0
         assert corot_move < 1e-10
+
+    def test_a_hand_built_trajectory_reports_its_rotation_speed(self, tmp_path):
+        # the speed is read from omega and the config, so a trajectory not
+        # made by run_experiment reports, and writes, the speed a run has
+        cfg = quiet_config(graph=det_graph(n=1000), omega=0.3, sigma=0.5, t_end=1.0)
+        traj = Trajectory(times=[0.0, 1.0], phases=np.zeros((2, 1000)), config=cfg,
+                          omega=0.3)
+        assert traj.rotation_speed == pytest.approx(
+            0.3 + window_speed(1.0, 1000, 310, 1, 0.5), abs=1e-15)
+        assert traj.rotation_speed == run_experiment(cfg).rotation_speed
+        write_run_json(tmp_path / "run.json", traj)
+        assert json.loads((tmp_path / "run.json").read_text())["rotation_speed"] \
+            == traj.rotation_speed
 
     def test_trajectory_shape_validation(self):
         cfg = quiet_config()

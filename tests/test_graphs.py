@@ -59,6 +59,10 @@ class TestGraphSpec:
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": "7"},
         {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "seed": True},
         {"n": True, "p": 1.0, "kappa": 0.31},   # bool is an int, but not a size
+        # a field the kind ignores is checked before it is dropped
+        {"n": 10, "p": 1.0, "kappa": 0.31, "kind": "random_dense", "gamma": 0.6,
+         "seed": 1},
+        {"n": 10, "p": 1.0, "kappa": 0.31, "gamma": 0.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -75,6 +79,29 @@ class TestGraphSpec:
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             assert GraphSpec(n=10, p=0.5, kappa=0.31, kind="random_dense",
                              seed=seed).seed == seed
+
+    @pytest.mark.parametrize("kind, ignored", [
+        ("random_dense", {"gamma": 0.3}), ("deterministic_dense", {"gamma": 0.3}),
+        ("deterministic_dense", {"seed": 5}),
+        ("deterministic_dense", {"gamma": 0.3, "seed": 5})])
+    def test_fields_the_kind_ignores_are_dropped(self, kind, ignored):
+        # two specs of one graph are equal, so a coupling of either runs as the other
+        plain = GraphSpec(n=40, p=0.5, kappa=0.3, kind=kind,
+                          seed=None if kind == "deterministic_dense" else 1)
+        given = GraphSpec(**{**vars(plain), **ignored})
+        assert given == plain
+        assert (given.gamma, given.seed) == (None, plain.seed)
+
+    @pytest.mark.parametrize("spec, stored", [
+        (GraphSpec(n=40, p=0.3, kappa=0.3), "band"),
+        (dense_spec(p=0.49), "edges"),
+        (dense_spec(p=0.5), "holes"),   # the tie goes to H
+        (dense_spec(p=0.9), "holes"),
+        (sparse_spec(n=500, p=1.0, gamma=0.1), "holes"),   # 500**-0.1 = 0.54
+        (sparse_spec(n=500, p=1.0, gamma=0.3), "edges"),
+    ])
+    def test_stored_side_follows_the_edge_probability(self, spec, stored):
+        assert spec.stored == stored
 
     @pytest.mark.parametrize("n, kappa, expected", [
         (10, 0.31, 3), (1000, 0.31, 310), (50, 0.31, 15), (100, 0.16, 16),
@@ -197,7 +224,8 @@ class TestRandomCoupling:
 
     @pytest.mark.parametrize("chunk_values", [1, 100, 1 << 16])
     def test_band_holes_are_band_minus_adjacency(self, chunk_values, monkeypatch):
-        # the band complement turns A into H and H back into A
+        # the drawn holes are band - A of the one-shot A, bit for bit as the
+        # band complement forms them, which also takes H back to A
         monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
         spec = dense_spec(n=53, p=0.8, seed=4)
         adjacency = sample_adjacency_one_shot(53, 16, 0.8, spec.seed)
@@ -207,7 +235,7 @@ class TestRandomCoupling:
                               adjacency.toarray())
         assert holes.indices.dtype == holes.indptr.dtype == np.int32
         assert holes.has_sorted_indices
-        stored = build_coupling(spec).holes
+        stored = build_coupling(spec).csr
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(stored, name), getattr(holes, name))
             assert getattr(stored, name).dtype == getattr(holes, name).dtype
@@ -234,40 +262,42 @@ class TestRandomCoupling:
             build_coupling(GraphSpec(n=50, p=0.9, kappa=0.2))) == 1.0
 
 
-class TestStoredSide:
-    """A random graph keeps the smaller of A and H = band - A, and every
-    reading of it is the A sampled directly, as the builder once made it."""
+STORED_SIDE_CASES = [
+    (dense_spec(p=0.3, seed=1), None),
+    (dense_spec(p=0.5, seed=2), None),
+    (dense_spec(p=0.51, seed=3), None),
+    (dense_spec(p=0.9, seed=4), None),
+    (dense_spec(p=1.0, seed=5), None),                   # no holes at all
+    (dense_spec(n=60, p=0.9, kappa=0.01, seed=6), None),  # halfwidth 0
+    (dense_spec(n=60, p=0.3, kappa=0.01, seed=6), None),
+    # n = 30 near 1/2: realized density on the far side of 1/2 from p, and
+    # exactly 1/2; the stored side follows p alone
+    (dense_spec(n=30, p=0.5, kappa=0.3, seed=1), None),   # 0.51
+    (dense_spec(n=30, p=0.51, kappa=0.3, seed=0), None),  # 0.457
+    (dense_spec(n=30, p=0.5, kappa=0.3, seed=24), None),  # 0.5
+    (dense_spec(n=30, p=0.51, kappa=0.3, seed=60), None),  # 0.5
+    (dense_spec(n=203, p=0.9, seed=7), 400),              # 203 = 33*6 + 5 rows
+    (dense_spec(n=61, p=0.51, kappa=0.49, seed=8), 1),
+    (dense_spec(n=61, p=0.9, kappa=0.49, seed=9), 1),
+]
 
-    @pytest.mark.parametrize("spec, chunk_values", [
-        (dense_spec(p=0.3, seed=1), None),
-        (dense_spec(p=0.5, seed=2), None),
-        (dense_spec(p=0.51, seed=3), None),
-        (dense_spec(p=0.9, seed=4), None),
-        (dense_spec(p=1.0, seed=5), None),                   # no holes at all
-        (dense_spec(n=60, p=0.9, kappa=0.01, seed=6), None),  # halfwidth 0
-        (dense_spec(n=60, p=0.3, kappa=0.01, seed=6), None),
-        # n = 30 near 1/2: realized density on the far side of 1/2 from p,
-        # so the sampled side is converted, and exactly 1/2, which keeps A
-        (dense_spec(n=30, p=0.5, kappa=0.3, seed=1), None),   # 0.51: sampled A, keeps H
-        (dense_spec(n=30, p=0.51, kappa=0.3, seed=0), None),  # 0.457: sampled H, keeps A
-        (dense_spec(n=30, p=0.5, kappa=0.3, seed=24), None),  # 0.5
-        (dense_spec(n=30, p=0.51, kappa=0.3, seed=60), None),  # 0.5
-        (dense_spec(n=203, p=0.9, seed=7), 400),              # 203 = 33*6 + 5 rows
-        (dense_spec(n=61, p=0.51, kappa=0.49, seed=8), 1),
-        (dense_spec(n=61, p=0.9, kappa=0.49, seed=9), 1),
-    ])
+
+class TestStoredSide:
+    """A random graph keeps the side its spec names, H from edge probability
+    1/2 on and A below, and every reading of it is the A sampled directly."""
+
+    @pytest.mark.parametrize("spec, chunk_values", STORED_SIDE_CASES)
     def test_every_reading_is_the_directly_sampled_graph(self, spec, chunk_values,
                                                          monkeypatch, tmp_path):
         if chunk_values is not None:
             monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
         oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.p, spec.seed)
-        density = realized_density(oracle, spec.halfwidth)
         coupling = build_coupling(spec)
-        # the side the right-hand side reads: H exactly when the density is above 1/2
-        assert coupling.stored == ("holes" if density > 0.5 else "edges")
+        # the side the right-hand side reads
+        assert coupling.stored == spec.stored == ("holes" if spec.p >= 0.5 else "edges")
         assert "adjacency" not in vars(coupling)  # A is not built with the graph
         assert coupling.nnz == oracle.nnz
-        assert empirical_band_density(coupling) == density
+        assert empirical_band_density(coupling) == realized_density(oracle, spec.halfwidth)
         for name in ("indptr", "indices", "data"):
             built, expected = getattr(coupling.adjacency, name), getattr(oracle, name)
             assert built.dtype == expected.dtype, name
@@ -279,16 +309,23 @@ class TestStoredSide:
         assert (tmp_path / "adj.bin").read_bytes() == binary
         assert (tmp_path / "pixels.csv").read_bytes() == pixels
 
-    @pytest.mark.parametrize("side", ["edges", "holes"])
-    def test_either_side_may_be_passed(self, side):
-        spec = dense_spec(n=80, p=0.8, seed=2)
-        oracle = sample_adjacency_one_shot(80, spec.halfwidth, 0.8, spec.seed)
-        given = oracle if side == "edges" else graphs._band_complement(
-            oracle, spec.halfwidth)
-        coupling = CouplingMatrix(spec, **{side: given})
-        assert coupling.stored == "holes"
-        assert coupling.edges is None
-        assert np.array_equal(coupling.adjacency.toarray(), oracle.toarray())
+    @pytest.mark.parametrize("spec, chunk_values", STORED_SIDE_CASES)
+    def test_the_build_draws_the_stored_side_without_a_band_complement(
+            self, spec, chunk_values, monkeypatch):
+        # the side is drawn from the seed, never converted from the other one
+        def refuse(*args):
+            raise AssertionError("band complement taken at build")
+
+        if chunk_values is not None:
+            monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(graphs, "_band_complement", refuse)
+        coupling = build_coupling(spec)
+        assert coupling.stored == spec.stored
+        oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.p,
+                                           spec.seed).toarray()
+        band = band_matrix(spec.n, spec.halfwidth)
+        assert np.array_equal(coupling.csr.toarray(),
+                              band - oracle if spec.stored == "holes" else oracle)
 
 
 class TestStepApproximation:
@@ -395,7 +432,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("spec", [
         GraphSpec(n=100, p=0.7, kappa=0.31),                     # band, no seed
-        GraphSpec(n=7, p=1.0, kappa=0.2, seed=2**64 - 1),        # band, widest seed
+        GraphSpec(n=7, p=1.0, kappa=0.2, seed=2**64 - 1),        # band, seed dropped
         dense_spec(n=120, seed=9),                                # stores A
         dense_spec(n=120, p=0.9, seed=9),                         # stores H
         sparse_spec(n=150),
@@ -418,28 +455,6 @@ def assert_files_follow_the_layout(spec, path):
     write_pixel_csv(path / "pixels.csv", coupling)
     assert (path / "adj.bin").read_bytes() == binary
     assert (path / "pixels.csv").read_bytes() == pixels
-
-
-SPEC10, BAND10 = dense_spec(n=10, p=0.3), GraphSpec(n=10, p=1.0, kappa=0.31)
-
-
-@pytest.mark.parametrize("spec, stored, message", [
-    (SPEC10, {}, "^random_dense requires one of edges or holes$"),
-    (sparse_spec(n=10), {}, "^random_sparse requires one of edges or holes$"),
-    (SPEC10, {"edges": "csr", "holes": "csr"}, "^random_dense requires one of edges"),
-    (BAND10, {"edges": "csr"}, "^deterministic_dense takes no of edges or holes$"),
-    (BAND10, {"holes": "csr"}, "^deterministic_dense takes no of edges or holes$"),
-    (SPEC10, {"edges": "dense"}, "10 x 10 CSR"),
-    (SPEC10, {"edges": "csc"}, "10 x 10 CSR"),
-    (replace(SPEC10, n=11), {"edges": "csr"}, "11 x 11 CSR"),
-    (replace(SPEC10, n=11), {"holes": "csr"}, "11 x 11 CSR"),
-])
-def test_coupling_matrix_validation(spec, stored, message):
-    # the coupling checks its stored CSR; the spec has checked the rest
-    edges = build_coupling(SPEC10).edges
-    forms = {"csr": edges, "dense": edges.toarray(), "csc": edges.tocsc()}
-    with pytest.raises(ValueError, match=message):
-        CouplingMatrix(spec, **{side: forms[form] for side, form in stored.items()})
 
 
 def test_a_single_node_band():

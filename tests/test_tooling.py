@@ -11,8 +11,9 @@ checks keep:
 * the dynamics, and the coupling sums ``graphs`` forms for them, from
   rebuilding a graph's holes;
 * what a coupling stores read in ``graphs`` alone;
-* a coupling holding its ``GraphSpec`` and one stored side, and built in
-  ``graphs`` alone;
+* a coupling taking its ``GraphSpec`` alone, holding the one stored side
+  the spec names, and built in ``graphs`` alone;
+* the ``ringtwist`` console script naming ``cli.main``;
 * ``run_experiment`` the one path from a configuration to a trajectory;
 * the run layer importing nothing from ``bifurcation``;
 * the run's rotation speed read from ``spectrum._window_integrals`` at
@@ -29,6 +30,7 @@ checks keep:
 """
 
 import ast
+import inspect
 import json
 import re
 import subprocess
@@ -38,6 +40,8 @@ from pathlib import Path
 
 import pytest
 
+from ringtwist import __version__
+from ringtwist.cli import main
 from ringtwist.graphs import CouplingMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,7 +189,7 @@ def test_only_graphs_reads_what_a_coupling_stores():
     for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
         if path.name == "graphs.py":
             continue
-        refused = {"edges", "holes"} | ({"stored"} if path.name == "dynamics.py" else set())
+        refused = {"csr"} | ({"stored"} if path.name == "dynamics.py" else set())
         reads += [f"{path.name}:{node.lineno} .{node.attr}"
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute) and node.attr in refused]
@@ -193,16 +197,29 @@ def test_only_graphs_reads_what_a_coupling_stores():
 
 
 def test_a_coupling_is_its_spec_and_one_stored_side_built_in_graphs():
-    # the spec is the one record of which graph a coupling realizes: a field
-    # copied from it could disagree, and a coupling built outside graphs
-    # could carry a spec it does not realize
-    assert [f.name for f in fields(CouplingMatrix)] == ["spec", "edges", "holes"]
+    # the spec is the one record of which graph a coupling realizes and
+    # which side it stores: a field copied from it could disagree, a side
+    # passed in could be another graph's, and a coupling built outside
+    # graphs could carry a spec it does not realize
+    assert [f.name for f in fields(CouplingMatrix)] == ["spec", "csr"]
+    assert list(inspect.signature(CouplingMatrix).parameters) == ["spec"]
     built = [f"{path.name}:{node.lineno}"
              for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(
                  node.func, "id", getattr(node.func, "attr", None)) == "CouplingMatrix"]
     assert built and all(site.startswith("graphs.py:") for site in built)
+
+
+def test_the_console_script_is_main_and_prints_the_version(capsys):
+    # pyproject's [project.scripts] entry names cli.main, which answers --version
+    script = re.search(r'^ringtwist\s*=\s*"([^"]+)"',
+                       (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert script is not None and script.group(1) == "ringtwist.cli:main"
+    with pytest.raises(SystemExit) as done:
+        main(["--version"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
 
 
 def test_dynamics_imports_nothing_from_bifurcation():
