@@ -12,9 +12,9 @@ combination of window overlap coefficients (beta0 at zero phase-lag); at
 nonzero phase-lag the mode additionally precesses at nu1.  This module
 computes every constant of that reduction in closed form, reads the side,
 stability and amplitude of the branch from the radial equation (see
-predict_bifurcation), and solves the reduced radial flow exactly.  The
-threshold and the coefficients there depend on q alone; they are computed
-once per q per process, and p and sigma only scale or combine them.
+predict_bifurcation).  The threshold and the coefficients there depend
+on q alone; they are computed once per q per process, and p and sigma
+only scale or combine them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "normal_form_constants",
     "beta_sigma_curve",
     "predict_bifurcation",
-    "reduced_amplitude_flow",
     "constants_rows",
     "write_constants_csv",
     "write_zeta_csv",
@@ -382,60 +381,6 @@ def predict_bifurcation(constants: NormalFormConstants,
         modulation_period=mod_period,
         omega_tilde=omega_tilde,
     )
-
-
-def reduced_amplitude_flow(mu: float, p: float, beta_sel: float, r0: float,
-                           t_span: tuple[float, float],
-                           num: int = 201) -> tuple[np.ndarray, np.ndarray]:
-    """Exact solution of the reduced radial flow rdot = mu*r - p*beta*r^3.
-
-    The substitution y = r^2 turns the flow into a logistic equation solved
-    in closed form.  Subcritical escapes (finite-time blow-up) are reported
-    as inf from the blow-up time onward.
-
-    Parameters
-    ----------
-    mu, p, beta_sel : float
-        Reduced flow coefficients, finite.
-    r0 : float
-        Initial amplitude >= 0.
-    t_span : (float, float)
-        Time interval with finite ends.
-    num : int
-        Number of equally spaced samples, >= 1.
-
-    Returns
-    -------
-    (times, r) : ndarray pair
-    """
-    for name, value in (("mu", mu), ("p", p), ("beta_sel", beta_sel),
-                        ("t_span[0]", t_span[0]), ("t_span[1]", t_span[1])):
-        check_real(name, value)
-    check_real("r0", r0, 0.0)
-    check_int("num", num, 1)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    times = np.linspace(t0, t1, num)
-    y0 = r0 * r0
-    b = p * beta_sel
-    dt = times - t0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if mu == 0.0:
-            den = 1.0 + 2.0 * b * y0 * dt
-            y = np.where(den > 0.0, y0 / den, np.inf)
-        elif mu > 0.0:
-            # Divide by e^{2 mu t}: only decaying exponentials, no overflow.
-            den = (mu - b * y0) * np.exp(-2.0 * mu * dt) + b * y0
-            y = np.where(den > 0.0, mu * y0 / den, np.inf)
-        else:
-            grow = np.exp(2.0 * mu * dt)
-            den = (mu - b * y0) + b * y0 * grow
-            # den and mu are both negative along valid solutions.
-            y = np.where(den < 0.0, mu * y0 * grow / den, np.inf)
-    # After a blow-up the closed form re-enters a spurious branch; freeze inf.
-    blown = (y < 0.0) | ~np.isfinite(y)
-    if blown.any():
-        y[int(np.argmax(blown)):] = np.inf
-    return times, np.sqrt(y)
 
 
 _TABLE_COLUMNS = [

@@ -1,4 +1,4 @@
-"""Threshold constants, branch predictions, and the reduced radial flow."""
+"""Threshold constants and branch predictions."""
 
 import csv
 from dataclasses import replace
@@ -19,12 +19,23 @@ from ringtwist.bifurcation import (
     kappa_critical_all,
     normal_form_constants,
     predict_bifurcation,
-    reduced_amplitude_flow,
     write_beta_sigma_csv,
     write_constants_csv,
     write_zeta_csv,
 )
 from ringtwist.spectrum import chi1, chi1_dkappa, chi2, zeta0
+
+
+
+def _radial_flow(mu, p, beta, r0, amp):
+    """Integrate rdot = mu*r - p*beta*r^3 from r0 over 50/|mu|, stopping at 2*amp."""
+    def escaped(t, y):
+        return y[0] - 2.0 * amp
+    escaped.terminal = True
+    # an atol far below the decay bound keeps solver noise from meeting it
+    return solve_ivp(lambda t, y: [mu * y[0] - p * beta * y[0] ** 3],
+                     (0.0, 50.0 / abs(mu)), [r0], method="DOP853",
+                     rtol=1e-12, atol=1e-9 * amp, events=escaped)
 
 
 @pytest.mark.parametrize("q, expected", [
@@ -362,16 +373,47 @@ class TestPredictions:
         pred = exists[0]
         mu = p * cos(sigma) * c.chi1_dk * (pred.kappa - c.kappa_crit)
         amp = pred.amplitude
-        _, r_in = reduced_amplitude_flow(mu, p, c.beta_sigma, 0.99 * amp,
-                                         (0.0, 50.0 / abs(mu)))
-        _, r_out = reduced_amplitude_flow(mu, p, c.beta_sigma, 1.01 * amp,
-                                          (0.0, 50.0 / abs(mu)))
+        # every case of this grid has an unstable branch: a start just inside
+        # it decays to the twisted state, one just outside escapes past 2*amp
+        assert pred.branch_stability == "unstable"
+        inside, outside = (_radial_flow(mu, p, c.beta_sigma, r0, amp)
+                           for r0 in (0.99 * amp, 1.01 * amp))
+        assert inside.status == 0 and inside.y[0, -1] < 1e-6 * amp
+        assert outside.status == 1 and outside.t_events[0].size == 1
+
+    @pytest.mark.parametrize("d", [-1e-3, 1e-3])
+    @pytest.mark.parametrize("sigma", [-0.7, 0.0, 0.7])
+    @pytest.mark.parametrize("chi_sign, beta_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_every_sign_arm_is_read_from_the_flow(self, chi_sign, beta_sign, sigma, d):
+        # no real threshold has beta_sigma > 0, so the grid above never meets
+        # a stable branch or one above threshold; signed copies of real
+        # constants reach every arm of the radial equation
+        p = 0.8
+        real = normal_form_constants(1, p, sigma)
+        c = replace(real, chi1_dk=chi_sign * abs(real.chi1_dk),
+                    beta_sigma=beta_sign * abs(real.beta_sigma))
+        pred = predict_bifurcation(c, c.kappa_crit + d)
+        mu = p * cos(sigma) * c.chi1_dk * d
+        # the flow has a nonzero equilibrium iff mu and beta_sigma share a sign
+        has_branch = mu * c.beta_sigma > 0.0
+        assert pred.branch_exists_at_query == has_branch
+        assert (pred.branch_side == pred.side_of_query) == has_branch
+        if not has_branch:
+            assert isnan(pred.amplitude)
+            return
+        amp = pred.amplitude
+        assert amp ** 2 == pytest.approx(mu / (p * c.beta_sigma), rel=1e-12)
+        inside, outside = (_radial_flow(mu, p, c.beta_sigma, r0, amp)
+                           for r0 in (0.99 * amp, 1.01 * amp))
         if pred.branch_stability == "stable":
-            assert r_in[-1] == pytest.approx(amp, rel=1e-9)
-            assert r_out[-1] == pytest.approx(amp, rel=1e-9)
+            for end in (inside, outside):
+                assert end.status == 0
+                assert end.y[0, -1] == pytest.approx(amp, rel=1e-9)
         else:
-            assert r_in[-1] < 1e-6 * amp
-            assert np.isinf(r_out[-1])
+            assert pred.branch_stability == "unstable"
+            assert inside.status == 0 and inside.y[0, -1] < 1e-6 * amp
+            assert outside.status == 1 and outside.t_events[0].size == 1
+        assert pred.branch_stability == ("stable" if beta_sign > 0 else "unstable")
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf"),
                                        0.0, -1.0, 0.6, True])
@@ -392,86 +434,6 @@ class TestPredictions:
             pred = predict_bifurcation(normal_form_constants(q), 0.3)
             assert pred.hypothesis_ok
             assert pred.hypothesis_violations == ()
-
-
-class TestReducedFlow:
-    @pytest.mark.parametrize("mu, p, beta, r0", [
-        (-0.02, 1.0, -0.45, 0.1),
-        (-0.02, 1.0, -0.45, 0.2),
-        (0.015, 0.5, 0.2, 0.05),
-        (0.0, 1.0, 0.3, 0.4),
-        (-0.03, 1.0, 0.25, 0.5),
-    ])
-    def test_closed_form_matches_ode_solver(self, mu, p, beta, r0):
-        times, r = reduced_amplitude_flow(mu, p, beta, r0, (0.0, 40.0), num=81)
-        sol = solve_ivp(
-            lambda t, y: [mu * y[0] - p * beta * y[0] ** 3],
-            (0.0, 40.0), [r0], t_eval=times, rtol=1e-11, atol=1e-13,
-            method="DOP853",
-        )
-        assert np.all(np.isfinite(r))
-        assert np.max(np.abs(r - sol.y[0])) < 1e-8
-
-    def test_blow_up_reported_as_inf(self):
-        # mu > 0 with negative cubic coefficient: finite-time escape
-        times, r = reduced_amplitude_flow(0.1, 1.0, -0.5, 0.2, (0.0, 100.0),
-                                          num=401)
-        assert np.isinf(r[-1])
-        first = int(np.argmax(np.isinf(r)))
-        assert first > 0
-        assert np.all(np.isinf(r[first:]))
-        assert np.all(np.isfinite(r[:first]))
-        # analytic blow-up time of the logistic form
-        y0 = 0.2 ** 2
-        t_star = np.log1p(0.1 / (0.5 * y0)) / (2 * 0.1)
-        assert times[first] == pytest.approx(t_star, abs=times[1] - times[0])
-
-    def test_supercritical_equilibrium_attracts(self):
-        mu, p, beta = 0.05, 1.0, 0.4
-        r_star = sqrt(mu / (p * beta))
-        _, r = reduced_amplitude_flow(mu, p, beta, 0.01, (0.0, 400.0))
-        assert r[-1] == pytest.approx(r_star, abs=1e-6)
-        _, r = reduced_amplitude_flow(mu, p, beta, 1.0, (0.0, 400.0))
-        assert r[-1] == pytest.approx(r_star, abs=1e-6)
-
-    def test_subcritical_equilibrium_separates(self):
-        # mu < 0, beta < 0: nonzero equilibrium is a basin boundary
-        mu, p, beta = -0.02, 1.0, -0.45
-        r_star = sqrt(mu / (p * beta))
-        _, r_in = reduced_amplitude_flow(mu, p, beta, 0.9 * r_star, (0.0, 2000.0))
-        assert r_in[-1] < 1e-6
-        _, r_out = reduced_amplitude_flow(mu, p, beta, 1.1 * r_star, (0.0, 2000.0))
-        assert np.isinf(r_out[-1])
-
-    def test_zero_mu_algebraic_decay(self):
-        _, r = reduced_amplitude_flow(0.0, 1.0, 0.3, 0.4, (0.0, 50.0))
-        expected = sqrt(0.4 ** 2 / (1 + 2 * 0.3 * 0.4 ** 2 * 50.0))
-        assert r[-1] == pytest.approx(expected, abs=1e-12)
-
-    def test_negative_r0_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_amplitude_flow(0.1, 1.0, 0.3, -0.1, (0.0, 1.0))
-
-    @pytest.mark.parametrize("name, args", [
-        ("mu", (float("nan"), 1.0, 0.3, 0.1, (0.0, 1.0))),
-        ("mu", (float("inf"), 1.0, 0.3, 0.1, (0.0, 1.0))),
-        ("p", (0.1, float("nan"), 0.3, 0.1, (0.0, 1.0))),
-        ("beta_sel", (0.1, 1.0, float("-inf"), 0.1, (0.0, 1.0))),
-        (r"t_span\[0\]", (0.1, 1.0, 0.3, 0.1, (float("nan"), 1.0))),
-        (r"t_span\[1\]", (0.1, 1.0, 0.3, 0.1, (0.0, float("nan")))),
-        (r"t_span\[1\]", (0.1, 1.0, 0.3, 0.1, (0.0, float("inf")))),
-    ], ids=["mu-nan", "mu-inf", "p-nan", "beta-inf", "t0-nan", "t1-nan", "t1-inf"])
-    def test_non_finite_inputs_rejected(self, name, args):
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            reduced_amplitude_flow(*args)
-
-    def test_sample_count_checked(self):
-        for num in (0, -3, 2.5, True):
-            with pytest.raises(ValueError, match="num"):
-                reduced_amplitude_flow(0.1, 1.0, 0.3, 0.1, (0.0, 1.0), num=num)
-        times, r = reduced_amplitude_flow(0.1, 1.0, 0.3, 0.1, (0.0, 1.0), num=1)
-        assert times.tolist() == [0.0]
-        assert r == pytest.approx([0.1], rel=1e-15)
 
 
 def test_constants_rows_columns_and_values():

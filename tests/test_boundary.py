@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import check_real_abc
 from ringtwist._boundary import check_int, check_real, write_csv, write_json
-from ringtwist.bifurcation import reduced_amplitude_flow
-from ringtwist.dynamics import SimulationConfig
+from ringtwist.dynamics import SimulationConfig, integrate_system
 from ringtwist.graphs import GraphSpec
 from ringtwist.spectrum import ModeParams
 
@@ -162,8 +161,10 @@ def test_infinite_scalars_of_every_float_width_are_refused(make):
             with pytest.raises(ValueError,
                                match=r"x must be a finite real number.*got .*inf"):
                 check_real("x", value, lo, hi, ends)
-    with pytest.raises(ValueError, match=r"t_span\[1\] must be a finite real number"):
-        reduced_amplitude_flow(1.0, 1.0, 1.0, 0.1, (0.0, make(inf)), num=3)
+    for refuse in (lambda: config(t_end=make(inf)),
+                   lambda: integrate_system(lambda t, u: -u, np.ones(2), make(inf))):
+        with pytest.raises(ValueError, match="t_end must be a finite real number"):
+            refuse()
 
 
 @pytest.mark.parametrize("lo, hi, ends", BRACKETS)

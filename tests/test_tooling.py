@@ -26,7 +26,9 @@ checks keep:
 * the helper in ``build_parser`` the only place that declares a
   subcommand and its shared options;
 * ``cli.main`` the only place that builds a ``RunManifest`` or reads ``args.out``;
-* ``analysis._window`` the one rule that refuses a time window.
+* ``analysis._window`` the one rule that refuses a time window;
+* every public function of a layer module named by the package, the
+  benchmark or the acceptance gate, so none is kept for tests alone.
 """
 
 import ast
@@ -393,3 +395,44 @@ def test_only_the_window_rule_refuses_a_window():
                         refusers.add(f"{path.stem}.{func.name}")
     assert refusers == {"analysis._window"}
     assert estimate_checks == []
+
+
+def test_every_public_function_has_a_caller_outside_the_unit_tests():
+    # a function in a layer's __all__ that only its own tests call is code
+    # kept for tests alone: it belongs under tests/, or nowhere.  A name
+    # counts where src/ (outside the function's own body), benchmark/*.py
+    # or the acceptance gate refers to it in code or in a string that is
+    # neither a docstring nor an __all__ entry (the tracer keys its layer
+    # timings by "module.function")
+    layers = ("analysis", "bifurcation", "circular", "dynamics", "graphs", "spectrum")
+    readers = (sorted((ROOT / "src" / "ringtwist").glob("*.py"))
+               + sorted((ROOT / "benchmark").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    public, named = set(), set()
+    for path in readers:
+        tree = ast.parse(path.read_text())
+        own, skipped = {}, set()
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                own.update((node, top.name) for node in ast.walk(top))
+            elif isinstance(top, ast.Assign) and [getattr(t, "id", None)
+                                                  for t in top.targets] == ["__all__"]:
+                skipped |= set(ast.walk(top.value))
+                exported = {elt.value for elt in top.value.elts}
+                if path.stem in layers and path.parent.name == "ringtwist":
+                    public |= {node.name for node in tree.body
+                               if isinstance(node, ast.FunctionDef)
+                               and node.name in exported}
+        skipped |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if node in skipped:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = re.findall(r"\w+", node.value)
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            named |= {name for name in names if name and own.get(node) != name}
+    assert len(public) > 30
+    assert sorted(public - named) == []
