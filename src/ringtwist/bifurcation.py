@@ -44,7 +44,6 @@ __all__ = [
     "NormalFormConstants",
     "BifurcationPrediction",
     "kappa_critical",
-    "kappa_critical_all",
     "a_coeffs",
     "normal_form_constants",
     "beta_sigma_curve",
@@ -64,43 +63,30 @@ class NoRootError(ValueError):
     """chi1(.; ell, q) has no sign change inside (0, 1/2)."""
 
 
-def _chi1_roots(ell: int, q: int, count: int | None = None) -> list[float]:
-    # scan once with the array chi1, then solve the first `count` brackets
-    # (all of them for None) on the scalar chi1
-    grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = chi1(grid, ell, q)
-    zero = vals == 0.0
-    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
-    hits = np.flatnonzero(zero | change)
-    if not hits.size:
-        raise NoRootError(
-            f"chi1(., ell={ell}, q={q}) has constant sign on "
-            f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
-        )
-    return [
-        float(grid[i]) if zero[i]
-        else _root(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
-        for i in hits[:count]
-    ]
+def kappa_critical(ell: int, q: int) -> float:
+    """Smallest zero of chi1(.; ell, q) in (0, 1/2) (the mode-l threshold).
 
-
-def kappa_critical_all(ell: int, q: int) -> list[float]:
-    """All zeros of chi1(.; ell, q) in (0, 1/2), ascending.
-
-    Each sign change of a 4096-point scan is solved by brentq to 2e-16
-    absolute plus 4 machine epsilons relative.
+    brentq solves the first exact zero or sign change of one 4096-point
+    scan to 2e-16 absolute plus 4 machine epsilons relative.
 
     Raises
     ------
     NoRootError
         If chi1 keeps a constant sign on the scan interval.
     """
-    return _chi1_roots(ell, q)
-
-
-def kappa_critical(ell: int, q: int) -> float:
-    """Smallest zero of chi1(.; ell, q) in (0, 1/2) (the mode-l threshold)."""
-    return _chi1_roots(ell, q, count=1)[0]
+    grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
+    vals = chi1(grid, ell, q)
+    zero = vals == 0.0
+    hits = np.flatnonzero(zero | np.append(vals[:-1] * vals[1:] < 0.0, False))
+    if not hits.size:
+        raise NoRootError(
+            f"chi1(., ell={ell}, q={q}) has constant sign on "
+            f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
+        )
+    i = hits[0]
+    if zero[i]:
+        return float(grid[i])
+    return _root(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
 
 
 def a_coeffs(q: int, j, kappa_crit: float):
@@ -189,12 +175,6 @@ class NormalFormConstants:
     nu1: float
 
 
-def _check_args(q: int, p: float, sigma) -> None:
-    check_int("q", q, 1, 8)
-    check_real("p", p, 0.0, 1.0, "(]")
-    check_real("sigma", sigma, -pi / 2, pi / 2, "()")
-
-
 @cache
 def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
     """The values at the threshold of winding number q that need no p or sigma.
@@ -202,7 +182,7 @@ def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
     Returns the NormalFormConstants fields among them, and
     chi1(kappa_crit; j, q) and chi2(kappa_crit; j, q) for j = 1..3, all from
     a_coeffs(q, j, kappa_crit) at j = 0..3.  They are computed
-    once per q per process (callers pass int(q) after _check_args, so at
+    once per q per process (_lagged passes int(q) after checking it, so at
     most 8 are held) and returned read-only: a mapping proxy and two
     non-writeable arrays shared by every caller.
     """
@@ -230,20 +210,25 @@ def _threshold(q: int) -> tuple[Mapping, np.ndarray, np.ndarray]:
     return MappingProxyType(values), chi1_j, chi2_j
 
 
-def _lagged(t: Mapping, chi1_j: np.ndarray, chi2_j: np.ndarray, p: float, sigma):
-    """beta_sigma at phase-lag(s) sigma.
+def _lagged(q: int, p: float, sigma):
+    """Check q, p and sigma; return _threshold(q) and beta_sigma at sigma.
 
-    Its mode-2 term divides by mu2^2 + gyro^2 with
-    mu2 = p*chi1(kappa_crit; 2, q)*cos(sigma) and gyro = 2*nu1 - nu2.  It is
-    positive: _threshold rejects chi1(kappa_crit; 2, q) = 0, and
+    The result is (values, chi1_j, chi2_j, beta_sigma), beta_sigma an array
+    for an array of phase-lags.  Its mode-2 term divides by mu2^2 + gyro^2
+    with mu2 = p*chi1(kappa_crit; 2, q)*cos(sigma) and gyro = 2*nu1 - nu2.
+    It is positive: _threshold rejects chi1(kappa_crit; 2, q) = 0, and
     cos(sigma) > 0 on (-pi/2, pi/2).
     """
+    check_int("q", q, 1, 8)
+    check_real("p", p, 0.0, 1.0, "(]")
+    check_real("sigma", sigma, -pi / 2, pi / 2, "()")
+    t, chi1_j, chi2_j = _threshold(int(q))
     cos_s, sin_s = np.cos(sigma), np.sin(sigma)
     mu2 = p * chi1_j[1] * cos_s
     gyro = 2.0 * (p * chi2_j[0] * sin_s) - p * chi2_j[1] * sin_s
     denom = mu2 * mu2 + gyro * gyro
     d1, d2, r1, r2 = t["delta1"], t["delta2"], t["rho1"], t["rho2"]
-    return t["beta1"] * cos_s + p / (2.0 * denom) * (
+    return t, chi1_j, chi2_j, t["beta1"] * cos_s + p / (2.0 * denom) * (
         mu2 * (d1 * r1 + d2 * r2)
         + mu2 * (d1 * r1 - d2 * r2) * np.cos(2.0 * sigma)
         + gyro * (d1 * r2 - d2 * r1) * np.sin(2.0 * sigma)
@@ -271,14 +256,12 @@ def normal_form_constants(q: int, p: float = 1.0,
         If the mode-2 damping chi1(kappa_crit; 2, q) vanishes (the slaved
         mode-2 elimination divides by it).
     """
-    _check_args(q, p, sigma)
-    t, chi1_j, chi2_j = _threshold(int(q))
-    beta_sigma = float(_lagged(t, chi1_j, chi2_j, p, sigma))
+    t, chi1_j, chi2_j, beta_sigma = _lagged(q, p, sigma)
     nu_j = p * chi2_j * sin(sigma)
     return NormalFormConstants(
         q=int(q), p=float(p), sigma=float(sigma), **t,
         mu_j=tuple((p * chi1_j * cos(sigma)).tolist()), nu_j=tuple(nu_j.tolist()),
-        beta_sigma=beta_sigma,
+        beta_sigma=float(beta_sigma),
         Omega=p * sin(2 * pi * q * t["kappa_crit"]) * sin(sigma) / (pi * q),
         nu1=float(nu_j[0]),
     )
@@ -292,9 +275,7 @@ def beta_sigma_curve(q: int, p: float,
     array expression over the grid.
     """
     sigma = np.asarray(sigma_grid, dtype=float)
-    _check_args(q, p, sigma)
-    t, chi1_j, chi2_j = _threshold(int(q))
-    return list(zip(sigma.tolist(), _lagged(t, chi1_j, chi2_j, p, sigma).tolist()))
+    return list(zip(sigma.tolist(), _lagged(q, p, sigma)[3].tolist()))
 
 
 @dataclass(frozen=True)
@@ -400,13 +381,12 @@ def constants_rows(q_list: Sequence[int], p: float = 1.0,
     """
     rows = []
     for q in q_list:
-        _check_args(q, p, sigma)
-        t, chi1_j, chi2_j = _threshold(int(q))
+        t, chi1_j, chi2_j, beta_sigma = _lagged(q, p, sigma)
         values = dict(
             t, q=int(q), mu2_over_p=float(chi1_j[1]),
             nu1_over_p_sin_sigma=float(chi2_j[0]),
             nu2_over_p_sin_sigma=float(chi2_j[1]),
-            beta_sigma=float(_lagged(t, chi1_j, chi2_j, p, sigma)),
+            beta_sigma=float(beta_sigma),
         )
         rows.append({name: values[name] for name in _TABLE_COLUMNS})
     return rows

@@ -22,6 +22,7 @@ falling back to plain strings).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -309,9 +310,10 @@ def cmd_sweep(args, out):
     summary_path = out("sweep.csv")
     payloads = []
     for i, value in enumerate(values):
-        override = f"{args.param}={json.dumps(value)}"
-        config = _parse_config(SimulationConfig.from_dict,
-                               _load_config(args.config, args.set + [override]),
+        # every run starts from the one read the manifest records as base
+        data = copy.deepcopy(base)
+        _apply_override(data, f"{args.param}={json.dumps(value)}")
+        config = _parse_config(SimulationConfig.from_dict, data,
                                f"config at {args.param}={value}")
         # refuse a grid no run could hold before any run writes a file
         _sample_array(config.graph.n, config.t_end, config.sample_dt)

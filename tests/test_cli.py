@@ -46,6 +46,15 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def run_cli(argv, stdin=None):
+    """python -W error -m ringtwist.cli in a child process, on this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "ringtwist.cli", *argv],
+                          input=stdin, capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestConstants:
     def test_writes_tables_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -380,6 +389,18 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [(r["value"], r["status"]) for r in rows] == [(k, "ok") for k in kinds]
 
+    def test_a_config_on_stdin_is_read_once(self, tmp_path, sim_config):
+        # a stream can be read only once: every run starts from that read
+        out = tmp_path / "o"
+        done = run_cli(["sweep", "--config", "/dev/stdin", "--param", "graph.kappa",
+                        "--values", "0.3,0.31", "--jobs", "1", "--out", str(out)],
+                       stdin=sim_config.read_text())
+        assert done.returncode == 0, done.stderr
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["status"]) for r in rows] == [("0.3", "ok"), ("0.31", "ok")]
+        assert read_manifest(out)["config"]["base"] == json.loads(sim_config.read_text())
+
     def test_unknown_parameter(self, tmp_path, sim_config):
         assert main(["sweep", "--config", str(sim_config),
                      "--param", "graph.bogus", "--values", "1",
@@ -398,16 +419,9 @@ class TestSweep:
      "numeric failure: integrator stopped at t=0 of 5: "),
 ])
 def test_exit_codes_reach_the_process(tmp_path, sim_config, argv, code, stderr):
-    # python -W error -m ringtwist.cli: sys.exit carries main's code, and no
-    # warning escapes on the way to it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # sys.exit carries main's code, and no warning escapes on the way to it
     argv = [arg.format(sim_config=sim_config) for arg in argv]
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ringtwist.cli", *argv,
-         "--out", str(tmp_path / argv[0])],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = run_cli([*argv, "--out", str(tmp_path / argv[0])])
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (code > 0)
 
