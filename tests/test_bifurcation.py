@@ -59,6 +59,16 @@ def test_threshold_q2_is_exactly_one_sixth():
     assert kappa_critical(1, 2) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("ell, q", [(1, 1), (1, 8), (2, 8), (3, 6), (4, 3), (5, 2)])
+def test_kappa_critical_is_first_of_all_roots(ell, q):
+    # a scan 25 times finer than the threshold search finds no zero of chi1
+    # below its root, and chi1 changes sign across it
+    root = kappa_critical(ell, q)
+    below = chi1(np.linspace(1e-4, root * (1 - 1e-6), 100_000), ell, q)
+    assert np.all(below > 0) or np.all(below < 0)
+    assert below[-1] * chi1(root * (1 + 1e-6), ell, q) < 0
+
+
 @pytest.mark.parametrize("q", range(1, 9))
 @pytest.mark.parametrize("ell", range(1, 6))
 def test_every_root_is_a_zero_to_round_off(ell, q):
