@@ -251,6 +251,9 @@ def convergence_study(config_template: SimulationConfig,
 
     Returns one row dict per coarse n: {"n", "error"}.
     """
+    check_int("reference_n", reference_n, 1)
+    if len(n_list) == 0:
+        raise ValueError("n_list must name at least one resolution")
     for n in n_list:
         check_int("n", n, 1)
         if reference_n % n != 0:

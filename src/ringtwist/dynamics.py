@@ -108,10 +108,11 @@ class SimulationConfig:
 class Trajectory:
     """Sampled solution of one run.
 
-    phases has shape (len(times), n) and holds raw (unwrapped, lab-frame)
-    phases as produced by the integrator.  nfev and steps are the solver
-    record of the run (right-hand-side evaluations and accepted steps),
-    None for a trajectory not made by run_experiment.
+    times are 1-D, finite and strictly ascending.  phases has shape
+    (len(times), n) and holds raw (unwrapped, lab-frame) phases as produced
+    by the integrator.  nfev and steps are the solver record of the run
+    (right-hand-side evaluations and accepted steps), None for a trajectory
+    not made by run_experiment.
     """
 
     times: np.ndarray
@@ -124,6 +125,9 @@ class Trajectory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
+        t = self.times
+        if t.ndim != 1 or not np.isfinite(t).all() or (np.diff(t) <= 0).any():
+            raise ValueError("times must be 1-D, finite and strictly ascending")
         if self.phases.shape != (len(self.times), self.config.graph.n):
             raise ValueError(
                 f"phases shape {self.phases.shape} does not match "

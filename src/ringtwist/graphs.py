@@ -17,8 +17,8 @@ A GraphSpec is the whole identity of a graph: (W, n, p, kappa, gamma, seed),
 with a gamma off random_sparse and a seed on deterministic_dense checked,
 then dropped.  It also names the side a random graph stores, the one
 expected to be smaller: its holes H = band - A at edge probability >= 1/2,
-its edges A below.  A CouplingMatrix draws that side from the seed, so A
-is built only when a writer asks for it.
+its edges A below.  A CouplingMatrix draws that side from the seed, and
+draws A from it too, when a writer asks; no side is converted to the other.
 
 Node k (1-based, k in [1..n]) sits at position x = k/n and owns the cell
 I_k = ((k-1)/n, k/n]; band membership at finite n uses circular index
@@ -57,8 +57,7 @@ _VERSION = 1
 # magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
 _HEADER = struct.Struct("<6sHQBBQQddQ")
 
-# Values per row chunk when sampling a graph, taking its band complement or
-# listing pixels.
+# Values per row chunk when sampling a graph or listing pixels.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -154,18 +153,15 @@ class CouplingMatrix:
     circulant band pattern, no O(n^2) memory.  A random graph draws
     ``spec.stored`` from ``spec.seed`` into ``csr``, one symmetric CSR:
     its holes H = band - A or its edges A.  ``adjacency`` gives A for
-    every random graph: the stored edges, or band - H built on first
-    access and cached.
+    every random graph: the stored edges, or A drawn from the same seed
+    on first access and cached.
     """
 
     spec: GraphSpec
     csr: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        csr = None
-        if self.stored != "band":
-            rows, cols = _sample_band_pairs(self.spec)
-            csr = _sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+        csr = None if self.stored == "band" else _draw(self.spec, self.stored)
         object.__setattr__(self, "csr", csr)
 
     @property
@@ -208,9 +204,9 @@ class CouplingMatrix:
 
     @cached_property
     def adjacency(self):
-        """A as a CSR with data 1.0 (None for the band), derived once from H if needed."""
+        """A, a CSR with data 1.0 (None for the band), drawn once from the seed if H is stored."""
         if self.stored == "holes":
-            return _band_complement(self.csr, self.halfwidth)
+            return _draw(self.spec, "edges")
         return self.csr
 
     def coupling_sums(self) -> Callable[[np.ndarray, np.ndarray], tuple]:
@@ -305,33 +301,39 @@ def _band_fraction(z0: float, n: int, kappa: float) -> float:
     return total
 
 
-def _sample_band_pairs(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric (row, col) int32 pairs of the side spec.stored of a random graph.
+def _sample_band_pairs(spec: GraphSpec, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, col) int32 pairs of one side, "edges" or "holes", of a random graph.
 
     Each in-band unordered pair {k, (k+d) mod n}, d = 0..halfwidth, is an
     edge when the uniform at row k, column d of a row-major (n, halfwidth+1)
     draw from spec.seed is below spec.edge_probability, and a hole
-    otherwise, so both sides of one seed describe one graph.  The draw is
-    taken in row chunks of about _CHUNK_VALUES, which reads the same stream,
-    and only the stored pairs are kept, so memory follows their count; the
-    draw's chunks are freed on return, before the caller builds the CSR.
+    otherwise, so both sides of one seed describe one graph.  A pair of the
+    side is returned once, as (k, (k+d) mod n).  The draw is taken in row
+    chunks of about _CHUNK_VALUES, which reads the same stream, so memory
+    follows the side's pair count.
     """
     n, m, probability = spec.n, spec.halfwidth, spec.edge_probability
-    rng, holes = np.random.default_rng(spec.seed), spec.stored == "holes"
+    rng, holes = np.random.default_rng(spec.seed), side == "holes"
     step = max(1, _CHUNK_VALUES // (m + 1))
-    starts, offsets = [], []
+    starts, others = [], []
     for lo in range(0, n, step):
         draws = rng.random((min(step, n - lo), m + 1))
         kept = draws >= probability if holes else draws < probability
-        hits = np.flatnonzero(kept).astype(np.int32)
-        start, offset = np.divmod(hits, m + 1)
+        start, offset = np.divmod(np.flatnonzero(kept).astype(np.int32), m + 1)
         starts.append(start + lo)
-        offsets.append(offset)
-    start, offset = np.concatenate(starts), np.concatenate(offsets)
-    other = (start + offset) % n
-    off_diagonal = offset > 0
-    return (np.concatenate([start, other[off_diagonal]]),
-            np.concatenate([other, start[off_diagonal]]))
+        others.append((start + lo + offset) % n)
+    return np.concatenate(starts), np.concatenate(others)
+
+
+def _draw(spec: GraphSpec, side: str):
+    """One side, "edges" (A) or "holes" (H), of a random graph as a sorted int32 CSR."""
+    rows, cols = _sample_band_pairs(spec, side)
+    half = _sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(spec.n, spec.n))
+    del rows, cols  # freed before the sum
+    # half holds each drawn pair once, so only a kept diagonal entry is summed twice
+    csr = half + half.T
+    csr.data[:] = 1.0
+    return csr
 
 
 def build_coupling(spec: GraphSpec) -> CouplingMatrix:
@@ -342,32 +344,6 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     so the build never holds A when it stores H.
     """
     return CouplingMatrix(spec)
-
-
-def _band_complement(holes, m: int):
-    """A = band - H for holes H of the band of half-width m, as a sorted CSR.
-
-    Built in row chunks of about _CHUNK_VALUES band entries, with int32
-    indices when H has them: each chunk subtracts H's rows from the band's.
-    """
-    n = holes.shape[0]
-    width = 2 * m + 1
-    step = max(1, _CHUNK_VALUES // width)
-    j = np.arange(width, dtype=np.int32)
-    chunks = []
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(n, lo + step), dtype=np.int32)[:, None]
-        # row k's band columns (k + j - m) mod n, written in ascending order
-        first = (rows - m) % n
-        wrapped = np.maximum(first + width - n, 0)
-        cols = np.where(j < wrapped, j, first + j - wrapped)
-        band = _sparse.csr_array(
-            (np.ones(cols.size), cols.ravel(),
-             np.arange(0, cols.size + 1, width, dtype=np.int32)),
-            shape=(len(rows), n),
-        )
-        chunks.append(band - holes[lo:lo + len(rows)])
-    return _sparse.vstack(chunks, format="csr")
 
 
 def step_graphon_error(spec: GraphSpec) -> float:
@@ -436,7 +412,7 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
     banded_uniform (kind deterministic_dense) stores no index arrays (nnz
     field 0); the pattern is implied by (n, halfwidth).  The random kinds
     always carry both arrays of A, even when the graph has no edges or
-    stores its holes (A is then derived, and cached, by ``adjacency``).
+    stores its holes (A is then drawn, and cached, by ``adjacency``).
     """
     spec, csr = coupling.spec, coupling.adjacency
     has_seed = spec.seed is not None

@@ -347,6 +347,17 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="n must be an integer"):
             convergence_study(self.template(), n_list, 80)
 
+    @pytest.mark.parametrize("reference_n", ["80", 80.0, 0, True])
+    def test_reference_must_be_a_positive_integer(self, reference_n):
+        with pytest.raises(ValueError, match="reference_n must be an integer"):
+            convergence_study(self.template(), [20], reference_n)
+
+    def test_resolutions_must_not_be_empty(self, monkeypatch):
+        # an empty study would still run the reference
+        monkeypatch.setattr(analysis, "run_experiment", None)
+        with pytest.raises(ValueError, match="n_list"):
+            convergence_study(self.template(), [], 80)
+
     def test_custom_profile_embedding_floor(self):
         # with no bump the exact twisted profile stays twisted at every
         # resolution, so the reported error is purely the piecewise-constant

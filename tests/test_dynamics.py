@@ -778,6 +778,14 @@ class TestRunExperiment:
             Trajectory(times=[0.0, 1.0], phases=np.zeros((2, 7)), config=cfg,
                        omega=0.0)
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0, 2.0, 3.0],  # windows misread these
+                                       [0.0, np.nan, 2.0], [0.0, 1.0, 1.0, 2.0]])
+    def test_trajectory_times_must_ascend_strictly(self, times):
+        cfg = quiet_config()
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Trajectory(times=times, phases=np.zeros((len(times), cfg.graph.n)),
+                       config=cfg, omega=0.0)
+
     def test_output_nodes(self):
         cfg = quiet_config(graph=det_graph(n=1000), t_end=1.0)
         traj = run_experiment(cfg)

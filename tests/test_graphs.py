@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from _oracles import (
     band_matrix,
@@ -224,18 +225,15 @@ class TestRandomCoupling:
 
     @pytest.mark.parametrize("chunk_values", [1, 100, 1 << 16])
     def test_band_holes_are_band_minus_adjacency(self, chunk_values, monkeypatch):
-        # the drawn holes are band - A of the one-shot A, bit for bit as the
-        # band complement forms them, which also takes H back to A
+        # the drawn holes are band - A of the one-shot A, bit for bit as a
+        # CSR of that dense difference
         monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
         spec = dense_spec(n=53, p=0.8, seed=4)
-        adjacency = sample_adjacency_one_shot(53, 16, 0.8, spec.seed)
-        holes = graphs._band_complement(adjacency, 16)
-        assert np.array_equal(holes.toarray(), band_matrix(53, 16) - adjacency.toarray())
-        assert np.array_equal(graphs._band_complement(holes, 16).toarray(),
-                              adjacency.toarray())
-        assert holes.indices.dtype == holes.indptr.dtype == np.int32
-        assert holes.has_sorted_indices
+        oracle = sample_adjacency_one_shot(53, 16, 0.8, spec.seed)
+        holes = sparse.csr_array(band_matrix(53, 16) - oracle.toarray())
         stored = build_coupling(spec).csr
+        assert stored.indices.dtype == stored.indptr.dtype == np.int32
+        assert stored.has_sorted_indices
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(stored, name), getattr(holes, name))
             assert getattr(stored, name).dtype == getattr(holes, name).dtype
@@ -279,6 +277,9 @@ STORED_SIDE_CASES = [
     (dense_spec(n=203, p=0.9, seed=7), 400),              # 203 = 33*6 + 5 rows
     (dense_spec(n=61, p=0.51, kappa=0.49, seed=8), 1),
     (dense_spec(n=61, p=0.9, kappa=0.49, seed=9), 1),
+    # 2m + 1 = n: every pair of the ring is in the band, drawn once
+    (dense_spec(n=61, p=0.9, kappa=0.4919, seed=10), None),
+    (dense_spec(n=61, p=0.3, kappa=0.4919, seed=11), None),
 ]
 
 
@@ -313,12 +314,8 @@ class TestStoredSide:
     def test_the_build_draws_the_stored_side_without_a_band_complement(
             self, spec, chunk_values, monkeypatch):
         # the side is drawn from the seed, never converted from the other one
-        def refuse(*args):
-            raise AssertionError("band complement taken at build")
-
         if chunk_values is not None:
             monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
-        monkeypatch.setattr(graphs, "_band_complement", refuse)
         coupling = build_coupling(spec)
         assert coupling.stored == spec.stored
         oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.p,

@@ -1,9 +1,14 @@
-"""The README's library example runs as written and prints what its comments say."""
+"""The README's library example runs as written and prints what its comments
+say, and its simulation config is one the library and the CLI accept."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+from ringtwist.cli import main
+from ringtwist.dynamics import SimulationConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +34,14 @@ def test_library_example_prints_its_commented_values():
             assert line.startswith(comment[:-3]), (line, comment)
         else:
             assert line == comment
+
+
+def test_config_block_is_a_simulation_config_that_runs(tmp_path):
+    text = README.read_text()
+    section = text[text.index("A simulation config is a JSON object"):]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    config = SimulationConfig.from_dict(json.loads(block))
+    assert config.graph.n == 1000 and config.t_end == 1000.0
+    (tmp_path / "run.json").write_text(block)
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--set", "t_end=2",
+                 "--out", str(tmp_path / "out")]) == 0

@@ -10,6 +10,8 @@ checks keep:
 * one pass over the stored samples the only place that aligns them;
 * the dynamics, and the coupling sums ``graphs`` forms for them, from
   rebuilding a graph's holes;
+* every stored CSR assembled by one function of ``graphs``, and no band
+  complement anywhere in the package;
 * what a coupling stores read in ``graphs`` alone;
 * a coupling taking its ``GraphSpec`` alone, holding the one stored side
   the spec names, and built in ``graphs`` alone;
@@ -72,7 +74,7 @@ def test_benchmark_selftest_and_traced_round():
                                       "random_sparse_lock"])
 def test_untraced_round(workload):
     # band_threshold's checks read 1,920 spectra and the banded coupling;
-    # random_dense_lock's read the adjacency a holes-stored graph derives
+    # random_dense_lock's read the adjacency a holes-stored graph draws
     bench = run("benchmark/run.py", "--workload", workload, "--seed", "1",
                 "--seconds", "0")
     assert bench.returncode == 0, bench.stderr
@@ -159,10 +161,10 @@ def test_only_run_experiment_builds_and_integrates_a_right_hand_side():
 def test_dynamics_never_takes_a_band_complement():
     # a graph stores its holes H = band - A when they are the smaller side, and
     # the right-hand side's coupling sums read them as stored: taking a band
-    # complement, or reading ``adjacency`` (A, derived from H), would cost a
-    # pass over the whole graph for each run.  The sums are formed by
-    # CouplingMatrix.coupling_sums and the window sums it calls, and the
-    # dynamics only call that method
+    # complement, or reading ``adjacency`` (A, drawn again from the seed),
+    # would cost a pass over the whole graph for each run.  The sums are
+    # formed by CouplingMatrix.coupling_sums and the window sums it calls, and
+    # the dynamics only call that method
     graphs = ast.parse((ROOT / "src" / "ringtwist" / "graphs.py").read_text())
     matrix = next(node for node in graphs.body if isinstance(node, ast.ClassDef)
                   and node.name == "CouplingMatrix")
@@ -182,6 +184,24 @@ def test_dynamics_never_takes_a_band_complement():
                 names |= {alias.name for alias in node.names}
     assert {name for name in names if "complement" in name or "band_holes" in name
             or name == "adjacency"} == set()
+
+
+def test_one_function_assembles_every_stored_csr():
+    # both sides of a random graph are drawn from its seed and assembled the
+    # one way, U + U^T; a second CSR constructor, or a function that turns
+    # one side into the other, would be a second way to form a graph
+    named = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and "complement" in node.name.lower()]
+    assert named == []
+    graphs = ast.parse((ROOT / "src" / "ringtwist" / "graphs.py").read_text())
+    builders = {func.name for func in ast.walk(graphs)
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for call in ast.walk(func) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "csr_array"}
+    assert builders == {"_draw"}
 
 
 def test_only_graphs_reads_what_a_coupling_stores():
