@@ -8,7 +8,9 @@ twisted state is summarized by its first spatial harmonic: amplitude r
 and phase psi of the best fit v ~ r * sin(2*pi*k/n + psi) to the aligned
 deviation field.  Every per-sample summary (the deviation series, the
 modulation estimate and the sweep's escape detection) reads one record,
-made by the only loop over stored samples, which aligns each row once.
+made by the only loop over stored samples.  It takes the samples in blocks
+of at most 2**13 values (one row if a row is longer), aligns each row once,
+and gives each row the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ _DEGENERATE_RESULTANT = 1e-12
 # psi is meaningless where the modulation amplitude is below this floor,
 # so aliasing checks skip such samples
 _PSI_AMPLITUDE_FLOOR = 1e-3
+
+# Values per block of stored rows in _deviation_record: a block's
+# temporaries stay small while each call covers many rows at small n
+_BLOCK_VALUES = 1 << 13
 
 
 class NoFitError(RuntimeError):
@@ -113,16 +119,21 @@ def _deviation_record(trajectory: Trajectory,
     v is the sample's aligned deviation from the q-twisted profile and
     drift its alignment angle; c = mean(v*cos x) and s = mean(v*sin x) on
     x = 2*pi*k/n give v ~ r * sin(x + psi) with r = 2*hypot(c, s) and
-    psi = arctan2(c, s).
+    psi = arctan2(c, s).  The rows are taken in blocks of at most
+    _BLOCK_VALUES values, or one row if a row is longer; each row is
+    aligned once, and every reduction runs along a row, so a row's entries
+    are the bits it would get alone.
     """
     phases = trajectory.phases[rows]
     profile = twisted_profile(trajectory.n, trajectory.config.q)
     x = twisted_profile(trajectory.n, 1)
     cos_x, sin_x = np.cos(x), np.sin(x)
     record = np.empty((4, len(phases)))
-    for i, row in enumerate(phases):
-        theta, v = _align(row - profile)
-        record[:, i] = theta, np.max(np.abs(v)), np.mean(v * cos_x), np.mean(v * sin_x)
+    step = max(1, _BLOCK_VALUES // trajectory.n)
+    for lo in range(0, len(phases), step):
+        theta, v = _align(phases[lo:lo + step] - profile)
+        record[:, lo:lo + step] = (theta, np.max(np.abs(v), axis=1),
+                                   np.mean(v * cos_x, axis=1), np.mean(v * sin_x, axis=1))
     return record
 
 

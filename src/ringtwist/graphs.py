@@ -57,7 +57,7 @@ _VERSION = 1
 # magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
 _HEADER = struct.Struct("<6sHQBBQQddQ")
 
-# Values per row chunk when sampling a graph or listing pixels.
+# Values per chunk when sampling a graph, listing pixels or writing A's indices.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -422,5 +422,7 @@ def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
             spec.seed if has_seed else 0, spec.halfwidth, spec.weight,
             spec.scale, 0 if csr is None else int(csr.nnz)))
         if csr is not None:
-            fh.write(np.asarray(csr.indptr, dtype="<u8").tobytes())
-            fh.write(np.asarray(csr.indices, dtype="<u8").tobytes())
+            # converted a chunk at a time, so no u8 copy of A's indices is held
+            for array in (csr.indptr, csr.indices):
+                for lo in range(0, array.size, _CHUNK_VALUES):
+                    fh.write(array[lo:lo + _CHUNK_VALUES].astype("<u8"))

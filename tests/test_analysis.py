@@ -297,17 +297,50 @@ class TestDeviationRecord:
             assert repr(row) == repr(sweep_row_per_row(traj, 0.168, threshold))
 
     def test_each_stored_row_is_aligned_once(self, band_config, align_calls, tmp_path):
+        # the rows go in 2-D blocks of at most max(1, 2**13 // n) rows, whose
+        # leading dimensions sum to the row count
+        def aligned_rows(n):
+            block = max(1, 2**13 // n)
+            assert all(len(shape) == 2 and shape[1] == n and 1 <= shape[0] <= block
+                       for shape in align_calls), align_calls
+            rows = sum(shape[0] for shape in align_calls)
+            align_calls.clear()
+            return rows
+
         times = np.arange(0.0, 80.5, 0.5)
         traj = synthetic_trajectory(times, modulated_rows(times))
         deviation_series(traj)
-        assert align_calls == [(128,)] * len(times)
-        align_calls.clear()
+        assert aligned_rows(128) == len(times) == 161
         estimate_modulation(traj, t_min=40.0, t_max=60.0)
-        assert align_calls == [(128,)] * 41
-        align_calls.clear()
+        assert aligned_rows(128) == 41
         cli._sweep_worker({"config": band_config, "value": 0.168,
                            "csv_path": str(tmp_path / "t.csv"), "threshold": 0.5})
-        assert align_calls == [(400,)] * 81
+        assert aligned_rows(400) == 81
+
+    @pytest.mark.parametrize("n, rows, drift_rate, windows", [
+        # 8 rows a block, the last one ragged: the whole run, a window that
+        # starts and ends inside blocks, 2 rows, and one whole block
+        (1000, 121, 0.01, [(None, None), (3.5, 17.0), (10.0, 10.5), (0.0, 3.5)]),
+        # the drift winds past +-pi inside a block
+        (1000, 121, 0.5, [(None, None), (3.5, 17.0)]),
+        # one row a block
+        (9000, 5, 0.01, [(None, None), (0.5, 1.0)]),
+    ])
+    def test_blocks_give_the_per_row_bits(self, n, rows, drift_rate, windows):
+        times = 0.5 * np.arange(rows)
+        traj = synthetic_trajectory(times, modulated_rows(times, n=n, drift_rate=drift_rate), n=n)
+        if drift_rate > 0.1:
+            # a block mixes rows inside (-pi, pi] with rows outside it, so
+            # wrap_angle takes its np.mod path on a block with in-range rows
+            raw = traj.phases - twisted_profile(n, 1)
+            inside = np.all((raw > -pi) & (raw <= pi), axis=1)
+            step = 2**13 // n
+            blocks = [inside[lo:lo + step] for lo in range(0, rows, step)]
+            assert any(0 < block.sum() < len(block) for block in blocks)
+        assert same_bits(deviation_series(traj), deviation_series_per_row(traj))
+        for t_min, t_max in windows:
+            assert_same_estimate(estimate_modulation(traj, t_min=t_min, t_max=t_max),
+                                 modulation_per_row(traj, t_min=t_min, t_max=t_max))
 
     def test_window_is_read_without_a_copy(self):
         # a (200 x 5000) trajectory: the window's rows alone take 7.2 MB
@@ -321,6 +354,25 @@ class TestDeviationRecord:
         finally:
             tracemalloc.stop()
         assert peak < window_bytes / 10
+
+    def test_block_temporaries_bound_the_peak_at_small_n(self):
+        # n = 1000 is 8 rows a block: past the record's own 4 values a row,
+        # the peak is a few blocks of 2**13 values, whatever the row count
+        block_bytes = 2**13 * 8
+        extra = []
+        for rows in (100, 200):
+            times = np.arange(float(rows))
+            traj = synthetic_trajectory(times, modulated_rows(times, n=1000), n=1000)
+            deviation_series(traj)
+            tracemalloc.start()
+            try:
+                deviation_series(traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 4 * rows * 8)
+        assert extra[1] < 12 * block_bytes
+        assert abs(extra[1] - extra[0]) < block_bytes / 8
 
 
 class TestConvergenceStudy:

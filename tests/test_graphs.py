@@ -440,6 +440,21 @@ class TestFileFormats:
     def test_pinned_graphs_follow_the_layout(self, spec, tmp_path):
         assert_files_follow_the_layout(spec, tmp_path)
 
+    def test_binary_writer_holds_no_u8_copy_of_the_indices(self, tmp_path):
+        # A of n = 1000, p = 0.9 has 559,061 indices, 4.3 MiB as u8; a
+        # whole-array u8 copy and its bytes would peak at twice that
+        coupling = build_coupling(dense_spec(n=1000, p=0.9, seed=1))
+        u8_bytes = coupling.adjacency.indices.size * 8
+        tracemalloc.start()
+        try:
+            write_adjacency_binary(tmp_path / "adj.bin", coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u8_bytes
+        assert (tmp_path / "adj.bin").stat().st_size == (
+            graphs._HEADER.size + 8 * (coupling.n + 1) + u8_bytes)
+
 
 def assert_files_follow_the_layout(spec, path):
     # adjacency.bin and pixels.csv of build_coupling(spec), byte for byte
