@@ -66,8 +66,9 @@ class NoRootError(ValueError):
 def kappa_critical(ell: int, q: int) -> float:
     """Smallest zero of chi1(.; ell, q) in (0, 1/2) (the mode-l threshold).
 
-    brentq solves the first exact zero or sign change of one 4096-point
-    scan to 2e-16 absolute plus 4 machine epsilons relative.
+    brentq solves the first bracket of a 4096-point scan whose end signs
+    multiply to <= 0, to 2e-16 absolute plus 4 machine epsilons relative; it
+    returns an end where chi1 is exactly 0, so a zero on the scan is its grid point.
 
     Raises
     ------
@@ -75,17 +76,14 @@ def kappa_critical(ell: int, q: int) -> float:
         If chi1 keeps a constant sign on the scan interval.
     """
     grid = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    vals = chi1(grid, ell, q)
-    zero = vals == 0.0
-    hits = np.flatnonzero(zero | np.append(vals[:-1] * vals[1:] < 0.0, False))
+    sign = np.sign(chi1(grid, ell, q))
+    hits = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
     if not hits.size:
         raise NoRootError(
             f"chi1(., ell={ell}, q={q}) has constant sign on "
             f"({_SCAN_LO}, {_SCAN_HI}); no threshold exists"
         )
     i = hits[0]
-    if zero[i]:
-        return float(grid[i])
     return _root(lambda k: chi1(k, ell, q), float(grid[i]), float(grid[i + 1]))
 
 

@@ -79,10 +79,6 @@ __all__ = ["main", "RunManifest"]
 _NUMERIC_ERRORS = (IntegrationError, NoFitError, NoRootError, BracketError)
 
 
-class ConfigError(ValueError):
-    """Raised for malformed configuration input (exit code 2)."""
-
-
 class FailedRuns(IntegrationError):
     """Some runs of a command failed at integration (exit code 3).
 
@@ -122,7 +118,7 @@ def _parse_value(raw: str):
 
 def _apply_override(data: dict, assignment: str) -> None:
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of form key=value")
+        raise ValueError(f"override {assignment!r} is not of form key=value")
     dotted, raw = assignment.split("=", 1)
     keys = dotted.strip().split(".")
     node = data
@@ -138,11 +134,11 @@ def _load_config(path: str, overrides: list[str]) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     for assignment in overrides:
         _apply_override(data, assignment)
     return data
@@ -152,18 +148,18 @@ def _parse_int_list(raw: str) -> list[int]:
     try:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
+        raise ValueError(f"expected comma-separated integers, got {raw!r}") from exc
     if not values:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}")
+        raise ValueError(f"expected comma-separated integers, got {raw!r}")
     return values
 
 
 def _parse_config(parse, data: dict, what: str):
-    """parse(data), with a missing, unknown or invalid entry as a ConfigError."""
+    """parse(data); a missing, unknown or invalid entry is ValueError("bad <what>: ...")."""
     try:
         return parse(data)
     except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _simulation_config(args) -> SimulationConfig:
@@ -202,8 +198,8 @@ def cmd_betasigma(args, out):
         grid = np.linspace(float(lo), float(hi), int(count))
         check_int("count", grid.size, 1)
     except ValueError as exc:
-        raise ConfigError(f"--sigma-grid must be lo:hi:count with an integer count "
-                          f">= 1, got {args.sigma_grid!r}") from exc
+        raise ValueError(f"--sigma-grid must be lo:hi:count with an integer count "
+                         f">= 1, got {args.sigma_grid!r}") from exc
     write_beta_sigma_csv(out(f"beta_sigma_q{args.q}.csv"), args.q, args.p, grid)
     return {"q": args.q, "p": args.p, "sigma_grid": args.sigma_grid}, None, {}
 
@@ -306,7 +302,7 @@ def cmd_sweep(args, out):
     base = _load_config(args.config, args.set)
     values = [_parse_value(tok) for tok in args.values.split(",") if tok.strip()]
     if not values:
-        raise ConfigError("--values produced an empty list")
+        raise ValueError("--values produced an empty list")
     summary_path = out("sweep.csv")
     payloads = []
     for i, value in enumerate(values):

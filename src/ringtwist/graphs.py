@@ -57,7 +57,8 @@ _VERSION = 1
 # magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
 _HEADER = struct.Struct("<6sHQBBQQddQ")
 
-# Values per chunk when sampling a graph, listing pixels or writing A's indices.
+# Values per chunk when sampling a graph or writing A's indices, and pixels per
+# block of rows when listing them.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -196,10 +197,8 @@ class CouplingMatrix:
 
     @property
     def nnz(self) -> int:
-        """Nonzero count of A (symmetric entries counted twice)."""
+        """Nonzero count of A, symmetric entries twice: A's, or the band's minus H's."""
         band = self.n * (2 * self.halfwidth + 1)
-        if self.stored == "band":
-            return band
         return self.stored_nnz if self.stored == "edges" else band - self.stored_nnz
 
     @cached_property
@@ -370,35 +369,35 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
 
     The sampling universe is n*(halfwidth+1) unordered in-band pairs
     (diagonal included); symmetric off-diagonal entries count once.  The
-    count is read from the stored side, A or H, without building the other.
+    count is read from the stored side, A or H, without building the other;
+    the band is the graph whose holes are empty, so every draw is realized.
     """
     n, m = coupling.spec.n, coupling.spec.halfwidth
-    universe = n * (m + 1)
-    if coupling.stored == "band":
-        return 1.0
-    diag = int(coupling.csr.diagonal().sum())
-    if coupling.stored == "holes":
+    diag = 0 if coupling.csr is None else int(coupling.csr.diagonal().sum())
+    if coupling.stored != "edges":
         diag = n - diag  # the diagonal is in the band
-    realized = diag + (coupling.nnz - diag) // 2
-    return realized / universe
+    return (diag + (coupling.nnz - diag) // 2) / (n * (m + 1))
 
 
 def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
     """Write the nonzero pixel map as (k, j, w) rows, 1-based indices, w the weight.
 
-    A band row k lists the columns (k + d) mod n for d = -m..m.  Pixels are
-    listed in chunks of about _CHUNK_VALUES.
+    One walk over A's rows, about _CHUNK_VALUES pixels a block: a band row k
+    lists the columns (k + d) mod n for d = -m..m, a random row its columns in
+    ``adjacency``, the one copy of A held.
     """
-    spec = coupling.spec
-    chunks, w = max(1, -(-coupling.nnz // _CHUNK_VALUES)), spec.weight
-    if coupling.layout == "banded_uniform":
-        n, d = spec.n, np.arange(-spec.halfwidth, spec.halfwidth + 1)
-        pixels = ((np.repeat(k, d.size), (k[:, None] + d).ravel() % n)
-                  for k in np.array_split(np.arange(n), chunks))
-    else:
-        coo = coupling.adjacency.tocoo()
-        pixels = zip(np.array_split(coo.row, chunks), np.array_split(coo.col, chunks))
-    write_csv(path, ["k", "j", "w"], ((k, j, w) for ks, js in pixels
+    csr, m, n, w = coupling.adjacency, coupling.halfwidth, coupling.n, coupling.weight
+    d, step = np.arange(-m, m + 1), max(1, _CHUNK_VALUES // (2 * m + 1))
+
+    def block(lo, hi):
+        k = np.arange(lo, hi)
+        if csr is None:
+            return np.repeat(k, d.size), (k[:, None] + d).ravel() % n
+        ptr = csr.indptr[lo:hi + 1]
+        return np.repeat(k, np.diff(ptr)), csr.indices[ptr[0]:ptr[-1]]
+
+    blocks = (block(lo, min(lo + step, n)) for lo in range(0, n, step))
+    write_csv(path, ["k", "j", "w"], ((k, j, w) for ks, js in blocks
                                       for k, j in zip((ks + 1).tolist(), (js + 1).tolist())))
 
 

@@ -143,6 +143,17 @@ def test_no_root_raises():
         kappa_critical(64, 1)
 
 
+@pytest.mark.parametrize("i", [0, 100, 4095])
+def test_an_exact_zero_on_the_scan_is_returned_as_its_grid_point(monkeypatch, i):
+    # brentq returns a bracket end where chi1 is exactly 0, so a zero on the
+    # scan grid, the first point and the last included, comes back bit for bit
+    grid = np.linspace(bifurcation._SCAN_LO, bifurcation._SCAN_HI,
+                       bifurcation._SCAN_POINTS)
+    monkeypatch.setattr(bifurcation, "chi1",
+                        lambda kappa, ell, q: np.asarray(kappa) - grid[i])
+    assert kappa_critical(1, 1) == grid[i]
+
+
 @pytest.mark.parametrize("kappa", [0.09, 0.21, 0.34, 0.46])
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -487,6 +498,26 @@ def test_each_threshold_is_found_once_per_process(monkeypatch, empty_threshold_c
     normal_form_constants(np.array(3))
     assert sorted(calls) == list(range(1, 9))
     assert bifurcation._threshold.cache_info().currsize == 8
+
+
+def test_a_singular_mode_2_elimination_is_refused_and_not_cached(
+        monkeypatch, empty_threshold_cache):
+    # chi1(kappa_crit; 2, q) = a2(0) - a2(2) is the divisor of beta0; a
+    # threshold where it vanishes raises, and the cache keeps no failure
+    find = bifurcation.a_coeffs
+
+    def singular(q, j, kappa_crit):
+        a1, a2 = find(q, j, kappa_crit)
+        a2[2] = a2[0]
+        return a1, a2
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bifurcation, "a_coeffs", singular)
+        with pytest.raises(ValueError, match="mode-2 elimination is singular"):
+            normal_form_constants(1)
+    assert bifurcation._threshold.cache_info().currsize == 0
+    fresh = bifurcation._threshold.__wrapped__(1)[0]
+    assert normal_form_constants(1).beta0 == fresh["beta0"]
 
 
 @pytest.mark.parametrize("q", range(1, 9))

@@ -455,6 +455,21 @@ class TestFileFormats:
         assert (tmp_path / "adj.bin").stat().st_size == (
             graphs._HEADER.size + 8 * (coupling.n + 1) + u8_bytes)
 
+    def test_pixel_writer_holds_no_copy_of_the_adjacency(self, tmp_path, monkeypatch):
+        # the writer walks A's rows in blocks of about _CHUNK_VALUES pixels: a
+        # COO copy of A (int32 rows and columns, float64 data) would peak above
+        # A's own indices, 805,012 B here
+        monkeypatch.setattr(graphs, "_CHUNK_VALUES", 2**10)
+        coupling = build_coupling(dense_spec(n=600, p=0.9, seed=1))
+        indices = coupling.adjacency.indices.nbytes
+        tracemalloc.start()
+        try:
+            write_pixel_csv(tmp_path / "pixels.csv", coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < indices
+
 
 def assert_files_follow_the_layout(spec, path):
     # adjacency.bin and pixels.csv of build_coupling(spec), byte for byte

@@ -50,6 +50,19 @@ from ringtwist.cli import main
 from ringtwist.graphs import CouplingMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
+# every module of the package, parsed once: (path, syntax tree) in file-name order
+SOURCES = [(path, ast.parse(path.read_text()))
+           for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))]
+
+
+def _source(name):
+    """The syntax tree of the package module with file name ``name``."""
+    return next(tree for path, tree in SOURCES if path.name == name)
+
+
+def _called(node):
+    """The name a call goes by: f in f(...), or the attribute in x.f(...)."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
 
 
 def run(*args):
@@ -87,10 +100,10 @@ def test_only_the_boundary_module_writes_csv_or_json():
     # one module decides how a number is written; every other module calls it
     banned = {("csv", "writer"), ("csv", "DictWriter"), ("json", "dump")}
     calls = []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+    for path, tree in SOURCES:
         if path.name == "_boundary.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and (node.value.id, node.attr) in banned:
                 calls.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
@@ -104,8 +117,8 @@ def test_no_module_imports_solve_ivp():
     # integrate_system steps DOP853 itself; solve_ivp would hold a second copy
     # of every trajectory
     uses = []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in SOURCES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 uses += [f"{path.name}:{node.lineno}" for a in node.names
                          if a.name == "solve_ivp"]
@@ -120,15 +133,13 @@ def test_only_the_deviation_record_aligns_inside_a_loop():
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     uses = set()
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
+    for path, tree in SOURCES:
+        for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for loop in (node for node in ast.walk(func) if isinstance(node, loops)):
                 uses |= {(path.name, func.name, call.lineno) for call in ast.walk(loop)
-                         if isinstance(call, ast.Call)
-                         and getattr(call.func, "id", getattr(call.func, "attr", None))
-                         == "_align"}
+                         if isinstance(call, ast.Call) and _called(call) == "_align"}
     assert {name for _, name, _ in uses} == {"_deviation_record"}, sorted(uses)
 
 
@@ -139,12 +150,11 @@ def test_only_run_experiment_builds_and_integrates_a_right_hand_side():
     names = {"make_rhs", "integrate_system"}
 
     def calls(tree):
-        return {node: getattr(node.func, "id", getattr(node.func, "attr", None))
-                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        return {node: _called(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)}
 
     outside, inside = [], set()
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in SOURCES:
         allowed = {}
         if path.name == "dynamics.py":
             run = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -165,7 +175,7 @@ def test_dynamics_never_takes_a_band_complement():
     # would cost a pass over the whole graph for each run.  The sums are
     # formed by CouplingMatrix.coupling_sums and the window sums it calls, and
     # the dynamics only call that method
-    graphs = ast.parse((ROOT / "src" / "ringtwist" / "graphs.py").read_text())
+    graphs = _source("graphs.py")
     matrix = next(node for node in graphs.body if isinstance(node, ast.ClassDef)
                   and node.name == "CouplingMatrix")
     route = [node for node in matrix.body + graphs.body
@@ -173,8 +183,7 @@ def test_dynamics_never_takes_a_band_complement():
              and node.name in ("coupling_sums", "_window_sums")]
     assert len(route) == 2
     names = set()
-    for tree in route + [ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py")
-                                   .read_text())]:
+    for tree in route + [_source("dynamics.py")]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -191,16 +200,14 @@ def test_one_function_assembles_every_stored_csr():
     # one way, U + U^T; a second CSR constructor, or a function that turns
     # one side into the other, would be a second way to form a graph
     named = [f"{path.name}:{node.lineno} {node.name}"
-             for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for path, tree in SOURCES for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and "complement" in node.name.lower()]
     assert named == []
-    graphs = ast.parse((ROOT / "src" / "ringtwist" / "graphs.py").read_text())
-    builders = {func.name for func in ast.walk(graphs)
+    builders = {func.name for func in ast.walk(_source("graphs.py"))
                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for call in ast.walk(func) if isinstance(call, ast.Call)
-                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "csr_array"}
+                for call in ast.walk(func)
+                if isinstance(call, ast.Call) and _called(call) == "csr_array"}
     assert builders == {"_draw"}
 
 
@@ -209,12 +216,12 @@ def test_only_graphs_reads_what_a_coupling_stores():
     # that read the stored CSR, or branched on which side is stored, would
     # hold a second copy of that decision
     reads = []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
+    for path, tree in SOURCES:
         if path.name == "graphs.py":
             continue
         refused = {"csr"} | ({"stored"} if path.name == "dynamics.py" else set())
         reads += [f"{path.name}:{node.lineno} .{node.attr}"
-                  for node in ast.walk(ast.parse(path.read_text()))
+                  for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in refused]
     assert reads == []
 
@@ -227,10 +234,8 @@ def test_a_coupling_is_its_spec_and_one_stored_side_built_in_graphs():
     assert [f.name for f in fields(CouplingMatrix)] == ["spec", "csr"]
     assert list(inspect.signature(CouplingMatrix).parameters) == ["spec"]
     built = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and getattr(
-                 node.func, "id", getattr(node.func, "attr", None)) == "CouplingMatrix"]
+             for path, tree in SOURCES for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called(node) == "CouplingMatrix"]
     assert built and all(site.startswith("graphs.py:") for site in built)
 
 
@@ -248,7 +253,7 @@ def test_the_console_script_is_main_and_prints_the_version(capsys):
 def test_dynamics_imports_nothing_from_bifurcation():
     # a run takes its rotation speed from the window integral at its realized
     # n, not from the threshold constants
-    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    tree = _source("dynamics.py")
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -262,19 +267,16 @@ def test_the_rotation_speed_reads_the_window_integrals_at_the_realized_n():
     # one window symbol for the continuum and the ring: _coupling_speed hands
     # the graph's n to spectrum._window_integrals, and dynamics sums no
     # cosines over an array of window offsets of its own
-    tree = ast.parse((ROOT / "src" / "ringtwist" / "dynamics.py").read_text())
+    tree = _source("dynamics.py")
     speed = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name == "_coupling_speed")
-    calls = {getattr(node.func, "id", getattr(node.func, "attr", None)): node
-             for node in ast.walk(speed) if isinstance(node, ast.Call)}
+    calls = {_called(node): node for node in ast.walk(speed) if isinstance(node, ast.Call)}
     assert "_window_integrals" in calls
     ring_size = calls["_window_integrals"].args[3]
     assert isinstance(ring_size, ast.Attribute) and ring_size.attr == "n"
     assert {"cos", "sum", "arange"} & set(calls) == set()
     offsets = [f"dynamics.py:{node.lineno}" for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None))
-               in ("arange", "linspace")
+               if isinstance(node, ast.Call) and _called(node) in ("arange", "linspace")
                and any(getattr(n, "attr", None) == "halfwidth" for n in ast.walk(node))]
     assert offsets == []
 
@@ -283,12 +285,11 @@ def test_the_state_sized_trig_is_the_one_sincos():
     # make_rhs's closure and resultant take sin and cos from circular.sincos,
     # one tangent per node; a second np.sin / np.cos path would undo it
     def calls(path, *names):
-        func = ast.parse((ROOT / "src" / "ringtwist" / path).read_text())
+        func = _source(path)
         for name in names:
             func = next(node for node in ast.walk(func)
                         if isinstance(node, ast.FunctionDef) and node.name == name)
-        return [getattr(node.func, "id", getattr(node.func, "attr", None))
-                for node in ast.walk(func) if isinstance(node, ast.Call)]
+        return [_called(node) for node in ast.walk(func) if isinstance(node, ast.Call)]
 
     # make_rhs itself takes cos(sigma) and sin(sigma) once, outside the closure
     rhs_calls, resultant_calls = (calls("dynamics.py", "make_rhs", "rhs"),
@@ -302,8 +303,7 @@ def test_only_window_integrals_names_the_half_window():
     # chi1 is the window integral minus its own l = 0 entry, so no closed
     # form adds the half-window term at q on its own
     uses = []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in SOURCES:
         allowed = {node for top in tree.body if isinstance(top, ast.FunctionDef)
                    and top.name == "_window_integrals" for node in ast.walk(top)}
         for node in ast.walk(tree):
@@ -315,8 +315,7 @@ def test_only_window_integrals_names_the_half_window():
     assert uses == []
     # nor does a second copy of it under another name: chi1 has one formula
     defined = [f"{path.stem}.{node.name}"
-               for path in sorted((ROOT / "src" / "ringtwist").glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
+               for path, tree in SOURCES for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and "half_window" in node.name]
     assert defined == ["spectrum._half_window"]
@@ -325,9 +324,7 @@ def test_only_window_integrals_names_the_half_window():
 def test_no_hand_rolled_root_iteration():
     # every root comes from spectrum._root, which is scipy's brentq
     loops = [f"{name}:{node.lineno}" for name in ("spectrum.py", "bifurcation.py")
-             for node in ast.walk(ast.parse((ROOT / "src" / "ringtwist" / name)
-                                            .read_text()))
-             if isinstance(node, ast.While)]
+             for node in ast.walk(_source(name)) if isinstance(node, ast.While)]
     assert loops == []
 
 
@@ -336,8 +333,7 @@ def test_only_the_threshold_values_are_cached():
     # memo on a float-keyed query or on a mutable result must not appear
     memo = {"cache", "lru_cache"}
     decorated, stray = [], []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in SOURCES:
         allowed = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
@@ -358,8 +354,7 @@ def test_only_the_command_helper_declares_a_subcommand():
     # one helper in build_parser declares every subcommand and adds its
     # shared --config, --set and --out, so each of them is written once
     outside, inside = [], []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in SOURCES:
         helper = set()
         if path.name == "cli.py":
             build = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -378,16 +373,14 @@ def test_only_main_builds_a_manifest_or_reads_the_out_directory():
     # main names the command, lists each file a command asks it to join onto
     # --out, and writes the one manifest; no command does any of that itself
     outside, inside = [], []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in SOURCES:
         main = set()
         if path.name == "cli.py":
             main = set(ast.walk(next(node for node in tree.body
                                      if isinstance(node, ast.FunctionDef)
                                      and node.name == "main")))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) == "RunManifest") \
+            if (isinstance(node, ast.Call) and _called(node) == "RunManifest") \
                     or (isinstance(node, ast.Attribute) and node.attr == "out"
                         and getattr(node.value, "id", None) == "args"):
                 (inside if node in main else outside).append(
@@ -400,8 +393,8 @@ def test_only_the_window_rule_refuses_a_window():
     # analysis._window is the one rule for t_min and t_max: estimate_modulation
     # and ringtwist estimate both call it, and neither checks a bound itself
     refusers, estimate_checks = set(), []
-    for path in sorted((ROOT / "src" / "ringtwist").glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
+    for path, tree in SOURCES:
+        for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
@@ -426,12 +419,11 @@ def test_every_public_function_has_a_caller_outside_the_unit_tests():
     # or an attribute; a string naming it (a docstring, an __all__ entry, a
     # tracer key) calls nothing
     layers = ("analysis", "bifurcation", "circular", "dynamics", "graphs", "spectrum")
-    readers = (sorted((ROOT / "src" / "ringtwist").glob("*.py"))
-               + sorted((ROOT / "benchmark").glob("*.py"))
-               + [ROOT / "tests" / "test_acceptance.py"])
+    readers = SOURCES + [(path, ast.parse(path.read_text())) for path in
+                         sorted((ROOT / "benchmark").glob("*.py"))
+                         + [ROOT / "tests" / "test_acceptance.py"]]
     public, named = set(), set()
-    for path in readers:
-        tree = ast.parse(path.read_text())
+    for path, tree in readers:
         own = {}
         for top in tree.body:
             if isinstance(top, ast.FunctionDef):
