@@ -122,18 +122,24 @@ def _deviation_record(trajectory: Trajectory,
     psi = arctan2(c, s).  The rows are taken in blocks of at most
     _BLOCK_VALUES values, or one row if a row is longer; each row is
     aligned once, and every reduction runs along a row, so a row's entries
-    are the bits it would get alone.
+    are the bits it would get alone.  The reductions are the ufuncs'
+    own: max |v| is np.maximum.reduce, and each mean is np.add.reduce
+    along the row divided by n, the sum and true division np.mean performs
+    on float64, without its wrapper.  Each block's four values are written
+    straight into the record.
     """
-    phases = trajectory.phases[rows]
-    profile = twisted_profile(trajectory.n, trajectory.config.q)
-    x = twisted_profile(trajectory.n, 1)
+    phases, n = trajectory.phases[rows], trajectory.n
+    profile = twisted_profile(n, trajectory.config.q)
+    x = twisted_profile(n, 1)
     cos_x, sin_x = np.cos(x), np.sin(x)
     record = np.empty((4, len(phases)))
-    step = max(1, _BLOCK_VALUES // trajectory.n)
+    step = max(1, _BLOCK_VALUES // n)
     for lo in range(0, len(phases), step):
-        theta, v = _align(phases[lo:lo + step] - profile)
-        record[:, lo:lo + step] = (theta, np.max(np.abs(v), axis=1),
-                                   np.mean(v * cos_x, axis=1), np.mean(v * sin_x, axis=1))
+        drift, peak, c, s = record[:, lo:lo + step]
+        drift[:], v = _align(phases[lo:lo + step] - profile)
+        np.maximum.reduce(np.abs(v), axis=1, out=peak)
+        np.divide(np.add.reduce(v * cos_x, axis=1, out=c), n, out=c)
+        np.divide(np.add.reduce(v * sin_x, axis=1, out=s), n, out=s)
     return record
 
 

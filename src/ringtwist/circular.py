@@ -43,20 +43,31 @@ def wrap_angle(x):
     return w
 
 
-def sincos(x):
+def sincos(x, out=None):
     """(sin x, cos x) as 2t*d and (1 - t^2)*d, with t = tan(x/2) and d = 1/(1 + t^2).
 
     numpy's tan is vectorized where its sin and cos may be scalar libm calls.
     Each value is within 4.5e-16 of np.sin / np.cos, +-0 keep their sign and
     +-pi give np.sin / np.cos exactly; each element is computed by itself, so
     a row of a 2-D call is the 1-D call bit for bit.  +-inf and nan give nan
-    quietly.
+    quietly.  With out=(s, c), two float arrays of x's shape, the values are
+    written into s and c, which are returned, and d is the only temporary;
+    s may be x itself.  Without out, both are new arrays (scalars for a
+    scalar x).  Either way each value takes the same operations in the same
+    order, so the two give the same bits.
     """
+    x = np.asarray(x, dtype=float)
+    s, c = (np.empty_like(x), np.empty_like(x)) if out is None else out
     with np.errstate(invalid="ignore"):
-        t = np.tan(0.5 * np.asarray(x, dtype=float))
-    t2 = t * t
-    d = 1.0 / (1.0 + t2)
-    return 2.0 * t * d, (1.0 - t2) * d
+        np.tan(np.multiply(0.5, x, out=s), out=s)  # s holds t
+    np.multiply(s, s, out=c)  # c holds t^2
+    d = np.empty_like(c)
+    np.divide(1.0, np.add(1.0, c, out=d), out=d)
+    np.multiply(np.multiply(2.0, s, out=s), d, out=s)
+    np.multiply(np.subtract(1.0, c, out=c), d, out=c)
+    if out is None and x.ndim == 0:
+        return s[()], c[()]
+    return s, c
 
 
 def resultant(angles):
@@ -64,8 +75,10 @@ def resultant(angles):
 
     A complex number for 1-D input, one per row for 2-D input, formed as
     mean(cos) + i*mean(sin) from sincos; an angle of +-inf makes it nan
-    quietly.
+    quietly.  Each mean is np.add.reduce over the row divided by n, the sum
+    and true division np.mean performs on float64, without its wrapper.
     """
     s, c = sincos(angles)
-    z = np.mean(c, axis=-1) + 1j * np.mean(s, axis=-1)
+    n = s.shape[-1]
+    z = np.add.reduce(c, axis=-1) / n + 1j * (np.add.reduce(s, axis=-1) / n)
     return complex(z) if z.ndim == 0 else z

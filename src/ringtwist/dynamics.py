@@ -212,24 +212,34 @@ def make_rhs(coupling: CouplingMatrix, omega: float,
     sin(u_k - sigma) from sin u and cos u, which circular.sincos takes from
     one tangent per node; a call stays within 4.5e-16*2(1 + sqrt 2)*prefactor
     *(2m + 1), plus one rounding, of the expression on np.sin / np.cos.
-    The sums may reuse a workspace, so build one closure per thread.  Each
-    call returns a fresh array, since the solver keeps the last one.  A
-    state whose shape is not (n,) raises ValueError.
+    sin u, cos u and one scratch vector are the closure's own buffers, and
+    the sums may reuse a workspace, so build one closure per thread.  A call
+    evaluates the expression with out= into those buffers and one fresh
+    array, in the plain expression's order, so it gives its bits; the fresh
+    array is returned, since the solver keeps the last one.  A state whose
+    shape is not (n,) raises ValueError.
     """
     spec = coupling.spec
     prefactor, coupling_sums = spec.scale * spec.weight, coupling.coupling_sums()
     cos_sigma, sin_sigma = cos(sigma), sin(sigma)
     n = spec.n
+    s, c, scratch = np.empty(n), np.empty(n), np.empty(n)
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
         if u.shape != (n,):
             raise ValueError(
                 f"state of shape {u.shape} given to a right-hand side built for n={n}")
-        s, c = sincos(u)
+        sincos(u, out=(s, c))
         ws, wc = coupling_sums(s, c)
-        return omega + prefactor * (
-            (c * cos_sigma + s * sin_sigma) * ws - (s * cos_sigma - c * sin_sigma) * wc
-        )
+        # omega + prefactor*((c*cos_sigma + s*sin_sigma)*ws - (s*cos_sigma - c*sin_sigma)*wc)
+        du = np.multiply(c, cos_sigma)
+        np.add(du, np.multiply(s, sin_sigma, out=scratch), out=du)
+        np.multiply(du, ws, out=du)
+        np.multiply(s, cos_sigma, out=scratch)
+        # s is read for the last time above, so it holds c*sin_sigma
+        np.subtract(scratch, np.multiply(c, sin_sigma, out=s), out=scratch)
+        np.subtract(du, np.multiply(scratch, wc, out=scratch), out=du)
+        return np.add(omega, np.multiply(prefactor, du, out=du), out=du)
 
     return rhs
 

@@ -236,10 +236,10 @@ def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
 
     One complex prefix sum gives both: c + i*s fills the middle of a reused
     workspace of length n + 2m + 1, the m ghost cells on each side repeat
-    the opposite end of the ring, and an in-place cumsum runs over all but
-    the leading zero.  Complex addition adds real and imaginary parts
-    apart, in order, so each sum is bit for bit a real prefix-sum
-    difference.  At m = 0 the sum is the identity and the map copies.  The
+    the opposite end of the ring, and an in-place prefix sum (the
+    np.add.accumulate that np.cumsum calls) runs over all but the leading
+    zero.  Complex addition adds real and imaginary parts apart, in order,
+    so each sum is bit for bit a real prefix-sum difference.  At m = 0 the sum is the identity and the map copies.  The
     returned arrays are the map's own buffers, overwritten by its next call.
     """
     ws, wc = np.empty(n), np.empty(n)
@@ -254,7 +254,7 @@ def _window_sums(n: int, m: int) -> Callable[[np.ndarray, np.ndarray], tuple]:
         middle.real, middle.imag = c, s
         z[1:m + 1] = z[n + 1:n + m + 1]
         z[n + m + 1:] = z[m + 1:2 * m + 1]
-        np.cumsum(run, out=run)
+        np.add.accumulate(run, out=run)
         np.subtract(z.imag[2 * m + 1:], z.imag[:n], out=ws)
         np.subtract(z.real[2 * m + 1:], z.real[:n], out=wc)
         return ws, wc

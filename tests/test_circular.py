@@ -206,3 +206,25 @@ def test_sincos_shapes_and_rows():
     assert np.ndim(s0) == np.ndim(c0) == 0
     assert abs(s0 - np.sin(0.7)) <= SINCOS_BOUND and abs(c0 - np.cos(0.7)) <= SINCOS_BOUND
     assert sincos(np.array([]))[0].shape == (0,)
+
+
+_SPECIAL = [0.0, -0.0, np.pi, -np.pi, np.inf, -np.inf, np.nan, 1.0, -2.5, 1e300]
+
+
+@pytest.mark.parametrize("x", [
+    np.array(_SPECIAL),
+    np.random.default_rng(8).uniform(-1e3, 1e3, 1000),
+    np.vstack([_SPECIAL, np.random.default_rng(9).uniform(-9.0, 9.0, (3, 10))]),
+])
+@pytest.mark.parametrize("into_x", [False, True])
+def test_sincos_into_given_arrays_is_sincos_bit_for_bit(x, into_x):
+    # out=(s, c) returns s and c themselves with the bits of the allocating
+    # call, and s may be x itself, read before it is written
+    expected_s, expected_c = sincos(x)
+    s = x.copy() if into_x else np.full_like(x, 7.0)
+    c = np.full_like(x, 7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_s, got_c = sincos(s if into_x else x, out=(s, c))
+    assert got_s is s and got_c is c
+    assert _bits(s) == _bits(expected_s) and _bits(c) == _bits(expected_c)

@@ -373,6 +373,57 @@ class TestRightHandSides:
             assert not np.shares_memory(first, buffer)
             assert not np.shares_memory(second, buffer)
 
+    @pytest.mark.parametrize("spec, vectors", [
+        (GraphSpec(n=2000, p=1.0, kappa=0.31), 1),
+        (GraphSpec(n=2000, p=0.9, kappa=0.31, kind="random_dense", seed=4), 1),
+        (GraphSpec(n=2000, p=0.3, kappa=0.31, kind="random_dense", seed=4), 3),
+    ])
+    def test_a_call_allocates_its_result_and_one_tangent_temporary(self, spec, vectors):
+        # sin u, cos u and the expression's scratch are the closure's own
+        # buffers, so a call holds at most one n-vector at a time on the
+        # window-sum routes (the tangent form's d, then the result), and the
+        # edges route adds its two matvec results; 4 KiB covers the Python
+        # objects of a call
+        rhs = make_rhs(build_coupling(spec), 0.3, 0.4)
+        u = noisy_start(spec.n, 1, 3)
+        rhs(0.0, u)
+        tracemalloc.start()
+        try:
+            rhs(0.0, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * 8 * spec.n + 4096
+
+    @pytest.mark.parametrize("spec", [
+        GraphSpec(n=200, p=1.0, kappa=0.31),
+        GraphSpec(n=200, p=0.9, kappa=0.31, kind="random_dense", seed=4),
+        GraphSpec(n=200, p=0.3, kappa=0.31, kind="random_dense", seed=4),
+    ])
+    def test_two_closures_on_one_coupling_keep_their_own_buffers(self, spec):
+        # two closures called alternately on different states, and the second
+        # also called inside each call of the first, between its coupling sums
+        # and its expression, as a second thread could: a buffer the two
+        # shared (held by the coupling or the module) would change the bits
+        coupling = build_coupling(spec)
+        second = make_rhs(coupling, -0.2, 1.1)
+        oracles = rhs_two_sums(coupling, 0.3, 0.4), rhs_two_sums(coupling, -0.2, 1.1)
+        states = np.random.default_rng(5).uniform(-20.0, 20.0, (4, spec.n))
+        inner, sums = [], coupling.coupling_sums()
+
+        def interrupted(s, c):
+            ws, wc = sums(s, c)
+            inner.append(second(0.0, states[0]))
+            return ws, wc
+
+        object.__setattr__(coupling, "coupling_sums", lambda: interrupted)
+        first = make_rhs(coupling, 0.3, 0.4)
+        for u, v in zip(states[1:], states[:0:-1]):
+            assert first(0.0, u).tobytes() == oracles[0](0.0, u).tobytes()
+            assert second(0.0, v).tobytes() == oracles[1](0.0, v).tobytes()
+        assert len(inner) == 3
+        assert all(w.tobytes() == oracles[1](0.0, states[0]).tobytes() for w in inner)
+
     @pytest.mark.parametrize("spec", [
         GraphSpec(n=100, p=1.0, kappa=0.31),
         GraphSpec(n=100, p=0.9, kappa=0.31, kind="random_dense", seed=4),
