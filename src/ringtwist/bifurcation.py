@@ -294,8 +294,9 @@ class BifurcationPrediction:
     ``amplitude`` (sqrt of the radicand at the query kappa, nan if
     negative), ``hypothesis_ok`` (all higher-mode dampings negative),
     ``modulation_frequency``/``modulation_period`` (nu1 and 2*pi/|nu1|,
-    sigma != 0 only), and ``omega_tilde`` (drift-corrected rotation speed,
-    which is Omega, sigma != 0 only).
+    sigma != 0 only; a run's modulation phase psi turns at -nu1), and
+    ``omega_tilde`` (drift-corrected rotation speed, which is Omega, sigma
+    != 0 only).
     """
 
     constants: NormalFormConstants = field(repr=False)

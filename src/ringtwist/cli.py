@@ -62,7 +62,6 @@ from .graphs import (
     GraphSpec,
     build_coupling,
     empirical_band_density,
-    step_graphon_error,
     write_adjacency_binary,
     write_pixel_csv,
 )
@@ -70,6 +69,7 @@ from .spectrum import (
     DEFAULT_ELL_MAX,
     BracketError,
     ModeParams,
+    _window_integrals,
     eigenvalues,
     write_spectrum_csv,
 )
@@ -205,6 +205,9 @@ def cmd_betasigma(args, out):
 
 
 def cmd_graph(args, out):
+    """Build one graph, write the files asked for and report its facts; symbol_distance
+    is max |symbol - continuum window integral| at kappa_eff over the modes a spectrum
+    report lists, 0..DEFAULT_ELL_MAX, capped at the ring's Nyquist mode n // 2."""
     data = _load_config(args.config, args.set)
     spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)
@@ -213,13 +216,16 @@ def cmd_graph(args, out):
     if args.binary:
         write_adjacency_binary(out("adjacency.bin"), coupling)
     density = empirical_band_density(coupling)
-    step_err = step_graphon_error(spec)
+    modes = np.arange(min(DEFAULT_ELL_MAX, spec.n // 2) + 1)
+    distance = float(np.max(np.abs(
+        spec.symbol(modes) - _window_integrals(spec.kappa_eff, modes, 0)[0])))
     print(f"halfwidth={spec.halfwidth} nnz={coupling.nnz} "
           f"density={density:.6f} (target {spec.edge_probability:.6f})")
     return asdict(spec), spec.seed, {
         "halfwidth": spec.halfwidth, "nnz": coupling.nnz,
         "edge_probability": spec.edge_probability,
-        "empirical_band_density": density, "step_graphon_error": step_err,
+        "empirical_band_density": density, "kappa_eff": spec.kappa_eff,
+        "symbol_distance": distance,
         "stored": coupling.stored, "stored_nnz": coupling.stored_nnz}
 
 

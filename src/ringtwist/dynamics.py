@@ -27,7 +27,6 @@ from . import __version__
 from ._boundary import check_int, check_real, check_seed, write_csv, write_json
 from .circular import sincos
 from .graphs import CouplingMatrix, GraphSpec, _check_coupling, build_coupling
-from .spectrum import _window_integrals
 
 __all__ = [
     "IntegrationError",
@@ -52,8 +51,8 @@ class SimulationConfig:
     """Full description of one simulation run.
 
     omega=None resolves to minus the speed at which the coupling turns the
-    q-twisted state on the graph's realized window (see _coupling_speed),
-    so on the band that state is stationary and deviations from the
+    q-twisted state, p*sin(sigma)*graph.symbol(q) (see _coupling_speed), so
+    on the band that state is stationary and deviations from the
     twisted profile are directly readable from raw phases.  ic_seed feeds
     the initial-condition noise only; the graph has its own seed, and both
     are None or an integer in [0, 2**64).  A nonzero ic_mode1_amplitude
@@ -140,8 +139,8 @@ class Trajectory:
 
     @property
     def rotation_speed(self) -> float:
-        """omega plus the speed at which the coupling turns the q-twisted state
-        on the realized window (see _coupling_speed), 0 for an omega=None run."""
+        """omega plus the speed p*sin(sigma)*graph.symbol(q) at which the coupling
+        turns the q-twisted state (see _coupling_speed), 0 for an omega=None run."""
         cfg = self.config
         return self.omega + _coupling_speed(cfg.graph, cfg.q, cfg.sigma)
 
@@ -169,13 +168,12 @@ def _check_integration(t_end, rel_tol, abs_tol, sample_dt) -> None:
 def _coupling_speed(graph: GraphSpec, q: int, sigma: float) -> float:
     """The speed at which the coupling turns the q-twisted state, for any q >= 0.
 
-    On u_k = 2*pi*q*k/n the sines over the realized window |d| <= m = graph.halfwidth
-    cancel in pairs, leaving p*sin(sigma) times the ring's window integral at
-    kappa = (m + 1/2)/n: exact on the band, and the expected speed of a random
-    graph, whose scale times edge probability is p/n too.
+    On u_k = 2*pi*q*k/n the sines over the realized window |d| <= graph.halfwidth
+    cancel in pairs, leaving p*sin(sigma) times the graph's symbol of mode q:
+    exact on the band, and the expected speed of a random graph, whose scale
+    times edge probability is p/n too.
     """
-    kappa = (graph.halfwidth + 0.5) / graph.n
-    return graph.p * sin(sigma) * float(_window_integrals(kappa, 0, q, graph.n)[0])
+    return graph.p * sin(sigma) * float(graph.symbol(q))
 
 
 def twisted_profile(n: int, q: int) -> np.ndarray:

@@ -19,6 +19,8 @@ then dropped.  It also names the side a random graph stores, the one
 expected to be smaller: its holes H = band - A at edge probability >= 1/2,
 its edges A below.  A CouplingMatrix draws that side from the seed, and
 draws A from it too, when a writer asks; no side is converted to the other.
+The spec owns the realized window too: kappa_eff = (m + 1/2)/n for m =
+floor(n*kappa), and its symbol, the Fourier multiplier of the mean coupling.
 
 Node k (1-based, k in [1..n]) sits at position x = k/n and owns the cell
 I_k = ((k-1)/n, k/n]; band membership at finite n uses circular index
@@ -31,19 +33,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from math import floor, sqrt
+from math import floor
 from typing import Callable
 
 import numpy as np
 from scipy import sparse as _sparse
 
 from ._boundary import check_int, check_real, check_seed, write_csv
+from .spectrum import _window_integrals
 
 __all__ = [
     "GraphSpec",
     "CouplingMatrix",
     "build_coupling",
-    "step_graphon_error",
     "empirical_band_density",
     "write_pixel_csv",
     "write_adjacency_binary",
@@ -83,7 +85,9 @@ class GraphSpec:
         RNG seed in [0, 2**64); mandatory for the random kinds (no silent
         entropy), checked and then dropped to None for deterministic_dense.
 
-    Dropping them makes two specs of one graph compare equal.
+    Dropping them makes two specs of one graph compare equal.  The realized
+    window is kappa_eff, and ``symbol`` is the multiplier the mean coupling
+    applies to a Fourier mode, which sets the rotation speed of a run.
     """
 
     n: int
@@ -121,6 +125,17 @@ class GraphSpec:
     def halfwidth(self) -> int:
         """Band half-width in index units, floor(n*kappa)."""
         return floor(self.n * self.kappa)
+
+    @property
+    def kappa_eff(self) -> float:
+        """Realized window half-width (halfwidth + 1/2)/n, the 2m + 1 offsets over 2n."""
+        return (self.halfwidth + 0.5) / self.n
+
+    def symbol(self, ell):
+        """The mean coupling's multiplier of mode(s) ell over p, the ring's window
+        integral at kappa_eff: sum of cos(2*pi*ell*d/n) over |d| <= halfwidth, over n.
+        Modes past n/2 alias on the ring, where ell and n - ell have one symbol."""
+        return _window_integrals(self.kappa_eff, ell, 0, self.n)[0]
 
     @property
     def edge_probability(self) -> float:
@@ -271,35 +286,6 @@ def _check_coupling(coupling: CouplingMatrix, spec: GraphSpec) -> None:
         raise ValueError("coupling realizes another graph: " + ", ".join(differ))
 
 
-def _tri_cdf(t: float, z0: float, n: int) -> float:
-    # CDF of the unit-mass triangular bump centered at z0 with half-width 1/n
-    # (the distribution of x - y over a cell pair).
-    u = (t - z0) * n
-    if u <= -1.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    if u <= 0.0:
-        return 0.5 * (1.0 + u) ** 2
-    return 1.0 - 0.5 * (1.0 - u) ** 2
-
-
-def _band_fraction(z0: float, n: int, kappa: float) -> float:
-    """Mass of the triangular offset bump inside the circular band.
-
-    The band in offset coordinates is the disjoint union of [m - kappa,
-    m + kappa] over integers m (disjoint because kappa < 1/2), so the
-    overlap is an exact sum of CDF differences - piecewise quadratic, no
-    quadrature.
-    """
-    lo = z0 - 1.0 / n
-    hi = z0 + 1.0 / n
-    total = 0.0
-    for m in range(floor(lo - kappa), floor(hi + kappa) + 2):
-        total += _tri_cdf(m + kappa, z0, n) - _tri_cdf(m - kappa, z0, n)
-    return total
-
-
 def _sample_band_pairs(spec: GraphSpec, side: str) -> tuple[np.ndarray, np.ndarray]:
     """The (row, col) int32 pairs of one side, "edges" or "holes", of a random graph.
 
@@ -343,25 +329,6 @@ def build_coupling(spec: GraphSpec) -> CouplingMatrix:
     so the build never holds A when it stores H.
     """
     return CouplingMatrix(spec)
-
-
-def step_graphon_error(spec: GraphSpec) -> float:
-    """L2 error between the band graphon and its n x n cell-average step.
-
-    Within a cell the graphon takes only the values {0, p}, so the squared
-    error against the cell mean p*f is p^2 * f * (1 - f) per unit cell
-    area, with f the in-band fraction.  Cells depend on the index offset
-    only, and f * (1 - f) is exactly 0 except for offsets whose cells
-    straddle a band edge e in {kappa, 1 - kappa}: those lie in
-    floor(n*e) - 1 .. floor(n*e) + 2, summed in ascending order.
-    """
-    n, kappa, p = spec.n, spec.kappa, spec.p
-    total = 0.0
-    for o in sorted({o for e in (kappa, 1.0 - kappa)
-                     for o in range(floor(n * e) - 1, floor(n * e) + 3) if 0 <= o < n}):
-        f = _band_fraction(o / n, n, kappa)
-        total += f * (1.0 - f)
-    return p * sqrt(total / n)
 
 
 def empirical_band_density(coupling: CouplingMatrix) -> float:

@@ -3,10 +3,9 @@
 Everything here recomputes quantities from their defining integrals or by
 brute force, deliberately sharing no code path with the package: window
 overlap factors and eigenvalues via adaptive quadrature of the
-linearization operator, cell averages via quadrature of the triangular
-offset marginal, rotation-aligned distances via a dense angle grid, the
-oscillator right-hand side via a literal double loop over neighbors and as
-one plain expression over two separate real prefix sums (the package's
+linearization operator, rotation-aligned distances via a dense angle grid,
+the oscillator right-hand side via a literal double loop over neighbors and
+as one plain expression over two separate real prefix sums (the package's
 arithmetic before its sums were fused, so it must agree bit for bit; its
 sin and cos come from the package's `circular.sincos` for that reason, or
 from numpy's sin and cos to bound what the tangent form moves), the
@@ -15,23 +14,20 @@ equation, the band as a dense matrix, random graphs via one unchunked draw
 of every in-band pair kept as edges whatever the probability, their files
 byte by byte from the layout, sampled runs via scipy's own solve_ivp loop,
 and the sample grid built whole before its end is fixed.  One exception is
-the step-kernel error, summed over every cell offset with the package's
-exact band fraction, which checks only the package's choice of the offsets
-that can contribute.  The per-row modulation summaries are a second: they
-align each stored row on its own with the package's `_align` and project
-it one scalar at a time, so they check that the package's one pass over
-the samples gives the same numbers bit for bit.  The band's FFT right-hand
-side is a third: it reads the package's ring symbol
-`_half_window(kappa, d, n)`, so it checks that symbol against the prefix
-sums.  The input rule for a finite real is kept as first written, through
-the numbers.Real ABC alone, so a faster rule can be checked to accept and
-refuse the same values.
+the per-row modulation summaries: they align each stored row on its own
+with the package's `_align` and project it one scalar at a time, so they
+check that the package's one pass over the samples gives the same numbers
+bit for bit.  The band's FFT right-hand side is a second: it reads the
+package's ring symbol `_half_window(kappa, d, n)`, so it checks that symbol
+against the prefix sums.  The input rule for a finite real is kept as first
+written, through the numbers.Real ABC alone, so a faster rule can be
+checked to accept and refuse the same values.
 """
 
 from __future__ import annotations
 
 import struct
-from math import cos, inf, pi, sin, sqrt
+from math import cos, inf, pi, sin
 from numbers import Real
 from sys import float_info
 
@@ -42,7 +38,6 @@ from scipy.integrate import quad, solve_ivp
 from ringtwist.analysis import _align
 from ringtwist.circular import sincos
 from ringtwist.dynamics import twisted_profile
-from ringtwist.graphs import _band_fraction
 from ringtwist.spectrum import _half_window
 
 
@@ -95,44 +90,6 @@ def a_coeffs_quad(q: int, j: int, kappa: float) -> tuple[float, float]:
     a2, _ = quad(lambda y: -cos(2 * pi * q * y) * cos(2 * pi * j * y),
                  -kappa, kappa, epsabs=1e-13, epsrel=1e-13, limit=200)
     return a1, a2
-
-
-def band_fraction_quad(z0: float, n: int, kappa: float) -> float:
-    """Cell-pair band fraction by quadrature of the triangular marginal.
-
-    The offset x - y over a cell pair has the triangular density
-    n^2*(1/n - |z - z0|)_+; the fraction inside the circular band is its
-    integral against the band indicator, with integration split at the
-    density peak and every band edge for quadrature accuracy.
-    """
-
-    def density(z: float) -> float:
-        return n * n * max(0.0, 1.0 / n - abs(z - z0))
-
-    def indicator(z: float) -> float:
-        return 1.0 if abs(z - round(z)) <= kappa else 0.0
-
-    lo, hi = z0 - 1.0 / n, z0 + 1.0 / n
-    points = [z0]
-    m_lo = int(np.floor(lo - kappa)) - 1
-    m_hi = int(np.ceil(hi + kappa)) + 1
-    for m in range(m_lo, m_hi + 1):
-        for edge in (m - kappa, m + kappa):
-            if lo < edge < hi:
-                points.append(edge)
-    val, _ = quad(lambda z: density(z) * indicator(z), lo, hi,
-                  points=sorted(points), epsabs=1e-12, epsrel=1e-12, limit=400)
-    return val
-
-
-def step_graphon_error_loop(spec) -> float:
-    """Step-kernel error summed over every cell offset 0..n-1, in order."""
-    n, kappa = spec.n, spec.kappa
-    total = 0.0
-    for o in range(n):
-        f = _band_fraction(o / n, n, kappa)
-        total += f * (1.0 - f)
-    return spec.p * sqrt(total / n)
 
 
 def integrate_solve_ivp(rhs, y0: np.ndarray, times: np.ndarray, *, rel_tol: float,

@@ -30,6 +30,7 @@ from ringtwist.analysis import (
     write_fit_json,
     write_modulation_csv,
 )
+from ringtwist.bifurcation import kappa_critical
 from ringtwist.circular import resultant, wrap_angle
 from ringtwist.dynamics import (
     SimulationConfig,
@@ -38,6 +39,7 @@ from ringtwist.dynamics import (
     twisted_profile,
 )
 from ringtwist.graphs import GraphSpec
+from ringtwist.spectrum import chi2
 
 
 def same_bits(a, b):
@@ -260,6 +262,21 @@ class TestEstimateModulation:
                               mod_phase=lambda t: 3.0 * t)
         est = estimate_modulation(synthetic_trajectory(times, rows))
         assert est.r_max < 2e-4
+
+    @pytest.mark.parametrize("q, sigma, n", [
+        (1, 0.5, 300), (1, -0.5, 300), (1, 0.5, 1000), (1, -0.5, 1000), (2, 0.5, 400),
+    ])
+    def test_a_band_run_turns_psi_at_minus_nu1(self, q, sigma, n):
+        # the sign criterion 08 leaves open, which compares |psi_rate| alone:
+        # just below the threshold a first-harmonic bump precesses at
+        # -nu1 = -p*sin(sigma)*chi2(kappa_eff; 1, q).  Measured gaps were
+        # 1.9e-6 to 5.7e-5 of nu1
+        spec = GraphSpec(n=n, p=0.6, kappa=kappa_critical(1, q) - 0.01)
+        run = run_experiment(SimulationConfig(graph=spec, q=q, sigma=sigma, t_end=40.0,
+                                              perturbation_amplitude=0.0,
+                                              ic_mode1_amplitude=0.01))
+        nu1 = spec.p * np.sin(sigma) * chi2(spec.kappa_eff, 1, q)
+        assert abs(estimate_modulation(run).psi_rate + nu1) <= 1e-4 * abs(nu1)
 
 
 class TestDeviationRecord:

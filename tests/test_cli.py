@@ -8,6 +8,7 @@ import sys
 from math import inf, nan
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _oracles import graph_file_bytes, sample_adjacency_one_shot
@@ -140,6 +141,18 @@ class TestGraph:
         assert manifest["results"]["nnz"] == coupling.nnz
         assert manifest["results"]["stored"] == coupling.stored
         assert manifest["results"]["stored_nnz"] == coupling.stored_nnz
+        # the realized window and the gap between its ring symbol and the
+        # continuum window integral, as cosine sums over the offsets |d| <= 12
+        # against sin(2*pi*j*kappa_eff)/(pi*j), over modes 0..n/2
+        assert manifest["results"]["kappa_eff"] == 12.5 / 40
+        d, j = np.arange(-12, 13), np.arange(1, 21)
+        ring = np.cos(2 * np.pi * np.outer(j, d) / 40).sum(1) / 40
+        gaps = [0.0, *np.abs(ring - np.sin(2 * np.pi * j * 12.5 / 40) / (np.pi * j))]
+        assert manifest["results"]["symbol_distance"] == pytest.approx(max(gaps), abs=1e-15)
+        # and no step-kernel error beside them: these keys and no others
+        assert set(manifest["results"]) == {
+            "halfwidth", "nnz", "edge_probability", "empirical_band_density",
+            "kappa_eff", "symbol_distance", "stored", "stored_nnz"}
 
     @pytest.mark.parametrize("p, stored", [(0.3, "edges"), (0.9, "holes"), (1.0, "holes")])
     def test_stored_side_in_results(self, tmp_path, graph_config, p, stored):
@@ -151,6 +164,22 @@ class TestGraph:
         band = 40 * (2 * results["halfwidth"] + 1)
         assert results["stored_nnz"] == (results["nnz"] if stored == "edges"
                                          else band - results["nnz"])
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+    def test_the_band_symbol_meets_the_continuum_at_rate_n_to_the_minus_2(
+            self, tmp_path, graph_config, n):
+        # the ring's symbol is the window integral at kappa_eff up to
+        # O((j/n)^2); n^2 times the distance read 32.03-32.61 at kappa = 0.31
+        out = tmp_path / "out"
+        assert main(["graph", "--config", str(graph_config), "--set", f"n={n}",
+                     "--set", "kind=deterministic_dense", "--out", str(out)]) == 0
+        assert 31.9 <= n * n * read_manifest(out)["results"]["symbol_distance"] <= 32.7
+
+    def test_a_one_node_ring_has_the_continuum_symbol(self, tmp_path, graph_config):
+        out = tmp_path / "out"
+        assert main(["graph", "--config", str(graph_config), "--set", "n=1",
+                     "--set", "kind=deterministic_dense", "--out", str(out)]) == 0
+        assert read_manifest(out)["results"]["symbol_distance"] == 0.0
 
     def test_band_stores_nothing(self, tmp_path, graph_config):
         out = tmp_path / "out"

@@ -4,33 +4,30 @@ import csv
 import hashlib
 import tracemalloc
 from dataclasses import replace
-from math import floor, sqrt
+from math import pi, sin, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 
 from _oracles import (
     band_matrix,
-    band_fraction_quad,
     graph_file_bytes,
     realized_density,
     sample_adjacency_one_shot,
-    step_graphon_error_loop,
 )
 from ringtwist import graphs
 from ringtwist.graphs import (
     CouplingMatrix,
     GraphSpec,
-    _band_fraction,
     build_coupling,
     empirical_band_density,
-    step_graphon_error,
     write_adjacency_binary,
     write_pixel_csv,
 )
+from ringtwist.spectrum import _window_integrals
 
 
 def dense_spec(n=200, p=0.5, kappa=0.31, seed=3):
@@ -126,23 +123,22 @@ class TestGraphSpec:
         assert sp.scale == pytest.approx(2000.0 ** -0.7, abs=1e-15)
         assert sp.weight == 1.0
 
-
-class TestCellAverage:
-    # _band_fraction((k - j)/n, n, kappa) is the band's share of cell I_k x I_j
-    def test_interior_and_exterior_cells(self):
-        assert _band_fraction(0 / 10, 10, 0.31) == pytest.approx(1.0, abs=1e-15)
-        assert _band_fraction(-2 / 10, 10, 0.31) == pytest.approx(1.0, abs=1e-15)
-        assert _band_fraction(-5 / 10, 10, 0.31) == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("k, j", [(1, 4), (1, 5), (2, 9), (10, 3), (1, 8)])
-    def test_straddling_cells_match_quadrature(self, k, j):
-        oracle = band_fraction_quad((k - j) / 10, 10, 0.31)
-        assert _band_fraction((k - j) / 10, 10, 0.31) == pytest.approx(oracle, abs=1e-9)
-
-    def test_symmetric_in_arguments(self):
-        for k, j in [(1, 5), (2, 17), (9, 3)]:
-            assert _band_fraction((k - j) / 17, 17, 0.23) == pytest.approx(
-                _band_fraction((j - k) / 17, 17, 0.23), abs=1e-15)
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**5])
+    @pytest.mark.parametrize("kind", graphs.KINDS)
+    def test_the_symbol_gives_the_rotation_speed_bit_for_bit(self, kind, n):
+        # p*sin(sigma)*symbol(q) has the bits of the speed as the run layer
+        # once formed it, from the window integral at (m + 1/2)/n with the
+        # lag q as its third argument, where symbol passes q as its second
+        for kappa in (0.005, 0.168, 0.31, 0.4919):
+            spec = GraphSpec(n=n, p=0.7, kappa=kappa, kind=kind, gamma=0.45, seed=1)
+            kappa_eff = (spec.halfwidth + 0.5) / n
+            assert spec.kappa_eff == kappa_eff
+            assert spec.symbol(0) == (2 * spec.halfwidth + 1) / n
+            for q in range(17):
+                for sigma in (0.5, -1.3, pi / 3):
+                    by_hand = float(_window_integrals(kappa_eff, 0, q, n)[0])
+                    assert (spec.p * sin(sigma) * float(spec.symbol(q))
+                            == spec.p * sin(sigma) * by_hand)
 
 
 def pixel_matrix(coupling, path):
@@ -323,42 +319,6 @@ class TestStoredSide:
         band = band_matrix(spec.n, spec.halfwidth)
         assert np.array_equal(coupling.csr.toarray(),
                               band - oracle if spec.stored == "holes" else oracle)
-
-
-class TestStepApproximation:
-    def test_frozen_value_at_aligned_width(self):
-        # n*kappa integer: only the two boundary offsets straddle, each
-        # half-covered, so error = p*sqrt(2*(1/4)/n)
-        spec = GraphSpec(n=100, p=0.5, kappa=0.31)
-        assert step_graphon_error(spec) == pytest.approx(
-            0.5 * sqrt(0.5 / 100.0), abs=1e-15)
-
-    def test_matches_quadrature_route(self):
-        spec = GraphSpec(n=40, p=0.7, kappa=0.27)
-        total = sum(
-            (f := band_fraction_quad(o / 40, 40, 0.27)) * (1.0 - f)
-            for o in range(40)
-        )
-        assert step_graphon_error(spec) == pytest.approx(
-            0.7 * sqrt(total / 40), abs=1e-9)
-
-    @given(n=st.integers(1, 3000), kappa=st.floats(1e-6, 0.5, exclude_max=True),
-           aligned=st.booleans())
-    def test_matches_the_full_offset_loop_bit_for_bit(self, n, kappa, aligned):
-        # only offsets whose cells straddle a band edge add a nonzero term;
-        # aligned widths kappa = m/n put the edge on a cell boundary
-        if aligned:
-            kappa = max(1, min(floor(n * kappa), (n - 1) // 2)) / n
-            assume(kappa < 0.5)
-        spec = GraphSpec(n=n, p=0.7, kappa=kappa)
-        assert step_graphon_error(spec) == step_graphon_error_loop(spec)
-
-    def test_error_decreases_with_resolution(self):
-        errors = [
-            step_graphon_error(GraphSpec(n=n, p=0.5, kappa=0.31))
-            for n in (50, 100, 200, 400)
-        ]
-        assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
 class TestFileFormats:

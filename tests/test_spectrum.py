@@ -16,6 +16,7 @@ from _oracles import (
 )
 from ringtwist import spectrum
 from ringtwist.bifurcation import a_coeffs
+from ringtwist.graphs import GraphSpec
 from ringtwist.spectrum import (
     BracketError,
     ModeParams,
@@ -319,6 +320,10 @@ def test_ring_window_integrals_are_the_band_offset_sums(n):
             cc, ss = spectrum._window_integrals(kappa, ell, q, n)
             assert np.abs(cc - (np.cos(mode_q) * np.cos(mode_l)).sum(1) / n).max() <= 1e-15
             assert np.abs(ss - (np.sin(mode_q) * np.sin(mode_l)).sum(1) / n).max() <= 1e-15
+            if q == 0 and kappa < 0.5:
+                # a graph's symbol is this sum on the band of its window
+                symbol = GraphSpec(n, 1.0, kappa).symbol(ell)
+                assert np.abs(symbol - np.cos(mode_l).sum(1) / n).max() <= 1e-15
         # every d = 0 mod n is the whole window over 2n, kappa itself
         d = np.array([0, n, -n, 3 * n])
         assert spectrum._half_window(kappa, d, n).tolist() == [kappa] * 4

@@ -18,8 +18,9 @@ checks keep:
 * the ``ringtwist`` console script naming ``cli.main``;
 * ``run_experiment`` the one path from a configuration to a trajectory;
 * the run layer importing nothing from ``bifurcation``;
-* the run's rotation speed read from ``spectrum._window_integrals`` at
-  the realized n, with no offset array in ``dynamics``;
+* the run's rotation speed read from ``GraphSpec.symbol``, which reads
+  ``spectrum._window_integrals`` at the realized n, with no offset array in
+  ``dynamics``, and the realized window formed in ``GraphSpec`` alone;
 * the right-hand side and the mean resultant taking sin and cos from
   ``circular.sincos`` alone;
 * the closed forms on one window integral (no second function names the
@@ -264,21 +265,41 @@ def test_dynamics_imports_nothing_from_bifurcation():
 
 
 def test_the_rotation_speed_reads_the_window_integrals_at_the_realized_n():
-    # one window symbol for the continuum and the ring: _coupling_speed hands
-    # the graph's n to spectrum._window_integrals, and dynamics sums no
-    # cosines over an array of window offsets of its own
+    # one window symbol for the continuum and the ring: _coupling_speed calls
+    # GraphSpec.symbol, which hands the graph's n to spectrum._window_integrals,
+    # and dynamics sums no cosines over an array of window offsets of its own
     tree = _source("dynamics.py")
     speed = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name == "_coupling_speed")
     calls = {_called(node): node for node in ast.walk(speed) if isinstance(node, ast.Call)}
-    assert "_window_integrals" in calls
-    ring_size = calls["_window_integrals"].args[3]
+    assert "symbol" in calls
+    symbol = next(node for node in ast.walk(_source("graphs.py"))
+                  if isinstance(node, ast.FunctionDef) and node.name == "symbol")
+    inner = {_called(node): node for node in ast.walk(symbol) if isinstance(node, ast.Call)}
+    assert "_window_integrals" in inner
+    ring_size = inner["_window_integrals"].args[3]
     assert isinstance(ring_size, ast.Attribute) and ring_size.attr == "n"
     assert {"cos", "sum", "arange"} & set(calls) == set()
     offsets = [f"dynamics.py:{node.lineno}" for node in ast.walk(tree)
                if isinstance(node, ast.Call) and _called(node) in ("arange", "linspace")
                and any(getattr(n, "attr", None) == "halfwidth" for n in ast.walk(node))]
     assert offsets == []
+
+
+def test_only_the_graph_spec_forms_the_realized_window():
+    # kappa_eff = (halfwidth + 1/2)/n has one owner, GraphSpec: no other code
+    # in the package adds 0.5 to a halfwidth
+    spec = next(node for node in _source("graphs.py").body
+                if isinstance(node, ast.ClassDef) and node.name == "GraphSpec")
+    owned = set(ast.walk(spec))
+    formed = [f"{path.name}:{node.lineno}" for path, tree in SOURCES
+              for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+              and node not in owned
+              and 0.5 in [getattr(side, "value", None) for side in (node.left, node.right)]
+              and any(getattr(n, "attr", getattr(n, "id", None)) == "halfwidth"
+                      for n in ast.walk(node))]
+    assert formed == []
 
 
 def test_the_state_sized_trig_is_the_one_sincos():
