@@ -14,7 +14,8 @@ computes every constant of that reduction in closed form, reads the side,
 stability and amplitude of the branch from the radial equation (see
 predict_bifurcation).  The threshold and the coefficients there depend
 on q alone; they are computed once per q per process, and p and sigma
-only scale or combine them.
+only scale or combine them, so write_beta_sigma_csv takes a whole grid of
+phase-lags in one array expression.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "kappa_critical",
     "a_coeffs",
     "normal_form_constants",
-    "beta_sigma_curve",
     "predict_bifurcation",
     "constants_rows",
     "write_constants_csv",
@@ -265,17 +265,6 @@ def normal_form_constants(q: int, p: float = 1.0,
     )
 
 
-def beta_sigma_curve(q: int, p: float,
-                     sigma_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Evaluate beta_sigma over a grid of phase-lags.
-
-    The threshold values are computed once; the sigma dependence is one
-    array expression over the grid.
-    """
-    sigma = np.asarray(sigma_grid, dtype=float)
-    return list(zip(sigma.tolist(), _lagged(q, p, sigma)[3].tolist()))
-
-
 @dataclass(frozen=True)
 class BifurcationPrediction:
     """Branch prediction at a query kappa near the threshold.
@@ -410,5 +399,8 @@ def write_zeta_csv(path) -> None:
 
 def write_beta_sigma_csv(path, q: int, p: float,
                          sigma_grid: Sequence[float]) -> None:
-    """Write (sigma, beta_sigma) curve rows; an invalid sigma leaves no file."""
-    write_csv(path, ["sigma", "beta_sigma"], beta_sigma_curve(q, p, sigma_grid))
+    """Write (sigma, beta_sigma) rows, beta_sigma one array expression over the
+    grid; sigma is checked before the file opens, so an invalid one leaves no file."""
+    sigma = np.asarray(sigma_grid, dtype=float)
+    write_csv(path, ["sigma", "beta_sigma"],
+              zip(sigma.tolist(), _lagged(q, p, sigma)[3].tolist()))

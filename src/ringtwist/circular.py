@@ -25,7 +25,7 @@ def wrap_angle(x):
         in (-pi, pi] come back exactly and the others are shifted, each
         element by itself.  An array lying wholly in (-pi, pi] is only
         copied; any other goes through np.mod as a whole, and a select
-        keeps its in-range elements if it has any.  +-inf gives nan quietly.
+        keeps its in-range elements.  +-inf gives nan quietly.
     """
     a = np.asarray(x, dtype=float)
     inside = (a > -np.pi) & (a <= np.pi)
@@ -36,8 +36,7 @@ def wrap_angle(x):
             w = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
         # np.mod lands on [-pi, pi); move the -pi edge to +pi.
         w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
-        if inside.any():
-            w = np.where(inside, a, w)
+        w = np.where(inside, a, w)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(w)
     return w

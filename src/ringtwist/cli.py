@@ -207,7 +207,12 @@ def cmd_betasigma(args, out):
 def cmd_graph(args, out):
     """Build one graph, write the files asked for and report its facts; symbol_distance
     is max |symbol - continuum window integral| at kappa_eff over the modes a spectrum
-    report lists, 0..DEFAULT_ELL_MAX, capped at the ring's Nyquist mode n // 2."""
+    report lists, 0..DEFAULT_ELL_MAX, capped at the ring's Nyquist mode n // 2.
+
+    The gap at mode j, sin(2*pi*j*kappa_eff)*(1/(n*sin(pi*j/n)) - 1/(pi*j)), peaks near
+    (pi/6)*j/n^2, so the highest mode read sets the figure, and weighted by 1/j it is
+    still not the graph's: n^2*max_j |gap_j|/j reads 0.50-0.56 over modes <= 64 and
+    2*(1 - 2/pi) over all.  Per-mode gaps tell which modes a run can trust."""
     data = _load_config(args.config, args.set)
     spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)

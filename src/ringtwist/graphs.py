@@ -134,17 +134,17 @@ class GraphSpec:
     def symbol(self, ell):
         """The mean coupling's multiplier of mode(s) ell over p, the ring's window
         integral at kappa_eff: sum of cos(2*pi*ell*d/n) over |d| <= halfwidth, over n.
-        Modes past n/2 alias on the ring, where ell and n - ell have one symbol."""
+        Modes past n/2 alias, ell and n - ell with one symbol: each mode is taken
+        into one period first, so an aliased one meets the sums as its alias does."""
         return _window_integrals(self.kappa_eff, ell, 0, self.n)[0]
 
     @property
     def edge_probability(self) -> float:
-        """Bernoulli probability inside the band (1 for deterministic)."""
-        if self.kind == "random_dense":
-            return self.p
-        if self.kind == "random_sparse":
-            return float(self.n) ** (-self.gamma) * self.p
-        return 1.0
+        """Bernoulli probability inside the band: 1 on the deterministic band, else
+        n**(-gamma)*p; random_dense is that rule at gamma = 0, where n**-0.0 is 1."""
+        if self.kind == "deterministic_dense":
+            return 1.0
+        return float(self.n) ** -(self.gamma or 0.0) * self.p
 
     @property
     def weight(self) -> float:

@@ -73,8 +73,10 @@ def _scalar_or_array(values):
 def _half_window(kappa, d, n=None):
     # sin(2*pi*d*kappa)/(2*pi*d), kappa at d = 0; on an n-node ring, at kappa =
     # (m + 1/2)/n, the sum over its 2m + 1 offsets (1/2n)*sum cos(2*pi*d*j/n) =
-    # sin(2*pi*d*kappa)/(2n*sin(pi*d/n)), kappa wherever d = 0 mod n
-    zero = d == 0 if n is None else np.mod(d, n) == 0
+    # sin(2*pi*d*kappa)/(2n*sin(pi*d/n)), n-periodic, so d goes into one period first
+    if n is not None:
+        d = np.mod(np.add(d, n // 2), n) - n // 2
+    zero = d == 0
     safe = np.where(zero, 1, d)
     denominator = 2 * pi * safe if n is None else 2 * n * np.sin(pi * safe / n)
     return np.where(zero, kappa, np.sin(2 * pi * safe * kappa) / denominator)

@@ -13,7 +13,6 @@ from ringtwist import bifurcation
 from ringtwist.bifurcation import (
     NoRootError,
     a_coeffs,
-    beta_sigma_curve,
     constants_rows,
     kappa_critical,
     normal_form_constants,
@@ -246,16 +245,19 @@ def test_beta_sigma_keeps_sign_over_lag_range(q):
     # the formula-derived cubic coefficient stays negative on the whole
     # admissible lag range for every tabulated winding number
     grid = np.linspace(0.0, 1.5, 151)
-    values = np.array([b for _, b in beta_sigma_curve(q, 1.0, grid)])
+    values = np.array([normal_form_constants(q, 1.0, s).beta_sigma for s in grid])
     assert np.all(values < 0.0)
 
 
-def test_beta_sigma_curve_matches_pointwise_constants():
+def test_beta_sigma_curve_matches_pointwise_constants(tmp_path):
     grid = [0.0, 0.4, 1.0]
-    curve = beta_sigma_curve(2, 0.7, grid)
-    for sigma, value in curve:
-        direct = normal_form_constants(2, 0.7, sigma).beta_sigma
-        assert value == pytest.approx(direct, abs=1e-14)
+    write_beta_sigma_csv(tmp_path / "bs.csv", 2, 0.7, grid)
+    with open(tmp_path / "bs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["sigma"]) for row in rows] == grid
+    for row in rows:
+        direct = normal_form_constants(2, 0.7, float(row["sigma"])).beta_sigma
+        assert float(row["beta_sigma"]) == pytest.approx(direct, abs=1e-14)
 
 
 def test_mu_nu_definitions():
@@ -479,7 +481,8 @@ def empty_threshold_cache():
     bifurcation._threshold.cache_clear()
 
 
-def test_each_threshold_is_found_once_per_process(monkeypatch, empty_threshold_cache):
+def test_each_threshold_is_found_once_per_process(monkeypatch, empty_threshold_cache,
+                                                  tmp_path):
     calls = []
     find = bifurcation.kappa_critical
 
@@ -493,7 +496,7 @@ def test_each_threshold_is_found_once_per_process(monkeypatch, empty_threshold_c
             for p in (0.7, 1.0):
                 normal_form_constants(q, p, sigma)
         constants_rows([q], 0.7, 0.5)
-        beta_sigma_curve(q, 0.7, [0.0, 0.5])
+        write_beta_sigma_csv(tmp_path / "bs.csv", q, 0.7, [0.0, 0.5])
     normal_form_constants(np.int64(3))
     normal_form_constants(np.array(3))
     assert sorted(calls) == list(range(1, 9))

@@ -90,6 +90,8 @@ def test_wrap_angle_rows_outside_take_the_mod_formula(shift):
     moved = np.where(moved <= -np.pi, moved + 2.0 * np.pi, moved)
     inside = (x > -np.pi) & (x <= np.pi)
     assert _bits(wrap_angle(x)) == _bits(np.where(inside, x, moved))
+    # whichever row it is, each element has the bits of its scalar call
+    assert _bits(wrap_angle(x)) == b"".join(_bits(wrap_angle(float(v))) for v in x)
 
 
 def test_wrap_angle_empty_array():

@@ -123,6 +123,19 @@ class TestGraphSpec:
         assert sp.scale == pytest.approx(2000.0 ** -0.7, abs=1e-15)
         assert sp.weight == 1.0
 
+        # bit for bit: 1 on the band, p for random_dense (the sparse rule at
+        # gamma = 0) and n**(-gamma)*p for random_sparse
+        for n in (1, 7, 1000, 10**5):
+            for p in (0.3, 0.7, 1.0):
+                for kappa in (0.001, 0.31, 0.49):
+                    det = GraphSpec(n=n, p=p, kappa=kappa)
+                    assert det.edge_probability.hex() == (1.0).hex()
+                    dense = dense_spec(n=n, p=p, kappa=kappa)
+                    assert dense.edge_probability.hex() == p.hex()
+                    for gamma in (0.1, 0.3, 0.45):
+                        sp = sparse_spec(n=n, p=p, kappa=kappa, gamma=gamma)
+                        assert sp.edge_probability.hex() == (float(n) ** (-gamma) * p).hex()
+
     @pytest.mark.parametrize("n", [1, 7, 1000, 10**5])
     @pytest.mark.parametrize("kind", graphs.KINDS)
     def test_the_symbol_gives_the_rotation_speed_bit_for_bit(self, kind, n):

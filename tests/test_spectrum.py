@@ -305,28 +305,44 @@ def test_spectrum_queries_equal_the_first_written_form_bit_for_bit(q):
             assert _same_bits(a1, -ss) and _same_bits(a2, -cc)
 
 
+def _ring_half_window_unreduced(kappa, d, n):
+    # the ring form with d used as given: its sines' arguments, and their
+    # rounding error, grow with |d|
+    zero = np.mod(d, n) == 0
+    safe = np.where(zero, 1, d)
+    return np.where(zero, kappa, np.sin(2 * pi * safe * kappa) / (2 * n * np.sin(pi * safe / n)))
+
+
 @pytest.mark.parametrize("n", [7, 100, 999, 1000])
 def test_ring_window_integrals_are_the_band_offset_sums(n):
     # at kappa = (m + 1/2)/n, given n, the overlaps are sums over the band's
     # 2m + 1 offsets j, each over n; the angles are reduced mod n in integers
-    # first, so the sums carry no large-argument error.  Modes l <= n/2 are
-    # every mode the ring tells apart.  The worst gap seen was 2.8e-16
-    ell = np.arange(n // 2 + 1)
+    # first, so the sums carry no large-argument error and are n-periodic in
+    # l.  Modes -3n..3n are checked against one period of sums, since modes
+    # past n/2 alias.  The worst gap seen was 2.8e-16; the unreduced ring
+    # form misses by 1.0e-13 at n = 1000, m = 499
+    ell, period = np.arange(-3 * n, 3 * n + 1), np.arange(n)
+    alias, near = np.mod(ell, n), np.arange(-(n // 2), n // 2 + 1)
     for m in sorted({0, 1, n // 4, (n - 1) // 2}):
         kappa, j = (m + 0.5) / n, np.arange(-m, m + 1)
-        mode_l = 2 * pi * np.mod(np.outer(ell, j), n) / n
+        mode_l = 2 * pi * np.mod(np.outer(period, j), n) / n
         for q in (0, 1, 2, 5):
             mode_q = 2 * pi * np.mod(q * j, n) / n
+            cc_sums = (np.cos(mode_q) * np.cos(mode_l)).sum(1) / n
+            ss_sums = (np.sin(mode_q) * np.sin(mode_l)).sum(1) / n
             cc, ss = spectrum._window_integrals(kappa, ell, q, n)
-            assert np.abs(cc - (np.cos(mode_q) * np.cos(mode_l)).sum(1) / n).max() <= 1e-15
-            assert np.abs(ss - (np.sin(mode_q) * np.sin(mode_l)).sum(1) / n).max() <= 1e-15
+            assert np.abs(cc - cc_sums[alias]).max() <= 1e-15
+            assert np.abs(ss - ss_sums[alias]).max() <= 1e-15
             if q == 0 and kappa < 0.5:
                 # a graph's symbol is this sum on the band of its window
                 symbol = GraphSpec(n, 1.0, kappa).symbol(ell)
-                assert np.abs(symbol - np.cos(mode_l).sum(1) / n).max() <= 1e-15
+                assert np.abs(symbol - cc_sums[alias]).max() <= 1e-15
         # every d = 0 mod n is the whole window over 2n, kappa itself
         d = np.array([0, n, -n, 3 * n])
         assert spectrum._half_window(kappa, d, n).tolist() == [kappa] * 4
+        # up to n/2 the reduction moves no bit
+        assert _same_bits(spectrum._half_window(kappa, near, n),
+                          _ring_half_window_unreduced(kappa, near, n))
 
 
 @pytest.mark.parametrize("q, kappa, sigma, p, n_grid", [
