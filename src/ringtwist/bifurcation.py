@@ -282,10 +282,10 @@ class BifurcationPrediction:
     Attributes primarily of note: ``branch_side``/``branch_stability``,
     ``amplitude`` (sqrt of the radicand at the query kappa, nan if
     negative), ``hypothesis_ok`` (all higher-mode dampings negative),
-    ``modulation_frequency``/``modulation_period`` (nu1 and 2*pi/|nu1|,
-    sigma != 0 only; a run's modulation phase psi turns at -nu1), and
-    ``omega_tilde`` (drift-corrected rotation speed, which is Omega, sigma
-    != 0 only).
+    ``modulation_frequency``/``modulation_period`` (nu1 and 2*pi/|nu1|, inf
+    where nu1 = 0, as at sigma = 0; a run's modulation phase psi turns at
+    -nu1), and ``omega_tilde`` (drift-corrected rotation speed, which is
+    Omega).
     """
 
     constants: NormalFormConstants = field(repr=False)
@@ -299,9 +299,9 @@ class BifurcationPrediction:
     amplitude: float
     hypothesis_ok: bool
     hypothesis_violations: tuple[int, ...]
-    modulation_frequency: float | None
-    modulation_period: float | None
-    omega_tilde: float | None
+    modulation_frequency: float
+    modulation_period: float
+    omega_tilde: float
 
 
 def predict_bifurcation(constants: NormalFormConstants,
@@ -315,7 +315,9 @@ def predict_bifurcation(constants: NormalFormConstants,
         Query half-width in (0, 1/2], near constants.kappa_crit.
 
     The hypothesis (all mode dampings mu_j < 0 for j >= 2) is checked over
-    j = 2..8; violations are reported, not raised.
+    j = 2..8; violations are reported, not raised.  The modulation fields are
+    nu1, 2*pi/|nu1| (inf where nu1 = 0, as at sigma = 0) and Omega at every
+    phase-lag.
     """
     check_real("kappa", kappa, 0.0, 0.5, "(]")
     c = constants
@@ -325,13 +327,6 @@ def predict_bifurcation(constants: NormalFormConstants,
     d = kappa - c.kappa_crit
     side_query = "at" if d == 0.0 else ("above" if d > 0.0 else "below")
     rad = cos(c.sigma) * c.chi1_dk * d / c.beta_sigma
-
-    if c.sigma == 0.0:
-        mod_freq = mod_period = omega_tilde = None
-    else:
-        mod_freq = c.nu1
-        mod_period = (2.0 * pi / abs(c.nu1)) if c.nu1 != 0.0 else inf
-        omega_tilde = c.Omega
 
     return BifurcationPrediction(
         constants=c,
@@ -346,9 +341,9 @@ def predict_bifurcation(constants: NormalFormConstants,
         amplitude=sqrt(rad) if rad > 0.0 else (0.0 if rad == 0.0 else nan),
         hypothesis_ok=not violations,
         hypothesis_violations=violations,
-        modulation_frequency=mod_freq,
-        modulation_period=mod_period,
-        omega_tilde=omega_tilde,
+        modulation_frequency=c.nu1,
+        modulation_period=2.0 * pi / abs(c.nu1) if c.nu1 != 0.0 else inf,
+        omega_tilde=c.Omega,
     )
 
 

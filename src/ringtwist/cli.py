@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("betasigma", cmd_betasigma, "frustration dependence of the cubic coefficient",
             ("--q", dict(type=int, required=True)),
             ("--p", dict(type=float, default=1.0)),
-            ("--sigma-grid", dict(default="0:1.5:31", help="lo:hi:count linspace")))
+            ("--sigma-grid", dict(default="0:1.5:31", help="lo:hi:count linspace; a negative "
+                                  "lo takes the = form, --sigma-grid=-1.5:1.5:61")))
     command("graph", cmd_graph, "build a coupling matrix from a graph spec",
             ("--pixels", dict(action="store_true", help="write pixels.csv")),
             ("--binary", dict(action="store_true", help="write adjacency.bin")),

@@ -2,7 +2,7 @@
 
 import csv
 from dataclasses import replace
-from math import cos, isnan, pi, sin, sqrt
+from math import cos, inf, isnan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -304,7 +304,21 @@ class TestPredictions:
         assert pred.branch_exists_at_query
         expected_amp = sqrt(c.chi1_dk * (0.33 - c.kappa_crit) / c.beta0)
         assert pred.amplitude == pytest.approx(expected_amp, abs=1e-12)
-        assert pred.modulation_frequency is None
+        # nu1 is zero without a lag, so the branch does not oscillate
+        assert pred.modulation_frequency.hex() == c.nu1.hex()
+        assert pred.modulation_period == inf
+        assert pred.omega_tilde.hex() == c.Omega.hex()
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0])
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_zero_lag_modulation_fields_are_the_constants(self, q, sigma):
+        # one rule at every lag: the sign of zero comes through from nu1 and Omega
+        c = normal_form_constants(q, 1.0, sigma)
+        pred = predict_bifurcation(c, c.kappa_crit)
+        assert pred.modulation_frequency.hex() == c.nu1.hex()
+        assert pred.modulation_period == inf
+        assert pred.omega_tilde.hex() == c.Omega.hex()
+        assert pred.modulation_frequency == pred.omega_tilde == 0.0
 
     def test_zero_lag_no_branch_above(self):
         c = normal_form_constants(1, 1.0, 0.0)

@@ -14,7 +14,7 @@ import pytest
 from _oracles import graph_file_bytes, sample_adjacency_one_shot
 from ringtwist import cli, dynamics
 from ringtwist.analysis import NoFitError, estimate_modulation
-from ringtwist.bifurcation import NoRootError
+from ringtwist.bifurcation import NoRootError, normal_form_constants
 from ringtwist.cli import main
 from ringtwist.dynamics import SimulationConfig, run_experiment
 from ringtwist.graphs import GraphSpec, build_coupling
@@ -117,6 +117,20 @@ class TestBetaSigma:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert float(rows[0]["sigma"]) == 0.0
+
+    def test_negative_lower_end_takes_the_equals_form(self, tmp_path):
+        # argparse reads a separate value that starts with "-" as a flag
+        out = tmp_path / "out"
+        assert main(["betasigma", "--q", "2", "--sigma-grid=-1.5:1.5:61",
+                     "--out", str(out)]) == 0
+        with open(out / "beta_sigma_q2.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 61
+        assert float(rows[0]["sigma"]) == -1.5 and float(rows[-1]["sigma"]) == 1.5
+        for row in rows:
+            sigma = float(row["sigma"])
+            assert float(row["beta_sigma"]) == pytest.approx(
+                normal_form_constants(2, 1.0, sigma).beta_sigma, abs=1e-14)
 
     def test_bad_grid(self, tmp_path):
         assert main(["betasigma", "--q", "2", "--sigma-grid", "abc",

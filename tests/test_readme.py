@@ -28,7 +28,7 @@ def test_library_example_prints_its_commented_values():
             for line, code in zip(printed, prints) if "#" in code]
     assert [comment for _, comment in said] == [
         "unstable 0.03657...", "linearly_stable", "0.34046...", "below unstable",
-        "0.1932..."]
+        "0.0 inf", "0.1932..."]
     for line, comment in said:
         if comment.endswith("..."):
             assert line.startswith(comment[:-3]), (line, comment)

@@ -25,7 +25,8 @@ checks keep:
   ``circular.sincos`` alone;
 * the closed forms on one window integral (no second function names the
   half window) and one root finder;
-* the threshold cache the package's only memo;
+* the threshold cache and the adjacency a coupling draws once the
+  package's only memos;
 * the helper in ``build_parser`` the only place that declares a
   subcommand and its shared options;
 * ``cli.main`` the only place that builds a ``RunManifest`` or reads ``args.out``;
@@ -351,8 +352,9 @@ def test_no_hand_rolled_root_iteration():
 
 def test_only_the_threshold_values_are_cached():
     # q alone keys the threshold values, and they come back read-only; a
-    # memo on a float-keyed query or on a mutable result must not appear
-    memo = {"cache", "lru_cache"}
+    # coupling keeps the A it draws from its seed for its whole life; a memo
+    # on a float-keyed query or on a mutable result must not appear
+    memo = {"cache", "lru_cache", "cached_property"}
     decorated, stray = [], []
     for path, tree in SOURCES:
         allowed = set()
@@ -367,7 +369,7 @@ def test_only_the_threshold_values_are_cached():
         stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if getattr(node, "id", getattr(node, "attr", None)) in memo
                   and node not in allowed]
-    assert decorated == ["bifurcation._threshold"]
+    assert decorated == ["bifurcation._threshold", "graphs.adjacency"]
     assert stray == []
 
 
