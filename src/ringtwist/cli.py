@@ -62,8 +62,6 @@ from .graphs import (
     GraphSpec,
     build_coupling,
     empirical_band_density,
-    write_adjacency_binary,
-    write_pixel_csv,
 )
 from .spectrum import (
     DEFAULT_ELL_MAX,
@@ -205,9 +203,9 @@ def cmd_betasigma(args, out):
 
 
 def cmd_graph(args, out):
-    """Build one graph, write the files asked for and report its facts; symbol_distance
-    is max |symbol - continuum window integral| at kappa_eff over the modes a spectrum
-    report lists, 0..DEFAULT_ELL_MAX, capped at the ring's Nyquist mode n // 2.
+    """Build one graph and report its facts; symbol_distance is max |symbol - continuum
+    window integral| at kappa_eff over the modes a spectrum report lists,
+    0..DEFAULT_ELL_MAX, capped at the ring's Nyquist mode n // 2.
 
     The gap at mode j, sin(2*pi*j*kappa_eff)*(1/(n*sin(pi*j/n)) - 1/(pi*j)), peaks near
     (pi/6)*j/n^2, so the highest mode read sets the figure, and weighted by 1/j it is
@@ -216,10 +214,6 @@ def cmd_graph(args, out):
     data = _load_config(args.config, args.set)
     spec = _parse_config(lambda d: GraphSpec(**d), data, "graph config")
     coupling = build_coupling(spec)
-    if args.pixels:
-        write_pixel_csv(out("pixels.csv"), coupling)
-    if args.binary:
-        write_adjacency_binary(out("adjacency.bin"), coupling)
     density = empirical_band_density(coupling)
     modes = np.arange(min(DEFAULT_ELL_MAX, spec.n // 2) + 1)
     distance = float(np.max(np.abs(
@@ -390,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("--sigma-grid", dict(default="0:1.5:31", help="lo:hi:count linspace; a negative "
                                   "lo takes the = form, --sigma-grid=-1.5:1.5:61")))
     command("graph", cmd_graph, "build a coupling matrix from a graph spec",
-            ("--pixels", dict(action="store_true", help="write pixels.csv")),
-            ("--binary", dict(action="store_true", help="write adjacency.bin")),
             config="GraphSpec")
     command("simulate", cmd_simulate, "integrate one configured run",
             config="SimulationConfig")

@@ -18,7 +18,7 @@ with a gamma off random_sparse and a seed on deterministic_dense checked,
 then dropped.  It also names the side a random graph stores, the one
 expected to be smaller: its holes H = band - A at edge probability >= 1/2,
 its edges A below.  A CouplingMatrix draws that side from the seed, and
-draws A from it too, when a writer asks; no side is converted to the other.
+draws A from it too, when ``adjacency`` is read; no side is converted to the other.
 The spec owns the realized window too: kappa_eff = (m + 1/2)/n for m =
 floor(n*kappa), and its symbol, the Fourier multiplier of the mean coupling.
 
@@ -30,7 +30,6 @@ diagonal (a self-loop) is part of the band.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import floor
@@ -39,7 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse as _sparse
 
-from ._boundary import check_int, check_real, check_seed, write_csv
+from ._boundary import check_int, check_real, check_seed
 from .spectrum import _window_integrals
 
 __all__ = [
@@ -47,20 +46,11 @@ __all__ = [
     "CouplingMatrix",
     "build_coupling",
     "empirical_band_density",
-    "write_pixel_csv",
-    "write_adjacency_binary",
 ]
 
-# a dump stores a kind as its index here, so kinds are only ever appended
 KINDS = ("deterministic_dense", "random_dense", "random_sparse")
 
-_MAGIC = b"RTADJ\x00"
-_VERSION = 1
-# magic, version, n, kind code, seed flag, seed, halfwidth, weight, scale, nnz
-_HEADER = struct.Struct("<6sHQBBQQddQ")
-
-# Values per chunk when sampling a graph or writing A's indices, and pixels per
-# block of rows when listing them.
+# Values per chunk when sampling a graph.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -169,8 +159,8 @@ class CouplingMatrix:
     circulant band pattern, no O(n^2) memory.  A random graph draws
     ``spec.stored`` from ``spec.seed`` into ``csr``, one symmetric CSR:
     its holes H = band - A or its edges A.  ``adjacency`` gives A for
-    every random graph: the stored edges, or A drawn from the same seed
-    on first access and cached.
+    every random graph, for checks and library users: the stored edges,
+    or A drawn from the same seed on first access and cached.
     """
 
     spec: GraphSpec
@@ -345,50 +335,3 @@ def empirical_band_density(coupling: CouplingMatrix) -> float:
         diag = n - diag  # the diagonal is in the band
     return (diag + (coupling.nnz - diag) // 2) / (n * (m + 1))
 
-
-def write_pixel_csv(path, coupling: CouplingMatrix) -> None:
-    """Write the nonzero pixel map as (k, j, w) rows, 1-based indices, w the weight.
-
-    One walk over A's rows, about _CHUNK_VALUES pixels a block: a band row k
-    lists the columns (k + d) mod n for d = -m..m, a random row its columns in
-    ``adjacency``, the one copy of A held.
-    """
-    csr, m, n, w = coupling.adjacency, coupling.halfwidth, coupling.n, coupling.weight
-    d, step = np.arange(-m, m + 1), max(1, _CHUNK_VALUES // (2 * m + 1))
-
-    def block(lo, hi):
-        k = np.arange(lo, hi)
-        if csr is None:
-            return np.repeat(k, d.size), (k[:, None] + d).ravel() % n
-        ptr = csr.indptr[lo:hi + 1]
-        return np.repeat(k, np.diff(ptr)), csr.indices[ptr[0]:ptr[-1]]
-
-    blocks = (block(lo, min(lo + step, n)) for lo in range(0, n, step))
-    write_csv(path, ["k", "j", "w"], ((k, j, w) for ks, js in blocks
-                                      for k, j in zip((ks + 1).tolist(), (js + 1).tolist())))
-
-
-def write_adjacency_binary(path, coupling: CouplingMatrix) -> None:
-    """Write a compact little-endian dump of a coupling's spec and adjacency.
-
-    Layout (all little-endian; the 58-byte header is the one struct _HEADER):
-      magic 6s "RTADJ\\0" | version u16 | n u64 | kind u8 | has_seed u8 |
-      seed u64 | halfwidth u64 | weight f64 | scale f64 | nnz u64 |
-      [sparse only: row offsets (n+1) x u64, then column indices nnz x u64].
-    banded_uniform (kind deterministic_dense) stores no index arrays (nnz
-    field 0); the pattern is implied by (n, halfwidth).  The random kinds
-    always carry both arrays of A, even when the graph has no edges or
-    stores its holes (A is then drawn, and cached, by ``adjacency``).
-    """
-    spec, csr = coupling.spec, coupling.adjacency
-    has_seed = spec.seed is not None
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            _MAGIC, _VERSION, spec.n, KINDS.index(spec.kind), int(has_seed),
-            spec.seed if has_seed else 0, spec.halfwidth, spec.weight,
-            spec.scale, 0 if csr is None else int(csr.nnz)))
-        if csr is not None:
-            # converted a chunk at a time, so no u8 copy of A's indices is held
-            for array in (csr.indptr, csr.indices):
-                for lo in range(0, array.size, _CHUNK_VALUES):
-                    fh.write(array[lo:lo + _CHUNK_VALUES].astype("<u8"))

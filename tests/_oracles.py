@@ -11,22 +11,21 @@ sin and cos come from the package's `circular.sincos` for that reason, or
 from numpy's sin and cos to bound what the tangent form moves), the
 continuum limit's right-hand side as an FFT multiplier written from its
 equation, the band as a dense matrix, random graphs via one unchunked draw
-of every in-band pair kept as edges whatever the probability, their files
-byte by byte from the layout, sampled runs via scipy's own solve_ivp loop,
-and the sample grid built whole before its end is fixed.  One exception is
-the per-row modulation summaries: they align each stored row on its own
-with the package's `_align` and project it one scalar at a time, so they
-check that the package's one pass over the samples gives the same numbers
-bit for bit.  The band's FFT right-hand side is a second: it reads the
-package's ring symbol `_half_window(kappa, d, n)`, so it checks that symbol
-against the prefix sums.  The input rule for a finite real is kept as first
-written, through the numbers.Real ABC alone, so a faster rule can be
-checked to accept and refuse the same values.
+of every in-band pair kept as edges whatever the probability, sampled runs
+via scipy's own solve_ivp loop, and the sample grid built whole before its
+end is fixed.  One exception is the per-row modulation summaries: they
+align each stored row on its own with the package's `_align` and project
+it one scalar at a time, so they check that the package's one pass over
+the samples gives the same numbers bit for bit.  The band's FFT right-hand
+side is a second: it reads the package's ring symbol
+`_half_window(kappa, d, n)`, so it checks that symbol against the prefix
+sums.  The input rule for a finite real is kept as first written, through
+the numbers.Real ABC alone, so a faster rule can be checked to accept and
+refuse the same values.
 """
 
 from __future__ import annotations
 
-import struct
 from math import cos, inf, pi, sin
 from numbers import Real
 from sys import float_info
@@ -296,35 +295,6 @@ def realized_density(adjacency, m: int) -> float:
     coo = adjacency.tocoo()
     pairs = sum(1 for k, j in zip(coo.row.tolist(), coo.col.tolist()) if k <= j)
     return pairs / (n * (m + 1))
-
-
-def graph_file_bytes(adjacency, spec) -> tuple[bytes, bytes]:
-    """The v1 adjacency.bin and the pixels.csv of a graph: A for a random one, None for the band.
-
-    The binary file is the header (magic, version 1, n, kind code, seed
-    flag, seed or 0, halfwidth, weight, scale, nnz) and, for a random graph,
-    A's row offsets and column indices as u64; the band's header has weight
-    p and nnz 0 and nothing follows it.  The CSV lists A's entries row by
-    row, 1-based, with weight 1.0, or the band's columns k + d mod n for
-    d = -m..m, with weight p.
-    """
-    n, m = spec.n, spec.halfwidth
-    kind_code = ("deterministic_dense", "random_dense", "random_sparse").index(spec.kind)
-    if adjacency is None:
-        w, nnz, arrays = spec.p, 0, b""
-        entries = [(k, (k + d) % n) for k in range(n) for d in range(-m, m + 1)]
-    else:
-        csr = sparse.csr_array(adjacency)
-        w, nnz = 1.0, csr.nnz
-        arrays = csr.indptr.astype("<u8").tobytes() + csr.indices.astype("<u8").tobytes()
-        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-        entries = zip(rows.tolist(), csr.indices.tolist())
-    has_seed = spec.seed is not None
-    binary = (b"RTADJ\x00" + struct.pack("<HQBBQQddQ", 1, n, kind_code, has_seed,
-                                         spec.seed if has_seed else 0, m, w, spec.scale,
-                                         nnz) + arrays)
-    pixels = "k,j,w\n" + "".join(f"{k + 1},{j + 1},{w!r}\n" for k, j in entries)
-    return binary, pixels.encode()
 
 
 def _mode1_per_row(row: np.ndarray, q: int) -> tuple[float, float, float, float, float]:

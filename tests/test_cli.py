@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import graph_file_bytes, sample_adjacency_one_shot
 from ringtwist import cli, dynamics
 from ringtwist.analysis import NoFitError, estimate_modulation
 from ringtwist.bifurcation import NoRootError, normal_form_constants
@@ -140,17 +139,14 @@ class TestBetaSigma:
 class TestGraph:
     def test_outputs_and_results(self, tmp_path, graph_config):
         out = tmp_path / "out"
-        assert main(["graph", "--config", str(graph_config), "--pixels",
-                     "--binary", "--out", str(out)]) == 0
+        assert main(["graph", "--config", str(graph_config), "--out", str(out)]) == 0
         manifest = read_manifest(out)
         assert manifest["command"] == "graph"
+        assert manifest["outputs"] == []
         assert manifest["seed"] == 3
         assert manifest["results"]["halfwidth"] == 12
         assert 0.0 < manifest["results"]["empirical_band_density"] < 1.0
         spec = GraphSpec(**json.loads(graph_config.read_text()))
-        binary, pixels = graph_file_bytes(sample_adjacency_one_shot(40, 12, 0.5, 3), spec)
-        assert (out / "adjacency.bin").read_bytes() == binary
-        assert (out / "pixels.csv").read_bytes() == pixels
         coupling = build_coupling(spec)
         assert manifest["results"]["nnz"] == coupling.nnz
         assert manifest["results"]["stored"] == coupling.stored
@@ -225,15 +221,26 @@ class TestGraph:
                      "--set", "kappa=0.7", "--out", str(tmp_path / "o")]) == 2
 
     def test_negative_seed_is_config_error(self, tmp_path, graph_config, capsys):
-        # a seed outside [0, 2**64) cannot be stored in adjacency.bin
+        # input validation: a seed must lie in [0, 2**64), even on a kind that
+        # then drops it
         out = tmp_path / "o"
         assert main(["graph", "--config", str(graph_config),
                      "--set", "kind=deterministic_dense", "--set", "seed=-1",
-                     "--binary", "--out", str(out)]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "seed" in err
         assert err.count("\n") == 1
-        assert not (out / "adjacency.bin").exists()
+
+    @pytest.mark.parametrize("flag", ["--pixels", "--binary"])
+    def test_graph_writes_no_files(self, flag, tmp_path, graph_config, capsys):
+        # graph writes no graph file: a file flag is a usage error, refused
+        # before any output directory is made
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["graph", "--config", str(graph_config), flag, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -715,15 +722,11 @@ def is_float_text(field):
     return not field.lstrip("-").isdigit()
 
 
-def test_every_csv_is_lf_terminated_with_round_trip_floats(tmp_path, sim_config,
-                                                           graph_config):
+def test_every_csv_is_lf_terminated_with_round_trip_floats(tmp_path, sim_config):
     runs = [
         ["constants", "--q-list", "1,2", "--sigma", "0.3"],
         ["spectrum", "--q", "0", "--kappa", "0.3", "--sigma", "0.7", "--ell-max", "4"],
         ["betasigma", "--q", "2", "--sigma-grid", "0:1.2:7"],
-        ["graph", "--config", str(graph_config), "--pixels"],
-        ["graph", "--config", str(graph_config), "--set", "kind=deterministic_dense",
-         "--pixels"],
         ["simulate", "--config", str(sim_config)],
         ["estimate", "--config", str(sim_config), "--set", "ic_mode1_amplitude=0.1"],
         ["sweep", "--config", str(sim_config), "--param", "graph.kappa",
@@ -734,8 +737,7 @@ def test_every_csv_is_lf_terminated_with_round_trip_floats(tmp_path, sim_config,
         assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
         paths += sorted((tmp_path / str(i)).glob("*.csv"))
     assert {p.name for p in paths} == {
-        "constants.csv", "zeta.csv", "spectrum.csv", "beta_sigma_q2.csv", "pixels.csv",
-        "trajectory.csv", "modulation.csv", "sweep.csv", "trajectory_000.csv",
+        "constants.csv", "zeta.csv", "spectrum.csv", "beta_sigma_q2.csv", "trajectory.csv", "modulation.csv", "sweep.csv", "trajectory_000.csv",
         "trajectory_001.csv"}
     for path in paths:
         text = path.read_bytes().decode()
@@ -756,10 +758,6 @@ WRITTEN = {
     "betasigma": (["betasigma", "--q", "3", "--sigma-grid", "0:1:3"],
                   ["beta_sigma_q3.csv"]),
     "graph": (["graph", "--config", GRAPH], []),
-    "graph-pixels": (["graph", "--config", GRAPH, "--pixels"], ["pixels.csv"]),
-    "graph-binary": (["graph", "--config", GRAPH, "--binary"], ["adjacency.bin"]),
-    "graph-binary-pixels": (["graph", "--config", GRAPH, "--binary", "--pixels"],
-                            ["pixels.csv", "adjacency.bin"]),
     "simulate": (["simulate", "--config", SIM], ["trajectory.csv", "run.json"]),
     "estimate-window": (["estimate", "--config", SIM, "--t-min", "2", "--t-max", "4"],
                         ["modulation.csv", "fit.json"]),

@@ -1,6 +1,5 @@
-"""Band graphon, coupling-matrix realizations, and their file formats."""
+"""Band graphon and its coupling-matrix realizations."""
 
-import csv
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +13,6 @@ from scipy import sparse
 
 from _oracles import (
     band_matrix,
-    graph_file_bytes,
     realized_density,
     sample_adjacency_one_shot,
 )
@@ -24,8 +22,6 @@ from ringtwist.graphs import (
     GraphSpec,
     build_coupling,
     empirical_band_density,
-    write_adjacency_binary,
-    write_pixel_csv,
 )
 from ringtwist.spectrum import _window_integrals
 
@@ -154,30 +150,30 @@ class TestGraphSpec:
                             == spec.p * sin(sigma) * by_hand)
 
 
-def pixel_matrix(coupling, path):
-    """The dense weight matrix read back from the pixel CSV of a coupling."""
-    write_pixel_csv(path, coupling)
-    dense = np.zeros((coupling.n, coupling.n))
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            dense[int(row["k"]) - 1, int(row["j"]) - 1] = float(row["w"])
-    return dense
+def weight_matrix(coupling):
+    """The dense W = weight * A of a coupling: A from ``adjacency`` for a random
+    graph, and from the coupling sums of the unit vectors for the band."""
+    if coupling.adjacency is not None:
+        return coupling.weight * coupling.adjacency.toarray()
+    sums = coupling.coupling_sums()
+    columns = [sums(unit, unit)[0].copy() for unit in np.eye(coupling.n)]
+    return coupling.weight * np.column_stack(columns)
 
 
 class TestDeterministicCoupling:
-    def test_small_band_neighbor_count(self, tmp_path):
+    def test_small_band_neighbor_count(self):
         # n=10, kappa=0.31: halfwidth 3, so 7 in-window neighbors per node
         coupling = build_coupling(GraphSpec(n=10, p=1.0, kappa=0.31))
         assert coupling.layout == "banded_uniform"
         assert coupling.halfwidth == 3
-        dense = pixel_matrix(coupling, tmp_path / "pixels.csv")
+        dense = weight_matrix(coupling)
         assert np.array_equal(dense, band_matrix(10, 3))
         assert np.array_equal(dense.sum(axis=1), np.full(10, 7.0))
         assert np.array_equal(np.diag(dense), np.ones(10))
 
-    def test_circulant_and_symmetric(self, tmp_path):
+    def test_circulant_and_symmetric(self):
         coupling = build_coupling(GraphSpec(n=12, p=0.6, kappa=0.2))
-        dense = pixel_matrix(coupling, tmp_path / "pixels.csv")
+        dense = weight_matrix(coupling)
         assert np.array_equal(dense, band_matrix(12, 2, 0.6))
         assert np.array_equal(dense, dense.T)
         for k in range(12):
@@ -298,7 +294,7 @@ class TestStoredSide:
 
     @pytest.mark.parametrize("spec, chunk_values", STORED_SIDE_CASES)
     def test_every_reading_is_the_directly_sampled_graph(self, spec, chunk_values,
-                                                         monkeypatch, tmp_path):
+                                                         monkeypatch):
         if chunk_values is not None:
             monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
         oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.p, spec.seed)
@@ -312,12 +308,6 @@ class TestStoredSide:
             built, expected = getattr(coupling.adjacency, name), getattr(oracle, name)
             assert built.dtype == expected.dtype, name
             assert np.array_equal(built, expected), name
-
-        binary, pixels = graph_file_bytes(oracle, spec)
-        write_adjacency_binary(tmp_path / "adj.bin", coupling)
-        write_pixel_csv(tmp_path / "pixels.csv", coupling)
-        assert (tmp_path / "adj.bin").read_bytes() == binary
-        assert (tmp_path / "pixels.csv").read_bytes() == pixels
 
     @pytest.mark.parametrize("spec, chunk_values", STORED_SIDE_CASES)
     def test_the_build_draws_the_stored_side_without_a_band_complement(
@@ -334,71 +324,49 @@ class TestStoredSide:
                               band - oracle if spec.stored == "holes" else oracle)
 
 
-class TestFileFormats:
-    def test_pixel_csv_banded(self, tmp_path):
-        coupling = build_coupling(GraphSpec(n=10, p=0.8, kappa=0.31))
-        path = tmp_path / "pixels.csv"
-        write_pixel_csv(path, coupling)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 10 * 7
-        ks = {int(r["k"]) for r in rows}
-        assert ks == set(range(1, 11))
-        assert all(float(r["w"]) == 0.8 for r in rows)
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(array.tobytes() for array in arrays)).hexdigest()
 
-    @pytest.mark.parametrize("n, kappa, chunk_values", [
-        (10, 0.31, 1), (10, 0.31, 1 << 16), (37, 0.05, 7), (200, 0.49, 100)])
-    def test_pixel_csv_banded_matches_the_double_loop(self, tmp_path, monkeypatch,
-                                                      n, kappa, chunk_values):
-        # the row order of the loop the array build replaced, chunk by chunk
-        monkeypatch.setattr(graphs, "_CHUNK_VALUES", chunk_values)
-        coupling = build_coupling(GraphSpec(n=n, p=0.8, kappa=kappa))
-        path = tmp_path / "pixels.csv"
-        write_pixel_csv(path, coupling)
-        m = coupling.halfwidth
-        expected = [["k", "j", "w"]] + [[str(k + 1), str((k + d) % n + 1), "0.8"]
-                                        for k in range(n) for d in range(-m, m + 1)]
-        with open(path, newline="") as fh:
-            assert list(csv.reader(fh)) == expected
 
-    def test_pixel_csv_sparse_row_count(self, tmp_path):
-        coupling = build_coupling(dense_spec(n=60))
-        path = tmp_path / "pixels.csv"
-        write_pixel_csv(path, coupling)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) - 1 == coupling.nnz
+class TestFixedSeed:
+    """A fixed seed keeps drawing the same graph, bit for bit."""
 
-    @pytest.mark.parametrize("spec, stored, digest", [
-        (GraphSpec(n=200, p=0.7, kappa=0.31), "band",
-         "9cf645a4eda43a2c46554b84efa4ca423dc1f0425755161e7a35c2fbe545c7f7"),
+    def test_the_band_is_its_spec(self):
+        coupling = build_coupling(GraphSpec(n=200, p=0.7, kappa=0.31))
+        assert coupling.stored == "band" and coupling.adjacency is None
+        assert (coupling.n, coupling.halfwidth, coupling.weight, coupling.stored_nnz) == (
+            200, 62, 0.7, 0)
+
+    @pytest.mark.parametrize("spec, stored, adjacency_digest, stored_digest", [
         (dense_spec(p=0.9, seed=11), "holes",
-         "08137716596aa88fba3fb7b3b91a6e609f6944eb79544663d8439d42f1b3c8ae"),
+         "ada473361beaff8677ccc839a3178282f3ac5e4bb816cb1daccb1f044dbb3c18",
+         "151d933de265e5149286f5fb4084ac2342f5c6749513512f67dfafda02ee7b6e"),
         (sparse_spec(n=200, gamma=0.4, seed=12), "edges",
-         "5837805e4b8536f110164cbbba4a4e6fa2a781c16009ec14ea567916fe9991fa"),
-    ])
-    def test_binary_bytes_are_frozen(self, spec, stored, digest, tmp_path):
-        # sha256 of the version-1 files as the writer made them when it packed
-        # the header field by field: the one header struct writes the same bytes
+         "58b5c9f52d826491fafc7726ecea40175dba123929875604b3a349331ba026fb",
+         "55a81cabf5c30f4b4ccf914c5d9d680d9e8ae7cea113e3f5e9ac9d67c8f4834c"),
+    ], ids=["dense-holes", "sparse-edges"])
+    def test_random_graphs_are_frozen(self, spec, stored, adjacency_digest, stored_digest):
+        # sha256 of A's row offsets and column indices as <i4, and of the
+        # stored CSR's offsets, indices (<i4) and data (<f8)
         coupling = build_coupling(spec)
         assert coupling.stored == stored
-        path = tmp_path / "adj.bin"
-        write_adjacency_binary(path, coupling)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        a, csr = coupling.adjacency, coupling.csr
+        assert sha256(a.indptr.astype("<i4"), a.indices.astype("<i4")) == adjacency_digest
+        assert sha256(csr.indptr.astype("<i4"), csr.indices.astype("<i4"),
+                      csr.data.astype("<f8")) == stored_digest
 
     @given(kind=st.sampled_from(graphs.KINDS), n=st.integers(1, 60),
            kappa=st.floats(0.001, 0.499),
            p=st.one_of(st.just(1e-9), st.floats(0.05, 1.0)),
            seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)))
-    def test_binary_and_pixels_follow_the_layout(self, kind, n, kappa, p, seed,
-                                                 tmp_path_factory):
+    def test_every_graph_follows_the_layout(self, kind, n, kappa, p, seed):
         # every kind, edgeless random graphs (p = 1e-9) and bands without a
-        # seed included: the writers' bytes are the layout's, field by field
+        # seed included
         if kind != "deterministic_dense" and seed is None:
             seed = 0
         spec = GraphSpec(n=n, p=p, kappa=kappa, kind=kind, seed=seed,
                          gamma=0.3 if kind == "random_sparse" else None)
-        assert_files_follow_the_layout(spec, tmp_path_factory.mktemp("bin"))
+        assert_follows_the_layout(spec)
 
     @pytest.mark.parametrize("spec", [
         GraphSpec(n=100, p=0.7, kappa=0.31),                     # band, no seed
@@ -410,51 +378,25 @@ class TestFileFormats:
         GraphSpec(n=5, p=1e-9, kappa=0.4, kind="random_sparse", gamma=0.3, seed=0),
         GraphSpec(n=1, p=0.5, kappa=0.3, kind="random_dense", seed=1),    # one node
     ])
-    def test_pinned_graphs_follow_the_layout(self, spec, tmp_path):
-        assert_files_follow_the_layout(spec, tmp_path)
-
-    def test_binary_writer_holds_no_u8_copy_of_the_indices(self, tmp_path):
-        # A of n = 1000, p = 0.9 has 559,061 indices, 4.3 MiB as u8; a
-        # whole-array u8 copy and its bytes would peak at twice that
-        coupling = build_coupling(dense_spec(n=1000, p=0.9, seed=1))
-        u8_bytes = coupling.adjacency.indices.size * 8
-        tracemalloc.start()
-        try:
-            write_adjacency_binary(tmp_path / "adj.bin", coupling)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < u8_bytes
-        assert (tmp_path / "adj.bin").stat().st_size == (
-            graphs._HEADER.size + 8 * (coupling.n + 1) + u8_bytes)
-
-    def test_pixel_writer_holds_no_copy_of_the_adjacency(self, tmp_path, monkeypatch):
-        # the writer walks A's rows in blocks of about _CHUNK_VALUES pixels: a
-        # COO copy of A (int32 rows and columns, float64 data) would peak above
-        # A's own indices, 805,012 B here
-        monkeypatch.setattr(graphs, "_CHUNK_VALUES", 2**10)
-        coupling = build_coupling(dense_spec(n=600, p=0.9, seed=1))
-        indices = coupling.adjacency.indices.nbytes
-        tracemalloc.start()
-        try:
-            write_pixel_csv(tmp_path / "pixels.csv", coupling)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < indices
+    def test_pinned_graphs_follow_the_layout(self, spec):
+        assert_follows_the_layout(spec)
 
 
-def assert_files_follow_the_layout(spec, path):
-    # adjacency.bin and pixels.csv of build_coupling(spec), byte for byte
-    # against the oracle fed the one-shot sample
-    oracle = None if spec.kind == "deterministic_dense" else sample_adjacency_one_shot(
-        spec.n, spec.halfwidth, spec.edge_probability, spec.seed)
-    binary, pixels = graph_file_bytes(oracle, spec)
+def assert_follows_the_layout(spec):
+    # A of build_coupling(spec) is the one-shot sample, dtypes included; the
+    # band stores no A, and its W is the dense band times p
     coupling = build_coupling(spec)
-    write_adjacency_binary(path / "adj.bin", coupling)
-    write_pixel_csv(path / "pixels.csv", coupling)
-    assert (path / "adj.bin").read_bytes() == binary
-    assert (path / "pixels.csv").read_bytes() == pixels
+    if spec.kind == "deterministic_dense":
+        assert coupling.adjacency is None
+        assert np.array_equal(weight_matrix(coupling),
+                              band_matrix(spec.n, spec.halfwidth, spec.p))
+        return
+    oracle = sample_adjacency_one_shot(spec.n, spec.halfwidth, spec.edge_probability,
+                                       spec.seed)
+    for name in ("indptr", "indices", "data"):
+        built, expected = getattr(coupling.adjacency, name), getattr(oracle, name)
+        assert built.dtype == expected.dtype, name
+        assert np.array_equal(built, expected), name
 
 
 def test_a_single_node_band():
@@ -463,16 +405,14 @@ def test_a_single_node_band():
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
-def test_pixels_carry_the_weight_of_every_stored_edge(p, tmp_path):
-    # W = weight * A on every route: a random graph's pixels carry its weight
-    # as the band's do, 1.0 on either stored side
+def test_every_edge_of_a_random_graph_has_weight_one(p):
+    # W = weight * A on every route: a random graph's A has data 1.0 and its
+    # weight is 1.0, on either stored side
     coupling = build_coupling(dense_spec(n=60, p=p))
-    path = tmp_path / "pixels.csv"
-    write_pixel_csv(path, coupling)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == coupling.nnz
-    assert {row["w"] for row in rows} == {"1.0"}
+    assert coupling.stored == ("holes" if p >= 0.5 else "edges")
+    assert coupling.adjacency.nnz == coupling.nnz
+    assert set(coupling.adjacency.data.tolist()) == {1.0}
+    assert coupling.weight == 1.0
 
 
 @pytest.mark.parametrize("spec", [
