@@ -758,6 +758,11 @@ WRITTEN = {
     "betasigma": (["betasigma", "--q", "3", "--sigma-grid", "0:1:3"],
                   ["beta_sigma_q3.csv"]),
     "graph": (["graph", "--config", GRAPH], []),
+    # a graph of any kind or stored side writes no file but its manifest
+    "graph-band": (["graph", "--config", GRAPH, "--set", "kind=deterministic_dense"], []),
+    "graph-holes": (["graph", "--config", GRAPH, "--set", "p=0.9"], []),
+    "graph-sparse": (["graph", "--config", GRAPH, "--set", "kind=random_sparse",
+                      "--set", "gamma=0.3"], []),
     "simulate": (["simulate", "--config", SIM], ["trajectory.csv", "run.json"]),
     "estimate-window": (["estimate", "--config", SIM, "--t-min", "2", "--t-max", "4"],
                         ["modulation.csv", "fit.json"]),

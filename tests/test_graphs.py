@@ -180,6 +180,29 @@ class TestDeterministicCoupling:
             assert np.array_equal(dense[k], np.roll(dense[0], k))
         assert set(np.unique(dense)) == {0.0, 0.6}
 
+    def test_band_weight_is_p_on_every_in_window_pixel(self):
+        # n=10, kappa=0.31: 10 * 7 in-window pixels, each of weight p
+        coupling = build_coupling(GraphSpec(n=10, p=0.8, kappa=0.31))
+        dense = weight_matrix(coupling)
+        assert np.array_equal(dense, band_matrix(10, 3) * 0.8)
+        assert np.count_nonzero(dense) == coupling.nnz == 10 * 7
+        assert np.array_equal(np.count_nonzero(dense, axis=1), np.full(10, 7))
+        assert set(dense[dense != 0.0]) == {0.8}
+
+    @pytest.mark.parametrize("n, kappa", [
+        (10, 0.31), (37, 0.05), (200, 0.49),
+        (5, 0.01),       # halfwidth 0: the sums copy their input
+    ])
+    def test_band_matches_the_double_loop(self, n, kappa):
+        # W[k, (k + d) mod n] = p for d = -m..m, written as a double loop
+        coupling = build_coupling(GraphSpec(n=n, p=0.8, kappa=kappa))
+        m = coupling.halfwidth
+        expected = np.zeros((n, n))
+        for k in range(n):
+            for d in range(-m, m + 1):
+                expected[k, (k + d) % n] = 0.8
+        assert np.array_equal(weight_matrix(coupling), expected)
+
     def test_nnz_and_scale(self):
         coupling = build_coupling(GraphSpec(n=100, p=1.0, kappa=0.31))
         assert coupling.nnz == 100 * (2 * 31 + 1)
@@ -253,6 +276,32 @@ class TestRandomCoupling:
         finally:
             tracemalloc.stop()
         assert peak < 200 * 2**20
+
+    def test_a_holes_build_holds_no_copy_of_a(self):
+        # p = 0.9 stores H: the build's peak stays under A's own int32
+        # indices, 2,236,244 B for n = 1000
+        spec = dense_spec(n=1000, p=0.9, seed=1)
+        tracemalloc.start()
+        try:
+            coupling = build_coupling(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coupling.stored == "holes"
+        assert peak < coupling.adjacency.indices.nbytes
+
+    def test_the_holes_coupling_sums_never_build_a(self):
+        # window sums minus H @ x: A is neither drawn nor cached
+        coupling = build_coupling(dense_spec(n=1000, p=0.9, seed=1))
+        x = np.linspace(0.0, 1.0, coupling.n)
+        tracemalloc.start()
+        try:
+            coupling.coupling_sums()(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "adjacency" not in vars(coupling)
+        assert peak < coupling.adjacency.indices.nbytes
 
     def test_sparse_scale_compensates_thinning(self):
         spec = sparse_spec(n=500)
@@ -413,6 +462,17 @@ def test_every_edge_of_a_random_graph_has_weight_one(p):
     assert coupling.adjacency.nnz == coupling.nnz
     assert set(coupling.adjacency.data.tolist()) == {1.0}
     assert coupling.weight == 1.0
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_the_coupling_sums_of_a_random_graph_read_its_pixels(p):
+    # the right-hand side's route, edges A @ x or window sums minus H @ x,
+    # maps the unit vectors onto A's columns: nnz pixels of weight 1.0
+    coupling = build_coupling(dense_spec(n=60, p=p))
+    sums = coupling.coupling_sums()
+    dense = np.column_stack([sums(unit, unit)[0].copy() for unit in np.eye(coupling.n)])
+    assert np.array_equal(dense, coupling.adjacency.toarray())
+    assert np.count_nonzero(dense) == coupling.nnz
 
 
 @pytest.mark.parametrize("spec", [
